@@ -142,6 +142,10 @@ def load_pgm(data: bytes) -> GrayImage:
             raise PgmFormatError("truncated pixel data", len(data))
         arr = np.frombuffer(data, dtype=np.uint8, count=npix, offset=cursor)
     else:
+        # every sample needs a separator and a digit; checking that before
+        # allocating keeps a forged header from requesting a huge array
+        if len(data) - cursor < 2 * npix:
+            raise PgmFormatError("truncated pixel data", len(data))
         vals = np.empty(npix, dtype=np.uint8)
         i = 0
         for token, off in _tokenize_pgm(data, cursor, npix):

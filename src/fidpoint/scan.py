@@ -26,6 +26,18 @@ that relation; each cluster of at least ``min_neighbors`` members emits
 one detection whose point is the round-half-even exact mean of the
 member centres (a reflection-equivariant rounding) and whose rect is
 the mean size centred on that point.
+
+The components are found without testing all n^2 pairs.  Similar widths
+differ by at most 0.2*max(a.w, b.w), so the larger is at most 1.25 times
+the smaller, and the left corners then differ by at most
+0.2 * 1.25 * w = 0.25*w of either window.  With the windows sorted by x,
+the candidate partners of window i are those after it with
+x <= x_i + w_i // 4 + 1 (the +1 covers the float rounding of 0.2*max).
+Candidates are tested in blocks of consecutive rows holding at most
+``_GROUP_BLOCK_PAIRS`` pairs (a single row may exceed it, and holds at
+most n pairs), with exactly the float predicate of :func:`rects_similar`,
+and each block's edges are merged into a flat union-find array.  Memory
+is O(n) plus one block, whatever the number of raw windows.
 """
 
 from __future__ import annotations
@@ -318,68 +330,99 @@ def _tables_for(c: Cascade, image: GrayImage) -> IntegralTables:
     return build_tables(image, want_rotated=c.feature_set is FeatureSet.ALL)
 
 
+# candidate pairs tested at once by group_detections; bounds its working
+# memory to a few MB beyond the O(n) per-window arrays
+_GROUP_BLOCK_PAIRS = 1 << 16
+
+
 def group_detections(raw: list[Detection], min_neighbors: int) -> list[Detection]:
     """Connected-component clustering under the documented similarity rule."""
     n = len(raw)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    if n > 64:
-        xs = np.array([d.rect.x for d in raw])
-        ys = np.array([d.rect.y for d in raw])
-        ws = np.array([d.rect.w for d in raw])
-        hs = np.array([d.rect.h for d in raw])
-        mw = 0.2 * np.maximum(ws[:, None], ws[None, :])
-        mh = 0.2 * np.maximum(hs[:, None], hs[None, :])
-        sim = (
-            (np.abs(xs[:, None] - xs[None, :]) <= mw)
-            & (np.abs(ys[:, None] - ys[None, :]) <= mh)
-            & (np.abs((xs + ws)[:, None] - (xs + ws)[None, :]) <= mw)
-            & (np.abs((ys + hs)[:, None] - (ys + hs)[None, :]) <= mh)
-            & (np.abs(ws[:, None] - ws[None, :]) <= mw)
-            & (np.abs(hs[:, None] - hs[None, :]) <= mh)
+    if n == 0:
+        return []
+    rects = np.array([(d.rect.x, d.rect.y, d.rect.w, d.rect.h) for d in raw], dtype=np.int64)
+    order = np.argsort(rects[:, 0], kind="stable")
+    x, y, w, h = rects[order].T
+    x2, y2 = x + w, y + h
+    # candidates of window i: the later windows with x <= x_i + w_i // 4 + 1
+    # (the candidate bound in the module docstring)
+    counts = np.searchsorted(x, x + w // 4 + 1, side="right") - np.arange(1, n + 1)
+    ends = np.cumsum(counts)
+    parent = np.arange(n)
+    r0 = 0
+    while r0 < n:
+        base = ends[r0] - counts[r0]
+        r1 = max(r0 + 1, int(np.searchsorted(ends, base + _GROUP_BLOCK_PAIRS, side="right")))
+        c = counts[r0:r1]
+        i = np.repeat(np.arange(r0, r1), c)
+        j = i + 1 + np.arange(ends[r1 - 1] - base) - np.repeat(ends[r0:r1] - c - base, c)
+        # the exact predicate of rects_similar; the y terms go first because
+        # the candidate bound has already limited x
+        hi, hj = h[i], h[j]
+        mh = 0.2 * np.maximum(hi, hj)
+        keep = (
+            (np.abs(y[i] - y[j]) <= mh)
+            & (np.abs(y2[i] - y2[j]) <= mh)
+            & (np.abs(hi - hj) <= mh)
         )
-        for i, j in zip(*np.nonzero(np.triu(sim, 1))):
-            union(int(i), int(j))
-    else:
-        for i in range(n):
-            a = raw[i].rect
-            for j in range(i + 1, n):
-                b = raw[j].rect
-                if rects_similar(a, b):
-                    union(i, j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
+        i, j = i[keep], j[keep]
+        wi, wj = w[i], w[j]
+        mw = 0.2 * np.maximum(wi, wj)
+        keep = (
+            (np.abs(x[i] - x[j]) <= mw)
+            & (np.abs(x2[i] - x2[j]) <= mw)
+            & (np.abs(wi - wj) <= mw)
+        )
+        _union_edges(parent, order[i[keep]], order[j[keep]])
+        r0 = r1
+    # roots are the smallest member index, so clusters come out ordered by
+    # their first raw window
+    members = np.argsort(parent, kind="stable")
+    sizes = np.bincount(parent)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    x, y, w, h = rects[members].T
+    sums = np.add.reduceat(np.stack([2 * x + w - 1, 2 * y + h - 1, w, h], axis=1), starts)
+    margins = [raw[m].margin for m in members.tolist()]
     out = []
-    for members in clusters.values():
-        if len(members) < min_neighbors:
+    for s, k, (sx2, sy2, sw, sh) in zip(starts.tolist(), sizes.tolist(), sums.tolist()):
+        if k < min_neighbors:
             continue
-        k = len(members)
         # centre means in half-pixel units, rounded half-to-even; the
         # doubled axis keeps the rounding reflection-equivariant, so a
         # mirrored cluster rounds to exactly the mirrored centre
-        px2 = _round_half_even_frac(sum(2 * raw[i].rect.x + raw[i].rect.w - 1 for i in members), k)
-        py2 = _round_half_even_frac(sum(2 * raw[i].rect.y + raw[i].rect.h - 1 for i in members), k)
-        w = max(1, round_half_up(sum(raw[i].rect.w for i in members) / k))
-        h = max(1, round_half_up(sum(raw[i].rect.h for i in members) / k))
-        rect = Rect((px2 - w + 1) // 2, (py2 - h + 1) // 2, w, h)
+        px2 = _round_half_even_frac(sx2, k)
+        py2 = _round_half_even_frac(sy2, k)
+        w_c = max(1, round_half_up(sw / k))
+        h_c = max(1, round_half_up(sh / k))
+        rect = Rect((px2 - w_c + 1) // 2, (py2 - h_c + 1) // 2, w_c, h_c)
         # fsum: exactly rounded, so the cluster margin is independent of
         # member order and survives mirroring bit-for-bit
-        mg = math.fsum(raw[i].margin for i in members)
+        mg = math.fsum(margins[s : s + k])
         out.append(Detection(rect, neighbors=k, point2x=(px2, py2), margin=mg))
     out.sort(key=lambda d: (d.rect.y, d.rect.x, d.rect.h, d.rect.w, d.neighbors))
     return out
+
+
+def _union_edges(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the components joined by edges (a[k], b[k]) into ``parent``.
+
+    ``parent`` is kept flat (every entry points at its root) and every
+    pointer goes to a smaller index, so a root is its component's
+    smallest member.
+    """
+    while True:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        if not cross.any():
+            return
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent[:] = jumped
 
 
 def _round_half_even_frac(num: int, den: int) -> int:

@@ -83,6 +83,7 @@ def test_header_comments_skipped():
     [
         b"P6\n1 1\n255\n\x00",
         b"P5\n2 2\n255\n\x00\x00",  # truncated raster
+        b"P2 1000000 1000000 255\n1 2 3",  # header far larger than the samples
         b"P5\n2 2\n999\n" + bytes(4),  # maxval too large
         b"P5\n2\n255\n\x00\x00",  # missing height
         b"P5\nx 2\n255\n\x00\x00",  # non-numeric

@@ -1,7 +1,13 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fidpoint.scan as scan_module
 
 from fidpoint.boost import StrongClassifier, WeakClassifier
 from fidpoint.cascade import Cascade, Stage, classify_window, mirror
@@ -235,6 +241,150 @@ def test_group_permutation_invariant():
     for _ in range(5):
         perm = list(rng.permutation(len(dets)))
         assert group_detections([dets[i] for i in perm], 2) == base
+
+
+SCAN_SIDES = (13, 14, 16, 17, 19, 21, 23, 25, 28, 31, 34, 37, 41, 45)  # 13 * 1.1**k
+
+
+def clustered_rects(rng, n, spread):
+    """Scan-like raw windows: jittered blobs over neighbouring scan sizes,
+    some non-square, plus uniformly scattered strays."""
+    rects = []
+    while len(rects) < n:
+        cx, cy = (int(v) for v in rng.integers(0, spread + 1, 2))
+        k = int(rng.integers(0, len(SCAN_SIDES)))
+        for _ in range(int(rng.integers(1, 12))):
+            side = SCAN_SIDES[min(len(SCAN_SIDES) - 1, max(0, k + int(rng.integers(-1, 2))))]
+            h = side if rng.random() < 0.8 else int(rng.integers(5, 60))
+            jx, jy = (int(v) for v in rng.integers(-side // 4, side // 4 + 1, 2))
+            rects.append(Rect(cx + jx, cy + jy, side, h))
+        if rng.random() < 0.3:
+            rects.append(Rect(*(int(v) for v in rng.integers(0, spread + 1, 2)),
+                              int(rng.integers(5, 60)), int(rng.integers(5, 60))))
+    return rects[:n]
+
+
+def cluster_fingerprint(rects, labels, members):
+    """(member count, label sum, point2x, mean size) of one cluster, in exact arithmetic."""
+    k = len(members)
+    px2 = half_even(sum(2 * rects[i].x + rects[i].w - 1 for i in members), k)
+    py2 = half_even(sum(2 * rects[i].y + rects[i].h - 1 for i in members), k)
+    w = max(1, round_half_up(sum(rects[i].w for i in members) / k))
+    h = max(1, round_half_up(sum(rects[i].h for i in members) / k))
+    return (k, sum(labels[i] for i in members), px2, py2, w, h)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.one_of(st.sampled_from([0, 1, 2, 63, 64, 65, 362, 363, 600]), st.integers(0, 600)),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([0, 4, 40, 200, 1000]),
+    block=st.sampled_from([1, 3, 64, None]),
+    data=st.data(),
+)
+def test_group_partition_matches_closure_property(n, seed, spread, block, data):
+    # spread 0 stacks every window in one column, so all n(n-1)/2 pairs are
+    # candidates and n = 362 / 363 fall just under / over the default block
+    # budget; the small drawn budgets put block boundaries inside clusters
+    rng = np.random.default_rng(seed)
+    if spread == 0:
+        rects = [Rect(0, r.y, r.w, r.h) for r in clustered_rects(rng, n, 200)]
+    else:
+        rects = clustered_rects(rng, n, spread)
+    # distinct 32-bit labels in the margins: each cluster's fsum is the
+    # exact label sum, which identifies its member set
+    labels = [(i * 2654435761) % 2**32 for i in range(n)]
+    dets = [Detection(r, margin=float(lab)) for r, lab in zip(rects, labels)]
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(scan_module, "_GROUP_BLOCK_PAIRS", block)
+        out = group_detections(dets, 1)
+        perm = data.draw(st.permutations(range(n)))
+        assert group_detections([dets[i] for i in perm], 1) == out
+    want = sorted(cluster_fingerprint(rects, labels, c) for c in closure_clusters(rects))
+    got = sorted(
+        (d.neighbors, int(d.margin), d.point2x[0], d.point2x[1], d.rect.w, d.rect.h)
+        for d in out
+    )
+    assert got == want
+
+
+def test_group_mirror_equivariant_large():
+    # mirroring the raw windows across an image of width W mirrors every
+    # cluster centre (2*(W-1) - px2 in half-pixel units) and keeps its
+    # size, neighbour count and margin
+    rng = np.random.default_rng(43)
+    for n, spread in ((65, 30), (400, 120), (1500, 300)):
+        rects = clustered_rects(rng, n, spread)
+        width = max(r.x + r.w for r in rects) + int(rng.integers(0, 5))
+        margins = rng.standard_normal(n).tolist()
+        dets = [Detection(r, margin=m) for r, m in zip(rects, margins)]
+        flipped = [Detection(Rect(width - r.x - r.w, r.y, r.w, r.h), margin=m)
+                   for r, m in zip(rects, margins)]
+        for min_neighbors in (1, 3):
+            out = group_detections(dets, min_neighbors)
+            assert len(out) > 0
+            want = sorted(
+                (2 * (width - 1) - d.point2x[0], d.point2x[1], d.rect.w, d.rect.h,
+                 d.neighbors, d.margin)
+                for d in out
+            )
+            got = sorted(
+                (d.point2x[0], d.point2x[1], d.rect.w, d.rect.h, d.neighbors, d.margin)
+                for d in group_detections(flipped, min_neighbors)
+            )
+            assert got == want
+
+
+def similar_pairs_union_find(rects):
+    """Component sizes of the rects_similar graph, via a grid hash.
+
+    Similar rects differ by at most 0.2 * max extent in x and in y, so
+    with cells at least that large every similar pair lies in the same
+    or an adjacent cell.
+    """
+    cw = int(0.2 * max(r.w for r in rects)) + 1
+    ch = int(0.2 * max(r.h for r in rects)) + 1
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, r in enumerate(rects):
+        cells.setdefault((r.x // cw, r.y // ch), []).append(i)
+    parent = list(range(len(rects)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for (gx, gy), members in cells.items():
+        near = [j for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                for j in cells.get((gx + dx, gy + dy), ())]
+        for i in members:
+            for j in near:
+                if i < j and rects_similar(rects[i], rects[j]):
+                    parent[find(j)] = find(i)
+    sizes: dict[int, int] = {}
+    for i in range(len(rects)):
+        sizes[find(i)] = sizes.get(find(i), 0) + 1
+    return sorted(sizes.values())
+
+
+def test_group_memory_bounded_at_20k_windows():
+    # 20k windows: the dense n x n formulation would need gigabytes
+    rng = np.random.default_rng(47)
+    rects = clustered_rects(rng, 20_000, 2400)
+    dets = [Detection(r) for r in rects]
+    start = time.perf_counter()
+    out = group_detections(dets, 1)
+    assert time.perf_counter() - start < 5.0
+    tracemalloc.start()
+    try:
+        assert group_detections(dets, 1) == out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert sorted(d.neighbors for d in out) == similar_pairs_union_find(rects)
 
 
 # --- selection ---------------------------------------------------------------------
