@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .haar import HaarFeature, feature_matrix, feature_value
-from .raster import IntegralTables, Rect, window_inv_stddev
+from .raster import IntegralTables, window_inv_stddevs
 
 EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
+# features per Booster.step block; bounds its (samples x block) temporaries
+_STEP_BLOCK = 1024
 
 
 @dataclass
@@ -61,7 +63,7 @@ class StrongClassifier:
 
 def sample_inv_sigma(tables: IntegralTables) -> float:
     """Lighting correction factor of a full training patch."""
-    return window_inv_stddev(tables, Rect(0, 0, tables.width, tables.height))
+    return float(window_inv_stddevs(tables, 0, 0, tables.width, tables.height))
 
 
 def init_weights(samples: list[TrainingSample]) -> list[TrainingSample]:
@@ -125,12 +127,11 @@ class Booster:
     """
 
     def __init__(self, values: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                 progress=None, block: int = 1024):
+                 progress=None):
         self.values = values
         self.labels = np.asarray(labels)
         self.weights = np.asarray(weights, dtype=np.float64).copy()
         self.progress = progress
-        self.block = block
         self.round_no = 0
         n, nf = values.shape
         self._order = np.argsort(values, axis=0, kind="stable").astype(np.int32)
@@ -149,8 +150,8 @@ class Booster:
         best_feat = -1
         wp_full = self.weights * self._is_pos
         wn_full = self.weights * self._is_neg
-        for lo in range(0, nf, self.block):
-            hi = min(nf, lo + self.block)
+        for lo in range(0, nf, _STEP_BLOCK):
+            hi = min(nf, lo + _STEP_BLOCK)
             order = self._order[:, lo:hi]
             sv = np.take_along_axis(self.values[:, lo:hi], order, axis=0)
             c1 = np.cumsum(wp_full[order], axis=0)

@@ -38,9 +38,17 @@ Enumeration convention
 :func:`enumerate_features` is exhaustive with unit steps in position
 and base-cell size: every feature whose footprint fits the window
 appears exactly once, ordered by (kind, y, x, h, w) ascending.  Under
-this convention a 24x24 window yields 162,336 BASIC features; coarser
-published figures for the same window arise from sub-sampled scale or
-position grids (see README for the reconciliation).
+this convention a 24x24 window yields 162,336 BASIC features; smaller
+published counts for the same window come from coarser scale or
+position grids.
+
+Evaluation
+----------
+
+Upright and rotated cells alike are four corner reads in one table
+(``sums`` or ``tilted`` of :class:`~fidpoint.raster.IntegralTables`).
+:func:`cells_at` is the one evaluator: :func:`cells_value`, the scanner
+and :func:`feature_matrix` all call it.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .raster import BoundsError, IntegralTables, Rect, rect_sum, rotated_rect_sum
+from .raster import BoundsError, IntegralTables, Rect, cell_box, cell_corners, require_inside
 
 
 def round_half_up(v) -> int:
@@ -233,9 +241,23 @@ class ScaledCells:
     rects: tuple[Rect, ...]
     weights: tuple[float, ...]
 
+    @property
+    def slots(self) -> list[tuple[int, int, int, int, float]]:
+        """The cells as (x, y, w, h, weight) slots for :func:`cells_at`."""
+        return [(r.x, r.y, r.w, r.h, wt) for r, wt in zip(self.rects, self.weights)]
 
-def _cell_count(rotated: bool, r: Rect) -> int:
-    return r.w * r.h  # holds for both: rotated rects contain w*h member pixels
+
+def _unit_cells(kind: FeatureKind, x, y, w, h) -> list[tuple]:
+    """Scale-1 cells of ``kind`` as (x, y, w, h, weight) slots in layout order.
+
+    (x, y) is the feature position and w x h its base cell; they may be
+    ints or arrays holding one entry per feature.
+    """
+    if kind.rotated:
+        layout = _ROTATED_CELLS[kind]
+        return [(x + a * w - b * h, y + a * w + b * h, w, h, wt) for a, b, wt in layout]
+    layout = _UPRIGHT_CELLS[kind]
+    return [(x + cx * w, y + cy * h, cw * w, ch * h, wt) for cx, cy, cw, ch, wt in layout]
 
 
 def scale_feature(
@@ -262,16 +284,9 @@ def scale_feature(
     rects = []
     weights = []
     if frac == 1:
-        rects = [
-            Rect(f.x + cx * f.w, f.y + cy * f.h, cw * f.w, ch * f.h)
-            for cx, cy, cw, ch, _ in _UPRIGHT_CELLS[f.kind]
-        ] if not rotated else [
-            Rect(f.x + a * f.w - b * f.h, f.y + a * f.w + b * f.h, f.w, f.h)
-            for a, b, _ in _ROTATED_CELLS[f.kind]
-        ]
-        weights = [
-            c[-1] for c in (_ROTATED_CELLS[f.kind] if rotated else _UPRIGHT_CELLS[f.kind])
-        ]
+        slots = _unit_cells(f.kind, f.x, f.y, f.w, f.h)
+        rects = [Rect(x, y, w, h) for x, y, w, h, _ in slots]
+        weights = [wt for *_, wt in slots]
     elif not rotated:
         for cx, cy, cw, ch, wt in _UPRIGHT_CELLS[f.kind]:
             x1 = round_half_up((f.x + cx * f.w) * frac)
@@ -288,8 +303,9 @@ def scale_feature(
             ay = round_half_up(f.y * frac) + a_step * w_s + b_step * h_s
             rects.append(Rect(ax, ay, w_s, h_s))
             weights.append(wt)
-    pos = sum(wt * _cell_count(rotated, r) for r, wt in zip(rects, weights) if wt > 0)
-    neg = sum(-wt * _cell_count(rotated, r) for r, wt in zip(rects, weights) if wt < 0)
+    # an upright or rotated w x h cell holds w * h pixels
+    pos = sum(wt * r.w * r.h for r, wt in zip(rects, weights) if wt > 0)
+    neg = sum(-wt * r.w * r.h for r, wt in zip(rects, weights) if wt < 0)
     if neg > 0 and pos != neg:
         # symmetric re-balance: both sides meet at the mean weighted area,
         # so a mirrored feature (whose cells swap roles) scales by the
@@ -301,14 +317,34 @@ def scale_feature(
         win_w = round_half_up(window_w * frac)
         win_h = round_half_up(window_h * frac)
         for r in rects:
-            if rotated:
-                x0, y0 = r.x - (r.h - 1), r.y
-                x1b, y1b = r.x + (r.w - 1), r.y + r.w + r.h - 2
-            else:
-                x0, y0, x1b, y1b = r.x, r.y, r.x + r.w - 1, r.y + r.h - 1
-            if x0 < 0 or y0 < 0 or x1b >= win_w or y1b >= win_h:
+            x0, y0, x1, y1 = cell_box(r.x, r.y, r.w, r.h, rotated)
+            if x0 < 0 or y0 < 0 or x1 >= win_w or y1 >= win_h:
                 raise BoundsError(f"scaled cell {r} exceeds {win_w}x{win_h} window")
     return ScaledCells(rotated, tuple(rects), tuple(weights))
+
+
+def cells_at(table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: bool) -> np.ndarray:
+    """(N, F) values pos - neg of the cells of F features at N windows.
+
+    ``table`` is a flattened ``sums`` table (upright cells) or ``tilted``
+    table (rotated cells) with row stride ``stride``, and ``base`` holds
+    the N flat offsets of the window origins.  ``slots`` lists the cells
+    in layout order as (x, y, w, h, weight): window-relative geometry as
+    ints or as arrays of F entries, and one weight per slot.  Positive
+    and negative cells are accumulated separately, each in layout order,
+    and differenced at the end; mirrored features then evaluate to the
+    exact float negation on mirrored input.
+    """
+    at = base[:, None]
+    pos = neg = 0.0
+    for x, y, w, h, wt in slots:
+        a, b, c, d = cell_corners(x, y, w, h, rotated, stride)
+        s = table[at + a] - table[at + b] - table[at + c] + table[at + d]
+        if wt > 0:
+            pos += wt * s
+        else:
+            neg += -wt * s
+    return pos - neg
 
 
 def cells_value(
@@ -320,20 +356,18 @@ def cells_value(
 ) -> float:
     """Evaluate pre-scaled cells at an absolute window origin.
 
-    Positive- and negative-weight cells are accumulated separately (each
-    in layout order) and differenced at the end; mirrored features then
-    evaluate to the exact float negation on mirrored input.
+    The N = 1 case of :func:`cells_at`, after checking that every cell
+    lies inside the image.
     """
-    pos = 0.0
-    neg = 0.0
-    for r, wt in zip(cells.rects, cells.weights):
-        shifted = Rect(r.x + origin_x, r.y + origin_y, r.w, r.h)
-        s = rotated_rect_sum(tables, shifted) if cells.rotated else rect_sum(tables, shifted)
-        if wt > 0:
-            pos += wt * s
-        else:
-            neg += -wt * s
-    return (pos - neg) * inv_sigma
+    table = tables.tilted if cells.rotated else tables.sums
+    if table is None:
+        raise ValueError("tables were built without rotated sums")
+    for r in cells.rects:
+        require_inside(tables, r.x + origin_x, r.y + origin_y, r.w, r.h, cells.rotated)
+    stride = table.shape[1]
+    base = np.array([origin_y * stride + origin_x])
+    value = cells_at(table.ravel(), stride, base, cells.slots, cells.rotated)
+    return float(value[0, 0]) * inv_sigma
 
 
 def feature_value(
@@ -379,131 +413,45 @@ def mirror_rect(r: Rect, window_w: int) -> Rect:
 
 # --- batch evaluation (training path) --------------------------------------
 
+# features per feature_matrix block; bounds its (samples x block) temporaries
+_MATRIX_BLOCK = 2048
+
+
 def feature_matrix(
     features: Sequence[HaarFeature],
     tables_list: Sequence[IntegralTables],
     inv_sigmas: np.ndarray | None = None,
-    block: int = 2048,
 ) -> np.ndarray:
     """Values of every feature on every window-sized sample patch.
 
-    Returns an (n_samples, n_features) float64 array; cell sums are
-    accumulated in the same order as :func:`cells_value`, so entries are
-    bit-identical to the scalar path at scale 1.
+    Returns an (n_samples, n_features) float64 array.  The samples'
+    tables are stacked into one flat table (sample s at base offset
+    s * table size) and each block of features is read kind by kind with
+    :func:`cells_at`, so entries are bit-identical to the scalar path at
+    scale 1.
     """
     n = len(tables_list)
-    if n == 0:
-        return np.zeros((0, len(features)))
-    sums = np.stack([t.sums for t in tables_list])
-    rot0 = rot1 = None
-    if any(fe.kind.rotated for fe in features):
-        if not tables_list[0].has_rotated:
+    out = np.empty((n, len(features)))
+    if n == 0 or not features:
+        return out
+    code = {kind: i for i, kind in enumerate(ALL_KINDS)}
+    soa = np.array([(code[f.kind], f.x, f.y, f.w, f.h) for f in features], dtype=np.int64)
+    kinds = [ALL_KINDS[k] for k in np.unique(soa[:, 0])]
+    flat = {}  # rotated -> (stacked flat table, row stride, base offset of each sample)
+    for rotated in {kind.rotated for kind in kinds}:
+        tabs = [t.tilted if rotated else t.sums for t in tables_list]
+        if rotated and any(t is None for t in tabs):
             raise ValueError("rotated features require tables built with want_rotated")
-        rot0 = np.stack([t._rot[0] for t in tables_list])
-        rot1 = np.stack([t._rot[1] for t in tables_list])
-        rot_off = tables_list[0]._rot_off
-    if inv_sigmas is None:
-        inv_sigmas = np.ones(n)
-    inv = np.asarray(inv_sigmas, dtype=np.float64)[:, None]
-    out = np.empty((n, len(features)), dtype=np.float64)
-    for lo in range(0, len(features), block):
-        chunk = features[lo : lo + block]
-        pos = np.zeros((n, len(chunk)), dtype=np.float64)
-        neg = np.zeros((n, len(chunk)), dtype=np.float64)
-        upright_idx = [i for i, fe in enumerate(chunk) if not fe.kind.rotated]
-        if upright_idx:
-            _accumulate_upright(pos, neg, chunk, upright_idx, sums)
-        rotated_idx = [i for i, fe in enumerate(chunk) if fe.kind.rotated]
-        if rotated_idx:
-            _accumulate_rotated(pos, neg, chunk, rotated_idx, rot0, rot1, rot_off)
-        out[:, lo : lo + len(chunk)] = (pos - neg) * inv
-    return out
-
-
-def _add_signed(pos, neg, cols, wts, cell):
-    wts = np.array(wts)
-    cell = cell.astype(np.float64)
-    p = wts > 0
-    if p.any():
-        pos[:, cols[p]] += wts[p] * cell[:, p]
-    m = ~p
-    if m.any():
-        neg[:, cols[m]] += (-wts[m]) * cell[:, m]
-
-
-def _accumulate_upright(pos, neg, chunk, idx, sums):
-    max_cells = max(len(_UPRIGHT_CELLS[chunk[i].kind]) for i in idx)
-    for ci in range(max_cells):
-        cols, x1s, x2s, y1s, y2s, wts = [], [], [], [], [], []
-        for i in idx:
-            fe = chunk[i]
-            cells = _UPRIGHT_CELLS[fe.kind]
-            if ci >= len(cells):
-                continue
-            cx, cy, cw, ch, wt = cells[ci]
-            cols.append(i)
-            x1s.append(fe.x + cx * fe.w)
-            x2s.append(fe.x + (cx + cw) * fe.w)
-            y1s.append(fe.y + cy * fe.h)
-            y2s.append(fe.y + (cy + ch) * fe.h)
-            wts.append(wt)
-        if not cols:
-            continue
-        cols = np.array(cols)
-        x1, x2 = np.array(x1s), np.array(x2s)
-        y1, y2 = np.array(y1s), np.array(y2s)
-        cell = sums[:, y2, x2] - sums[:, y1, x2] - sums[:, y2, x1] + sums[:, y1, x1]
-        _add_signed(pos, neg, cols, wts, cell)
-
-
-def _accumulate_rotated(pos, neg, chunk, idx, rot0, rot1, rot_off):
-    # Four pyramid lookups per cell; lookups are grouped by parity class.
-    max_cells = max(len(_ROTATED_CELLS[chunk[i].kind]) for i in idx)
-    for ci in range(max_cells):
-        cols, apex_x, apex_y, ws, hs, wts = [], [], [], [], [], []
-        for i in idx:
-            fe = chunk[i]
-            cells = _ROTATED_CELLS[fe.kind]
-            if ci >= len(cells):
-                continue
-            a_step, b_step, wt = cells[ci]
-            cols.append(i)
-            apex_x.append(fe.x + a_step * fe.w - b_step * fe.h)
-            apex_y.append(fe.y + a_step * fe.w + b_step * fe.h)
-            ws.append(fe.w)
-            hs.append(fe.h)
-            wts.append(wt)
-        if not cols:
-            continue
-        cols = np.array(cols)
-        ax = np.array(apex_x)
-        ay = np.array(apex_y)
-        w = np.array(ws)
-        h = np.array(hs)
-        cell = (
-            _pyramid_batch(rot0, rot1, rot_off, ax + w - h, ay + w + h - 2)
-            - _pyramid_batch(rot0, rot1, rot_off, ax - h, ay + h - 2)
-            - _pyramid_batch(rot0, rot1, rot_off, ax + w, ay + w - 2)
-            + _pyramid_batch(rot0, rot1, rot_off, ax, ay - 2)
-        )
-        _add_signed(pos, neg, cols, wts, cell)
-
-
-def _pyramid_batch(rot0, rot1, rot_off, ax, ay):
-    c = (ax + ay) & 1
-    alpha = (ax + ay - c) // 2
-    beta = (ay - ax - c) // 2 + rot_off
-    out = np.zeros((rot0.shape[0], len(ax)), dtype=np.int64)
-    for cls, tab in ((0, rot0), (1, rot1)):
-        m = c == cls
-        if not m.any():
-            continue
-        a = alpha[m]
-        b = beta[m]
-        valid = (a >= 0) & (b >= 0)
-        a = np.clip(a, 0, tab.shape[1] - 2)
-        b = np.clip(b, 0, tab.shape[2] - 2)
-        vals = tab[:, a + 1, b + 1]
-        vals[:, ~valid] = 0
-        out[:, m] = vals
+        flat[rotated] = (np.stack(tabs).ravel(), tabs[0].shape[1], np.arange(n) * tabs[0].size)
+    inv = np.ones(n) if inv_sigmas is None else np.asarray(inv_sigmas, dtype=np.float64)
+    for lo in range(0, len(features), _MATRIX_BLOCK):
+        block = soa[lo : lo + _MATRIX_BLOCK]
+        for k in np.unique(block[:, 0]):
+            kind = ALL_KINDS[k]
+            cols = np.nonzero(block[:, 0] == k)[0]
+            slots = _unit_cells(kind, *block[cols, 1:].T)
+            for x, y, w, h, _ in slots:
+                require_inside(tables_list[0], x, y, w, h, kind.rotated)
+            table, stride, base = flat[kind.rotated]
+            out[:, lo + cols] = cells_at(table, stride, base, slots, kind.rotated) * inv[:, None]
     return out

@@ -169,16 +169,23 @@ def save_pgm(image: GrayImage) -> bytes:
 
 
 class IntegralTables:
-    """Cumulative sum tables over one image.
+    """Summed-area tables over one image.
 
     ``sums`` and ``sq_sums`` have shape (height+1, width+1), zero-padded
     on the top and left, so ``sums[y, x]`` is the sum over all pixels
-    (x', y') with x' < x and y' < y.  When built with ``want_rotated``,
-    two per-parity prefix tables over diagonal coordinates answer
-    45-degree rotated rectangle sums.
+    (x', y') with x' < x and y' < y.
+
+    ``tilted`` answers 45-degree rotated rectangle sums.  It is built on
+    request (else None), has shape (height+2, width+2) and is aligned
+    with the image: ``tilted[ay + 2, ax + 1]`` is the sum of the pyramid
+    with apex (ax, ay), the pixels (x, y) with y <= ay - |x - ax| whose
+    x + y has the parity of ax + ay, for -1 <= ax <= width and
+    -2 <= ay < height.  That range is exactly what the four corner reads
+    of a rotated rect inside the image touch (:func:`cell_corners`), so
+    a rotated cell costs the same four plain reads as an upright one.
     """
 
-    __slots__ = ("width", "height", "sums", "sq_sums", "_rot", "_rot_off")
+    __slots__ = ("width", "height", "sums", "sq_sums", "tilted")
 
     def __init__(self, image: GrayImage, want_rotated: bool = False):
         px = image.pixels.astype(np.int64)
@@ -186,44 +193,25 @@ class IntegralTables:
         self.height = image.height
         self.sums = _prefix2d(px)
         self.sq_sums = _prefix2d(px * px)
-        self._rot = None
-        self._rot_off = 0
-        if want_rotated:
-            self._build_rotated(px)
+        self.tilted = _tilted(px) if want_rotated else None
 
-    @property
-    def has_rotated(self) -> bool:
-        return self._rot is not None
 
-    def _build_rotated(self, px: np.ndarray) -> None:
-        # Pixels of one checkerboard class c are re-gridded on diagonal
-        # coordinates alpha = (x+y-c)/2, beta = (y-x-c)/2; a prefix sum on
-        # that grid yields the class-c pyramid sum for any apex lattice
-        # point of class c in O(1).
-        h, w = px.shape
-        ys, xs = np.mgrid[0:h, 0:w]
-        off = (w + 1) // 2 + 1  # keeps beta indices positive with slack
-        self._rot_off = off
-        na = (w + h) // 2 + 2
-        tables = []
-        for c in (0, 1):
-            mask = ((xs + ys) & 1) == c
-            alpha = (xs[mask] + ys[mask] - c) // 2
-            beta = (ys[mask] - xs[mask] - c) // 2 + off
-            grid = np.zeros((na, na + off), dtype=np.int64)
-            grid[alpha, beta] = px[mask]
-            tables.append(_prefix2d(grid))
-        self._rot = tables
-
-    def _pyramid(self, ax: int, ay: int) -> int:
-        """Sum of all pixels (x, y) of apex parity with x+y <= ax+ay and y-x <= ay-ax."""
-        c = (ax + ay) & 1
-        alpha = (ax + ay - c) // 2
-        beta = (ay - ax - c) // 2 + self._rot_off
-        tab = self._rot[c]
-        if alpha < 0 or beta < 0:
-            return 0
-        return int(tab[min(alpha, tab.shape[0] - 2) + 1, min(beta, tab.shape[1] - 2) + 1])
+def _tilted(px: np.ndarray) -> np.ndarray:
+    # P(x, y) = px(x, y) + P(x-1, y-1) + P(x+1, y-1) - P(x, y-2): the
+    # pyramids one row up to the left and right together hold every
+    # pixel of P(x, y) but its apex, and overlap in P(x, y-2).  An apex
+    # left of the image sees only pixels to its right, so
+    # P(-1, y) = P(0, y-1); likewise P(w, y) = P(w-1, y-1).
+    h, w = px.shape
+    t = np.zeros((h + 2, w + 2), dtype=np.int64)
+    for r in range(2, h + 2):
+        row = t[r, 1 : w + 1]
+        np.add(t[r - 1, :w], t[r - 1, 2:], out=row)
+        row += px[r - 2]
+        row -= t[r - 2, 1 : w + 1]
+        t[r, 0] = t[r - 1, 1]
+        t[r, w + 1] = t[r - 1, w]
+    return t
 
 
 def _prefix2d(a: np.ndarray) -> np.ndarray:
@@ -237,12 +225,58 @@ def build_tables(image: GrayImage, want_rotated: bool = False) -> IntegralTables
     return IntegralTables(image, want_rotated=want_rotated)
 
 
+def cell_box(x, y, w, h, rotated: bool):
+    """Inclusive pixel box (x0, y0, x1, y1) of an upright or rotated cell.
+
+    A rotated cell is in apex form (see :func:`rotated_rect_members`).
+    Works on ints and on numpy arrays alike.
+    """
+    if rotated:
+        return x - (h - 1), y, x + w - 1, y + w + h - 2
+    return x, y, x + w - 1, y + h - 1
+
+
+def cell_corners(x, y, w, h, rotated: bool, stride: int):
+    """Flat offsets (a, b, c, d) of a cell: its sum is t[a] - t[b] - t[c] + t[d].
+
+    ``t`` is the flattened ``sums`` table (``stride`` = width + 1) for an
+    upright cell and the flattened ``tilted`` table (``stride`` =
+    width + 2) for a rotated one, whose sum is P(x+w-h, y+w+h-2) -
+    P(x-h, y+h-2) - P(x+w, y+w-2) + P(x, y-2) in pyramid sums P.  Works
+    on ints and on numpy arrays alike.
+    """
+    if rotated:
+        return (
+            (y + w + h) * stride + x + w - h + 1,
+            (y + h) * stride + x - h + 1,
+            (y + w) * stride + x + w + 1,
+            y * stride + x + 1,
+        )
+    return (y + h) * stride + x + w, y * stride + x + w, (y + h) * stride + x, y * stride + x
+
+
+def require_inside(tables: IntegralTables, x, y, w, h, rotated: bool) -> None:
+    """Raise :class:`BoundsError` unless every given cell lies inside the image."""
+    x0, y0, x1, y1 = cell_box(x, y, w, h, rotated)
+    outside = (x0 < 0) | (y0 < 0) | (x1 >= tables.width) | (y1 >= tables.height)
+    # a plain bool for int geometry, which np.any would take microseconds to wrap
+    if outside.any() if isinstance(outside, np.ndarray) else outside:
+        kind = "rotated rect" if rotated else "rect"
+        where = f"({x}, {y}, {w}, {h}) outside {tables.width}x{tables.height} image"
+        raise BoundsError(f"{kind} {where}")
+
+
+def _cell_sum(tables: IntegralTables, r: Rect, rotated: bool) -> int:
+    require_inside(tables, r.x, r.y, r.w, r.h, rotated)
+    t = tables.tilted if rotated else tables.sums
+    a, b, c, d = cell_corners(r.x, r.y, r.w, r.h, rotated, t.shape[1])
+    t = t.ravel()
+    return int(t[a] - t[b] - t[c] + t[d])
+
+
 def rect_sum(tables: IntegralTables, r: Rect) -> int:
     """Sum of pixels inside ``r`` via four table references."""
-    if r.x < 0 or r.y < 0 or r.x + r.w > tables.width or r.y + r.h > tables.height:
-        raise BoundsError(f"rect {r} outside {tables.width}x{tables.height} image")
-    s = tables.sums
-    return int(s[r.y + r.h, r.x + r.w] - s[r.y, r.x + r.w] - s[r.y + r.h, r.x] + s[r.y, r.x])
+    return _cell_sum(tables, r, False)
 
 
 def rotated_rect_members(r: Rect):
@@ -257,36 +291,33 @@ def rotated_rect_members(r: Rect):
             yield r.x + a - b, r.y + a + b
 
 
-def _rotated_bounds(r: Rect):
-    return r.x - (r.h - 1), r.y, r.x + (r.w - 1), r.y + r.w + r.h - 2
-
-
 def rotated_rect_sum(tables: IntegralTables, r: Rect) -> int:
-    """Sum over the rotated rect's pixel set using four pyramid lookups.
+    """Sum over the rotated rect's pixel set via four ``tilted`` references.
 
     Membership rule is the one documented on :func:`rotated_rect_members`.
     """
-    if tables._rot is None:
+    if tables.tilted is None:
         raise ValueError("tables were built without rotated sums")
-    x0, y0, x1, y1 = _rotated_bounds(r)
-    if x0 < 0 or y0 < 0 or x1 >= tables.width or y1 >= tables.height:
-        raise BoundsError(f"rotated rect {r} outside {tables.width}x{tables.height} image")
-    x, y, w, h = r.x, r.y, r.w, r.h
-    return (
-        tables._pyramid(x + w - h, y + w + h - 2)
-        - tables._pyramid(x - h, y + h - 2)
-        - tables._pyramid(x + w, y + w - 2)
-        + tables._pyramid(x, y - 2)
-    )
+    return _cell_sum(tables, r, True)
+
+
+def window_inv_stddevs(tables: IntegralTables, xs, ys, w: int, h: int) -> np.ndarray:
+    """1/sigma of the w x h windows at origins (xs, ys), 1 where sigma < 1.
+
+    Origins are ints or arrays.  Window sums and squared sums of 8-bit
+    pixels stay below 2**53, so they convert to float exactly and the
+    result does not depend on how many windows are evaluated at once.
+    """
+    n = w * h
+    s, sq = tables.sums, tables.sq_sums
+    s1 = s[ys + h, xs + w] - s[ys, xs + w] - s[ys + h, xs] + s[ys, xs]
+    s2 = sq[ys + h, xs + w] - sq[ys, xs + w] - sq[ys + h, xs] + sq[ys, xs]
+    mean = s1 / n
+    sigma = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))
+    return 1.0 / np.maximum(sigma, 1.0)
 
 
 def window_inv_stddev(tables: IntegralTables, r: Rect) -> float:
-    """1/sigma over the window, clamped to 1 when sigma < 1 intensity unit."""
-    n = r.w * r.h
-    s1 = rect_sum(tables, r)
-    sq = tables.sq_sums
-    s2 = int(sq[r.y + r.h, r.x + r.w] - sq[r.y, r.x + r.w] - sq[r.y + r.h, r.x] + sq[r.y, r.x])
-    mean = s1 / n
-    var = s2 / n - mean * mean
-    sigma = np.sqrt(var) if var > 0 else 0.0
-    return 1.0 if sigma < 1.0 else 1.0 / float(sigma)
+    """1/sigma over one window inside the image: the N = 1 case of :func:`window_inv_stddevs`."""
+    require_inside(tables, r.x, r.y, r.w, r.h, False)
+    return float(window_inv_stddevs(tables, r.x, r.y, r.w, r.h))

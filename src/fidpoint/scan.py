@@ -61,8 +61,16 @@ from .geom import (
 )
 from fractions import Fraction
 
-from .haar import ScaledCells, round_half_up, scale_feature
-from .raster import BoundsError, GrayImage, IntegralTables, Rect, build_tables
+from .haar import ScaledCells, cells_at, round_half_up, scale_feature
+from .raster import (
+    BoundsError,
+    GrayImage,
+    IntegralTables,
+    Rect,
+    build_tables,
+    cell_box,
+    window_inv_stddevs,
+)
 
 # the fourteen detectable points, grouped by their parent facial feature
 POINT_PARENTS = {
@@ -197,76 +205,12 @@ def _scan_sizes(c: Cascade, cfg: DetectorConfig, roi: Rect):
     return sizes
 
 
-def _pyr_vec(tables: IntegralTables, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-    c = (ax + ay) & 1
-    alpha = (ax + ay - c) // 2
-    beta = (ay - ax - c) // 2 + tables._rot_off
-    out = np.zeros(ax.shape, dtype=np.int64)
-    for cls in (0, 1):
-        m = c == cls
-        if not m.any():
-            continue
-        tab = tables._rot[cls]
-        a, b = alpha[m], beta[m]
-        valid = (a >= 0) & (b >= 0)
-        a = np.clip(a, 0, tab.shape[0] - 2)
-        b = np.clip(b, 0, tab.shape[1] - 2)
-        v = tab[a + 1, b + 1]
-        v[~valid] = 0
-        out[m] = v
-    return out
-
-
-def _cells_value_vec(
-    cells: ScaledCells, tables: IntegralTables, oxs: np.ndarray, oys: np.ndarray
-) -> np.ndarray:
-    pos = np.zeros(oxs.shape, dtype=np.float64)
-    neg = np.zeros(oxs.shape, dtype=np.float64)
-    s = tables.sums
-    for r, wt in zip(cells.rects, cells.weights):
-        if cells.rotated:
-            x = oxs + r.x
-            y = oys + r.y
-            cell = (
-                _pyr_vec(tables, x + r.w - r.h, y + r.w + r.h - 2)
-                - _pyr_vec(tables, x - r.h, y + r.h - 2)
-                - _pyr_vec(tables, x + r.w, y + r.w - 2)
-                + _pyr_vec(tables, x, y - 2)
-            )
-        else:
-            x1 = oxs + r.x
-            y1 = oys + r.y
-            cell = s[y1 + r.h, x1 + r.w] - s[y1, x1 + r.w] - s[y1 + r.h, x1] + s[y1, x1]
-        if wt > 0:
-            pos += wt * cell
-        else:
-            neg += -wt * cell
-    return pos - neg
-
-
-def _inv_sigma_vec(
-    tables: IntegralTables, oxs: np.ndarray, oys: np.ndarray, w: int, h: int
-) -> np.ndarray:
-    n = w * h
-    s, sq = tables.sums, tables.sq_sums
-    s1 = s[oys + h, oxs + w] - s[oys, oxs + w] - s[oys + h, oxs] + s[oys, oxs]
-    s2 = sq[oys + h, oxs + w] - sq[oys, oxs + w] - sq[oys + h, oxs] + sq[oys, oxs]
-    mean = s1 / n
-    var = s2 / n - mean * mean
-    sigma = np.where(var > 0, np.sqrt(np.maximum(var, 0.0)), 0.0)
-    return np.where(sigma < 1.0, 1.0, 1.0 / np.where(sigma > 0, sigma, 1.0))
-
-
 def _cell_overhang(cells_list: list[ScaledCells], win_w: int, win_h: int):
     """How far any cell extends beyond the scaled window box on each side."""
     left = top = right = bottom = 0
     for cells in cells_list:
         for r in cells.rects:
-            if cells.rotated:
-                x0, y0 = r.x - (r.h - 1), r.y
-                x1, y1 = r.x + r.w - 1, r.y + r.w + r.h - 2
-            else:
-                x0, y0, x1, y1 = r.x, r.y, r.x + r.w - 1, r.y + r.h - 1
+            x0, y0, x1, y1 = cell_box(r.x, r.y, r.w, r.h, cells.rotated)
             left = max(left, -x0)
             top = max(top, -y0)
             right = max(right, x1 - (win_w - 1))
@@ -286,6 +230,13 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
         raise BoundsError(f"roi {roi} outside {tables.width}x{tables.height} image")
     out: list[Detection] = []
     weaks = [(st, alpha, weak) for st in c.stages for alpha, weak in st.strong.rounds]
+    # rotated -> (flattened table, row stride); the cells of one weak
+    # classifier read one of them at the window origins' flat offsets
+    flat = {False: (tables.sums.ravel(), tables.width + 1)}
+    if tables.tilted is not None:
+        flat[True] = (tables.tilted.ravel(), tables.width + 2)
+    elif any(weak.feature.kind.rotated for _, _, weak in weaks):
+        raise ValueError("tables were built without rotated sums")
     for (w_k, h_k), frac in _scan_sizes(c, cfg, roi):
         scaled: list[ScaledCells] = [scale_feature(wk.feature, frac) for _, _, wk in weaks]
         l, t, rgt, btm = _cell_overhang(scaled, w_k, h_k)
@@ -301,7 +252,8 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
         gy, gx = np.meshgrid(ys, xs, indexing="ij")
         oxs = gx.ravel()
         oys = gy.ravel()
-        inv = _inv_sigma_vec(tables, oxs, oys, w_k, h_k)
+        inv = window_inv_stddevs(tables, oxs, oys, w_k, h_k)
+        bases = {rot: oys * stride + oxs for rot, (_, stride) in flat.items()}
         alive = np.ones(len(oxs), dtype=bool)
         margin = np.zeros(len(oxs))
         ci = 0
@@ -309,11 +261,17 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
             idx = np.nonzero(alive)[0]
             if len(idx) == 0:
                 break
+            at = {}  # rotated -> the survivors' window offsets, gathered on first use
+            inv_at = inv[idx]
             score = np.zeros(len(idx))
             for alpha, weak in stage.strong.rounds:
                 cells = scaled[ci]
                 ci += 1
-                v = _cells_value_vec(cells, tables, oxs[idx], oys[idx]) * inv[idx]
+                rot = cells.rotated
+                if rot not in at:
+                    at[rot] = bases[rot][idx]
+                table, stride = flat[rot]
+                v = cells_at(table, stride, at[rot], cells.slots, rot)[:, 0] * inv_at
                 score += alpha * (weak.parity * v < weak.parity * weak.threshold)
                 margin[idx] += alpha * (weak.parity * (weak.threshold - v))
             alive[idx[score < stage.strong.threshold]] = False

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fidpoint import haar
 from fidpoint.haar import (
     ALL_KINDS,
     BASIC_KINDS,
@@ -219,3 +220,31 @@ def test_feature_matrix_matches_scalar():
         for fi in range(0, len(feats), 13):
             scalar = feature_value(feats[fi], tables[si], inv_sigma=float(inv[si]))
             assert mat[si, fi] == scalar
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_feature_matrix_shuffled_mixed_kinds(block, monkeypatch):
+    # a cascade's features, as _batch_accept passes them: kinds interleave
+    # and a feature may repeat; block = 64 puts block edges inside the list
+    if block is not None:
+        monkeypatch.setattr(haar, "_MATRIX_BLOCK", block)
+    rng = np.random.default_rng(31)
+    tables = [
+        build_tables(GrayImage(rng.integers(0, 256, (11, 11), dtype=np.uint8)), want_rotated=True)
+        for _ in range(5)
+    ]
+    pool = enumerate_features(11, 11, FeatureSet.ALL)
+    feats = [pool[int(i)] for i in rng.integers(0, len(pool), 300)]
+    feats += feats[:60]
+    rng.shuffle(feats)
+    inv = rng.uniform(0.2, 2.0, len(tables))
+    mat = feature_matrix(feats, tables, inv)
+    for si, t in enumerate(tables):
+        for fi, f in enumerate(feats):
+            assert mat[si, fi] == feature_value(f, t, inv_sigma=float(inv[si]))
+
+
+def test_feature_matrix_rejects_feature_outside_window():
+    t = build_tables(GrayImage(np.zeros((9, 9), dtype=np.uint8)))
+    with pytest.raises(BoundsError):
+        feature_matrix([HaarFeature(FeatureKind.EDGE_H, 6, 0, 2, 1)], [t])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fidpoint.raster import (
     BoundsError,
@@ -233,6 +235,29 @@ def test_rotated_random_against_oracle():
                 continue
             assert rotated_rect_sum(t, r) == brute_rotated_sum(img, r)
             checked += 1
+
+
+def brute_pyramid(px: np.ndarray, ax: int, ay: int) -> int:
+    """Pixels (x, y) with y <= ay - |x - ax| whose x + y has the parity of ax + ay."""
+    ys, xs = np.mgrid[0 : px.shape[0], 0 : px.shape[1]]
+    inside = (ys <= ay - np.abs(xs - ax)) & ((xs + ys - ax - ay) % 2 == 0)
+    return int(px[inside].astype(np.int64).sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(height=st.integers(1, 14), width=st.integers(1, 14), seed=st.integers(0, 2**32 - 1))
+@example(height=1, width=1, seed=0)
+@example(height=1, width=9, seed=1)
+@example(height=9, width=1, seed=2)
+def test_tilted_matches_brute_pyramid(height, width, seed):
+    # every apex the table holds, edges included: ax = -1 and ax = width
+    # (apexes beside the image) and ay = -2 (above it)
+    px = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+    tilted = build_tables(GrayImage(px), want_rotated=True).tilted
+    assert tilted.shape == (height + 2, width + 2)
+    for ay in range(-2, height):
+        for ax in range(-1, width + 1):
+            assert tilted[ay + 2, ax + 1] == brute_pyramid(px, ax, ay), (ax, ay)
 
 
 def test_rotated_out_of_bounds():
