@@ -7,34 +7,26 @@ then reweights samples by ``beta ** (1 - e)`` where ``e`` is 0 for
 correctly classified samples (so correct samples shrink and mistakes
 keep their weight before renormalisation).
 
-Feature values are weight-independent, so they are computed once into a
-value matrix and reused across rounds; results are bit-identical to
-recomputing per round.
+:class:`Booster` runs the rounds over a value matrix computed once
+(feature values are weight-independent); ``cascade.train_stage`` is the
+driver that builds that matrix and grows a stage from the rounds.
+:func:`train_weak` is the scalar one-feature stump search that
+``Booster.step`` must agree with bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import HaarFeature, feature_matrix, feature_value
+from .haar import HaarFeature, feature_value
 from .raster import IntegralTables, window_inv_stddevs
 
 EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
 # features per Booster.step block; bounds its (samples x block) temporaries
 _STEP_BLOCK = 1024
-
-
-@dataclass
-class TrainingSample:
-    """A window-sized patch with its label and current boosting weight."""
-
-    tables: IntegralTables
-    label: int
-    weight: float = 0.0
 
 
 @dataclass
@@ -66,15 +58,14 @@ def sample_inv_sigma(tables: IntegralTables) -> float:
     return float(window_inv_stddevs(tables, 0, 0, tables.width, tables.height))
 
 
-def init_weights(samples: list[TrainingSample]) -> list[TrainingSample]:
-    """Set weights to 1/(2l) per positive and 1/(2m) per negative."""
-    l = sum(1 for s in samples if s.label == 1)
-    m = sum(1 for s in samples if s.label == 0)
+def init_weights(labels) -> np.ndarray:
+    """Initial weights: 1/(2l) per positive and 1/(2m) per negative."""
+    y = np.asarray(labels)
+    l = int(np.count_nonzero(y == 1))
+    m = int(np.count_nonzero(y == 0))
     if l == 0 or m == 0:
         raise ValueError(f"degenerate training set: {l} positives, {m} negatives")
-    for s in samples:
-        s.weight = 1.0 / (2 * l) if s.label == 1 else 1.0 / (2 * m)
-    return samples
+    return np.where(y == 1, 1.0 / (2 * l), 1.0 / (2 * m))
 
 
 def train_weak(values, labels, weights) -> WeakClassifier:
@@ -118,22 +109,35 @@ def train_weak(values, labels, weights) -> WeakClassifier:
     return WeakClassifier(threshold=float(t), parity=parity, error=float(err))
 
 
+def _column_stump(e_plus, e_minus, sv) -> tuple[float, float, int]:
+    """(error, threshold, parity) of one scanned column, in train_weak's order.
+
+    ``e_plus``/``e_minus`` are the column's n + 1 candidate errors (inf on
+    rows between tied values) and ``sv`` its sorted values.  Candidate
+    thresholds rise with the row, so each parity's first argmin row is
+    its smallest-threshold minimum; ties then go to parity +1.
+    """
+    n = len(sv)
+    keys = []
+    for rank, errs in enumerate((e_plus, e_minus)):
+        r = int(np.argmin(errs))
+        t = -np.inf if r == 0 else np.inf if r == n else (sv[r - 1] + sv[r]) / 2.0
+        keys.append((float(errs[r]), float(t), rank))
+    err, t, rank = min(keys)
+    return err, t, 1 - 2 * rank
+
+
 class Booster:
     """Incremental boosting over a fixed value matrix.
 
-    ``values`` has shape (n_samples, n_features); sort order, candidate
-    thresholds, and validity masks are cached once since the values are
-    weight-independent.
+    ``values`` has shape (n_samples, n_features); its column sort order
+    is cached once since the values are weight-independent.
     """
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                 progress=None):
+    def __init__(self, values: np.ndarray, labels: np.ndarray, weights: np.ndarray):
         self.values = values
         self.labels = np.asarray(labels)
         self.weights = np.asarray(weights, dtype=np.float64).copy()
-        self.progress = progress
-        self.round_no = 0
-        n, nf = values.shape
         self._order = np.argsort(values, axis=0, kind="stable").astype(np.int32)
         self._is_pos = (self.labels == 1).astype(np.float64)
         self._is_neg = 1.0 - self._is_pos
@@ -141,13 +145,13 @@ class Booster:
     def step(self) -> tuple[float, WeakClassifier, np.ndarray]:
         """One round: normalise, pick the global best stump, reweight.
 
+        The winner is the first feature with the minimum error, and its
+        stump is the one :func:`train_weak` would pick on that column.
         Returns (alpha, weak, predictions over samples).
         """
-        self.round_no += 1
         self.weights /= self.weights.sum()
         n, nf = self.values.shape
         best_err = np.inf
-        best_feat = -1
         wp_full = self.weights * self._is_pos
         wn_full = self.weights * self._is_neg
         for lo in range(0, nf, _STEP_BLOCK):
@@ -166,54 +170,17 @@ class Booster:
             errs = np.minimum(e_plus.min(axis=0), e_minus.min(axis=0))
             k = int(np.argmin(errs))
             if errs[k] < best_err:
-                best_err = float(errs[k])
-                best_feat = lo + k
-        col = self.values[:, best_feat]
-        weak = train_weak(col, self.labels, self.weights)
-        weak.feature_index = best_feat
+                best_err = errs[k]
+                err, t, parity = _column_stump(e_plus[:, k], e_minus[:, k], sv[:, k])
+                weak = WeakClassifier(t, parity, err, feature_index=lo + k)
+        col = self.values[:, weak.feature_index]
         eps = min(max(weak.error, EPS_CLAMP), 0.5 - EPS_CLAMP)
         beta = eps / (1.0 - eps)
         alpha = math.log(1.0 / beta)
         pred = (weak.parity * col < weak.parity * weak.threshold).astype(np.int8)
         correct = pred == self.labels
         self.weights[correct] *= beta  # exponent 1 - e, with e = 0 when correct
-        if self.progress is not None:
-            print(
-                f"round {self.round_no} feature {best_feat} "
-                f"eps {weak.error:.12g} alpha {alpha:.12g}",
-                file=self.progress,
-            )
         return alpha, weak, pred
-
-
-def adaboost(
-    samples: list[TrainingSample],
-    features: list[HaarFeature],
-    rounds: int,
-    progress=None,
-) -> StrongClassifier:
-    """Run ``rounds`` boosting rounds and assemble the strong classifier."""
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    labels = np.array([s.label for s in samples])
-    if not ((labels == 1).any() and (labels == 0).any()):
-        raise ValueError("degenerate training set")
-    weights = np.array([s.weight for s in samples], dtype=np.float64)
-    if weights.sum() <= 0:
-        init_weights(samples)
-        weights = np.array([s.weight for s in samples])
-    inv = np.array([sample_inv_sigma(s.tables) for s in samples])
-    values = feature_matrix(features, [s.tables for s in samples], inv)
-    booster = Booster(values, labels, weights, progress=progress)
-    sc = StrongClassifier()
-    for _ in range(rounds):
-        alpha, weak, _ = booster.step()
-        weak.feature = features[weak.feature_index]
-        sc.rounds.append((alpha, weak))
-    sc.threshold = 0.5 * sc.alpha_sum
-    for s, w in zip(samples, booster.weights / booster.weights.sum()):
-        s.weight = float(w)
-    return sc
 
 
 def eval_strong(

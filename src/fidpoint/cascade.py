@@ -1,13 +1,16 @@
 """Cascade stages: threshold adaptation, bootstrapped training, file format, mirroring.
 
 A cascade is an ordered list of strong classifiers sharing one
-enumeration window.  Each stage's threshold is adapted downward from
-the boosting default so the stage keeps at least ``minhitrate`` of its
-training positives, and weak classifiers are added until the stage's
-false-alarm rate on its own negatives drops to ``maxfalsealarm``.
-Between stages the negative pool is filtered to survivors of the
-cascade so far and replenished from the negative source, which makes
-hit and false-alarm rates compound multiplicatively across stages.
+enumeration window.  :func:`train_stage` is the one boosting driver: it
+adds ``Booster`` rounds (whose stump search must match the scalar
+reference ``boost.train_weak``) until the stage's false-alarm rate on
+its own negatives drops to ``maxfalsealarm``, adapting the stage
+threshold downward from the boosting default after each round so the
+stage keeps at least ``minhitrate`` of its training positives.
+:func:`train_cascade` trains stage after stage; between stages the
+negative pool is filtered to survivors of the cascade so far and
+replenished from the negative source, which makes hit and false-alarm
+rates compound multiplicatively across stages.
 """
 
 from __future__ import annotations
@@ -19,14 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boost import (
-    Booster,
-    StrongClassifier,
-    WeakClassifier,
-    init_weights,
-    sample_inv_sigma,
-    TrainingSample,
-)
+from .boost import Booster, StrongClassifier, WeakClassifier, init_weights, sample_inv_sigma
 from .haar import (
     FeatureSet,
     HaarFeature,
@@ -131,30 +127,28 @@ def train_stage(
     negatives: list[IntegralTables],
     features: list[HaarFeature],
     params: TrainParams,
-    progress=None,
 ) -> Stage:
     """Grow one boosted stage until its false alarm rate is acceptable.
 
+    This is the one boosting driver: it computes the 1/sigma-corrected
+    value matrix of every feature on every sample once, then takes
+    :class:`Booster` rounds and adapts the stage threshold after each.
     Raises :class:`StageStuckError` carrying the final (HR, FA, T)
     plateau when ``max_weak_per_stage`` rounds cannot reach the target.
     """
     if not positives or not negatives:
         raise ValueError("both sample sets must be non-empty")
-    samples = [TrainingSample(t, 1) for t in positives] + [
-        TrainingSample(t, 0) for t in negatives
-    ]
-    init_weights(samples)
-    labels = np.array([s.label for s in samples])
-    weights = np.array([s.weight for s in samples])
-    inv = np.array([sample_inv_sigma(s.tables) for s in samples])
-    values = feature_matrix(features, [s.tables for s in samples], inv)
-    booster = Booster(values, labels, weights, progress=progress)
     npos = len(positives)
+    tables = [*positives, *negatives]
+    labels = np.repeat([1, 0], [npos, len(negatives)])
+    inv = np.array([sample_inv_sigma(t) for t in tables])
+    values = feature_matrix(features, tables, inv)
+    booster = Booster(values, labels, init_weights(labels))
     pos_scores = np.zeros(npos)
     neg_scores = np.zeros(len(negatives))
     sc = StrongClassifier()
     hr = fa = 1.0
-    for t in range(1, params.max_weak_per_stage + 1):
+    for _ in range(params.max_weak_per_stage):
         alpha, weak, pred = booster.step()
         weak.feature = features[weak.feature_index]
         sc.rounds.append((alpha, weak))
@@ -163,11 +157,6 @@ def train_stage(
         sc.threshold = adapt_threshold(sc, pos_scores, params.minhitrate)
         hr = float(np.mean(pos_scores >= sc.threshold))
         fa = float(np.mean(neg_scores >= sc.threshold))
-        if progress is not None:
-            print(
-                f"  weak {t} thr {sc.threshold:.6f} hr {hr:.6f} fa {fa:.6f}",
-                file=progress,
-            )
         if fa <= params.maxfalsealarm:
             return Stage(sc, train_hit_rate=hr, train_false_alarm=fa)
     raise StageStuckError(-1, hr, fa, params.max_weak_per_stage)
@@ -232,7 +221,6 @@ def train_cascade(
     positives: list[IntegralTables],
     negative_source: Iterable[IntegralTables],
     params: TrainParams,
-    progress=None,
 ) -> Cascade:
     """Stage-by-stage training with negative bootstrapping.
 
@@ -277,10 +265,8 @@ def train_cascade(
             pool.extend(t for t, k in zip(batch, keep) if k)
         if not pool:
             break  # cascade already rejects every available negative
-        if progress is not None:
-            print(f"stage {stage_index} ({len(pool)} negatives)", file=progress)
         try:
-            stage = train_stage(positives, pool, features, params, progress=progress)
+            stage = train_stage(positives, pool, features, params)
         except StageStuckError as err:
             raise StageStuckError(stage_index, err.hit_rate, err.false_alarm, err.n_weak) from None
         cascade.stages.append(stage)
@@ -365,7 +351,10 @@ def deserialize(data: bytes) -> Cascade:
         feature_set = FeatureSet(fs[1])
     except (IndexError, ValueError):
         raise CascadeFormatError("features must be BASIC or ALL", r.no) from None
-    nstages = _parse_int(r.next("stages")[1], r)
+    st = r.next("stages")
+    if len(st) != 2:
+        raise CascadeFormatError("malformed stages line", r.no)
+    nstages = _parse_int(st[1], r)
     cascade = Cascade(window_w, window_h, feature_set, [])
     for i in range(nstages):
         parts = r.next("stage")
@@ -381,7 +370,7 @@ def deserialize(data: bytes) -> Cascade:
             wparts = r.next("weak")
             keys = wparts[1::2]
             vals = wparts[2::2]
-            if keys != ["alpha", "parity", "thresh", "kind", "x", "y", "w", "h"]:
+            if keys != ["alpha", "parity", "thresh", "kind", "x", "y", "w", "h"] or len(vals) != 8:
                 raise CascadeFormatError("malformed weak line", r.no)
             alpha = _parse_float(vals[0], r)
             if vals[1] not in ("+1", "-1"):

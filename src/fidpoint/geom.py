@@ -124,22 +124,20 @@ def rotate_image(img: GrayImage, center: Point2, alpha: float) -> GrayImage:
     dy = ys - center.y
     sx = center.x + dx * ca - dy * sa
     sy = center.y + dx * sa + dy * ca
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
-    out = np.zeros((h, w), dtype=np.float64)
-    src = img.pixels.astype(np.float64)
-    for oy, ox, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (0, 1, fx * (1 - fy)),
-        (1, 0, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        px = x0 + ox
-        py = y0 + oy
-        inside = (px >= 0) & (px < w) & (py >= 0) & (py < h)
-        out[inside] += wgt[inside] * src[py[inside], px[inside]]
+    # a zero border makes every out-of-image neighbour a read of 0
+    src = np.zeros((h + 2, w + 2))
+    src[1:-1, 1:-1] = img.pixels
+    flat = src.ravel()
+    cols = [np.clip(x0 + d, -1, w).astype(np.intp) + 1 for d in (0, 1)]
+    rows = [(np.clip(y0 + d, -1, h).astype(np.intp) + 1) * (w + 2) for d in (0, 1)]
+    out = (1 - fx) * (1 - fy) * flat[rows[0] + cols[0]]
+    out += fx * (1 - fy) * flat[rows[0] + cols[1]]
+    out += (1 - fx) * fy * flat[rows[1] + cols[0]]
+    out += fx * fy * flat[rows[1] + cols[1]]
     return GrayImage(np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8))
 
 

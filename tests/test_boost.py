@@ -2,18 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fidpoint import boost
 from fidpoint.boost import (
     Booster,
     StrongClassifier,
-    TrainingSample,
     WeakClassifier,
-    adaboost,
     eval_strong,
     init_weights,
     sample_inv_sigma,
     train_weak,
 )
+from fidpoint.cascade import TrainParams, serialize, train_cascade, train_stage
 from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature, enumerate_features, feature_value
 from fidpoint.raster import GrayImage, build_tables
 
@@ -52,30 +54,21 @@ def exhaustive_stump(values, labels, weights):
 
 # --- init_weights -----------------------------------------------------------
 
-def make_samples(labels):
-    img = GrayImage(np.zeros((4, 4), dtype=np.uint8))
-    t = build_tables(img)
-    return [TrainingSample(t, int(l)) for l in labels]
-
-
 def test_init_weights_one_each():
-    s = init_weights(make_samples([1, 0]))
-    assert [x.weight for x in s] == [0.5, 0.5]
+    assert list(init_weights([1, 0])) == [0.5, 0.5]
 
 
 def test_init_weights_two_each():
-    s = init_weights(make_samples([1, 1, 0, 0]))
-    assert [x.weight for x in s] == [0.25] * 4
+    assert list(init_weights([1, 1, 0, 0])) == [0.25] * 4
 
 
 def test_init_weights_three_one():
-    s = init_weights(make_samples([1, 1, 1, 0]))
-    assert [x.weight for x in s] == pytest.approx([1 / 6, 1 / 6, 1 / 6, 1 / 2])
+    assert list(init_weights([1, 1, 1, 0])) == pytest.approx([1 / 6, 1 / 6, 1 / 6, 1 / 2])
 
 
 def test_init_weights_degenerate():
     with pytest.raises(ValueError):
-        init_weights(make_samples([1, 1]))
+        init_weights([1, 1])
 
 
 # --- train_weak -------------------------------------------------------------
@@ -167,6 +160,39 @@ def test_selected_weak_is_global_minimum():
     assert weak.feature_index == int(np.argmin(per_feature))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    nf=st.integers(1, 12),
+    spread=st.sampled_from([1, 2, 4, 40]),
+    rounds=st.integers(1, 5),
+    block=st.sampled_from([1, 3, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_tie_break_matches_train_weak(n, nf, spread, rounds, block, seed):
+    # small-integer values tie often, and dyadic first-round weights make
+    # equal errors exact, so both tie-breaks (first feature; then smaller
+    # threshold, then parity +1) are exercised; small blocks split features
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-spread, spread + 1, size=(n, nf)).astype(float)
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boost, "_STEP_BLOCK", block)
+        b = Booster(values, labels, dyadic_weights(rng, n, denom_bits=4))
+        for _ in range(rounds):
+            w = b.weights / b.weights.sum()
+            _, weak, pred = b.step()
+            per_feature = [train_weak(values[:, j], labels, w) for j in range(nf)]
+            errors = [wk.error for wk in per_feature]
+            assert weak.feature_index == errors.index(min(errors))
+            ref = per_feature[weak.feature_index]
+            assert (weak.threshold, weak.parity, weak.error) == (
+                ref.threshold, ref.parity, ref.error)
+            col = values[:, weak.feature_index]
+            assert (pred == (ref.parity * col < ref.parity * ref.threshold)).all()
+
+
 def test_alpha_always_positive():
     rng = np.random.default_rng(13)
     values = rng.normal(size=(20, 5))
@@ -178,43 +204,65 @@ def test_alpha_always_positive():
         assert alpha > 0
 
 
-# --- adaboost on real patches --------------------------------------------------
+# --- the boosting driver on real patches ----------------------------------------
 
-def half_bright_samples(rng, n_pos, n_neg, side=6):
-    samples = []
+def half_bright_patches(rng, n_pos, n_neg, side=6):
+    """(positives, negatives): bright right half against bright left half."""
+    pos, neg = [], []
     for _ in range(n_pos):
         px = rng.integers(0, 40, (side, side))
         px[:, side // 2 :] += 180  # bright right half
-        samples.append(TrainingSample(build_tables(GrayImage(px.astype(np.uint8))), 1))
+        pos.append(build_tables(GrayImage(px.astype(np.uint8))))
     for _ in range(n_neg):
         px = rng.integers(0, 40, (side, side))
         px[:, : side // 2] += 180  # bright left half
-        samples.append(TrainingSample(build_tables(GrayImage(px.astype(np.uint8))), 0))
-    return samples
+        neg.append(build_tables(GrayImage(px.astype(np.uint8))))
+    return pos, neg
 
 
-def test_adaboost_separable_reaches_zero_error():
+def test_train_stage_separable_reaches_zero_error():
     rng = np.random.default_rng(17)
-    samples = init_weights(half_bright_samples(rng, 20, 20))
+    pos, neg = half_bright_patches(rng, 20, 20)
     features = enumerate_features(6, 6, FeatureSet.BASIC)
-    sc = adaboost(samples, features, rounds=20)
+    params = TrainParams(nstages=1, npos=20, nneg=20, maxfalsealarm=0.01,
+                         max_weak_per_stage=20)
+    sc = train_stage(pos, neg, features, params).strong
     errors = 0
-    for s in samples:
-        _, decision = eval_strong(sc, s.tables, inv_sigma=sample_inv_sigma(s.tables))
-        errors += int(decision) != s.label
+    for tables, label in [(t, 1) for t in pos] + [(t, 0) for t in neg]:
+        _, decision = eval_strong(sc, tables, inv_sigma=sample_inv_sigma(tables))
+        errors += int(decision) != label
     assert errors == 0
     assert sc.threshold == pytest.approx(0.5 * sc.alpha_sum)
 
 
-def test_adaboost_deterministic():
+def test_train_stage_deterministic():
     rng = np.random.default_rng(19)
-    samples = half_bright_samples(rng, 8, 8)
+    pos, neg = half_bright_patches(rng, 8, 8)
     features = enumerate_features(6, 6, FeatureSet.BASIC)
-    a = adaboost(init_weights(list(samples)), features, rounds=5)
-    b = adaboost(init_weights(list(samples)), features, rounds=5)
+    params = TrainParams(nstages=1, npos=8, nneg=8, maxfalsealarm=0.01,
+                         max_weak_per_stage=5)
+    a = train_stage(pos, neg, features, params).strong
+    b = train_stage(pos, neg, features, params).strong
     assert [(al, w.feature_index, w.threshold, w.parity) for al, w in a.rounds] == [
         (al, w.feature_index, w.threshold, w.parity) for al, w in b.rounds
     ]
+
+
+def test_train_cascade_serialize_deterministic():
+    rng = np.random.default_rng(21)
+
+    def patch(bias):
+        px = rng.integers(0, 170, (6, 6))
+        px[:, 3:] += bias  # faint right half: several stages and rounds to learn
+        return build_tables(GrayImage(px.astype(np.uint8)))
+
+    pos = [patch(40) for _ in range(30)]
+    neg = [patch(0) for _ in range(600)]
+    params = TrainParams(nstages=3, npos=30, nneg=40, minhitrate=0.95, maxfalsealarm=0.4,
+                         max_weak_per_stage=10, seed=3)
+    first, second = (train_cascade(pos, iter(neg), params) for _ in range(2))
+    assert [len(st.strong.rounds) for st in first.stages] == [2, 4, 4]
+    assert serialize(first) == serialize(second)
 
 
 # --- eval_strong ---------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fidpoint.geom import (
     EyeCorner,
@@ -201,6 +203,48 @@ def test_rotate_image_blobs_follow_points():
         my, mx = np.nonzero(peak_mask)
         peak = Point2(int(q.x) - 3 + mx.mean(), int(q.y) - 3 + my.mean())
         assert math.hypot(peak.x - q.x, peak.y - q.y) <= 1.0 + 1e-9
+
+
+def scalar_rotate(img, center, alpha):
+    """Per-pixel bilinear inverse mapping; neighbours outside the image add nothing."""
+    h, w = img.pixels.shape
+    ca, sa = math.cos(-alpha), math.sin(-alpha)
+    out = np.zeros((h, w), dtype=np.uint8)
+    for y in range(h):
+        for x in range(w):
+            dx, dy = float(x) - center.x, float(y) - center.y
+            sx = center.x + dx * ca - dy * sa
+            sy = center.y + dx * sa + dy * ca
+            x0, y0 = math.floor(sx), math.floor(sy)
+            fx, fy = sx - x0, sy - y0
+            acc = 0.0
+            for oy, ox, wgt in ((0, 0, (1 - fx) * (1 - fy)), (0, 1, fx * (1 - fy)),
+                                (1, 0, (1 - fx) * fy), (1, 1, fx * fy)):
+                px, py = x0 + ox, y0 + oy
+                if 0 <= px < w and 0 <= py < h:
+                    acc += wgt * float(img.pixels[py, px])
+            out[y, x] = min(255, max(0, math.floor(acc + 0.5)))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    height=st.integers(1, 12),
+    width=st.integers(1, 12),
+    cx=st.floats(-20, 32, allow_nan=False),
+    cy=st.floats(-20, 32, allow_nan=False),
+    alpha=st.floats(-7, 7, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(height=1, width=1, cx=0.0, cy=0.0, alpha=0.3, seed=0)
+@example(height=1, width=9, cx=4.0, cy=0.0, alpha=math.pi / 2, seed=1)
+@example(height=9, width=1, cx=0.0, cy=4.5, alpha=-1.0, seed=2)
+@example(height=5, width=7, cx=-15.0, cy=25.0, alpha=0.7, seed=3)
+def test_rotate_image_matches_scalar_bilinear(height, width, cx, cy, alpha, seed):
+    rng = np.random.default_rng(seed)
+    img = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+    center = Point2(cx, cy)
+    assert (rotate_image(img, center, alpha).pixels == scalar_rotate(img, center, alpha)).all()
 
 
 # --- fourth corner -----------------------------------------------------------------
