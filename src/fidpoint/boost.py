@@ -8,10 +8,16 @@ correctly classified samples (so correct samples shrink and mistakes
 keep their weight before renormalisation).
 
 :class:`Booster` runs the rounds over a value matrix computed once
-(feature values are weight-independent); ``cascade.train_stage`` is the
-driver that builds that matrix and grows a stage from the rounds.
-:func:`train_weak` is the scalar one-feature stump search that
-``Booster.step`` must agree with bit for bit.
+(feature values are weight-independent).  What else does not depend on
+the weights is built with it: each feature's stable sort order, stored
+feature-major (one contiguous row per feature; only rows with equal
+values pay for stability), and a mask of the sorted positions tied with
+the next value.  A round is then, per block of features, running sums
+of the class weights in sorted order and one masked minimum over both
+parities.  ``cascade.train_stage`` is the driver that builds the matrix
+and grows a stage from the rounds.  :func:`train_weak` is the scalar
+one-feature stump search that ``Booster.step`` must agree with bit for
+bit.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from .haar import HaarFeature, feature_value
 from .raster import IntegralTables, window_inv_stddevs
 
 EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
-# features per Booster.step block; bounds its (samples x block) temporaries
+# features per Booster block; bounds the (block x samples) temporaries of
+# __init__ and step
 _STEP_BLOCK = 1024
 
 
@@ -127,52 +134,98 @@ def _column_stump(e_plus, e_minus, sv) -> tuple[float, float, int]:
     return err, t, 1 - 2 * rank
 
 
+def _stable_within_ties(sv, order) -> np.ndarray:
+    """The stable sort order of rows already sorted by ``order``.
+
+    ``sv`` holds each row's sorted values.  A stable sort keeps equal
+    values (-0.0 and 0.0 are equal; NaNs sort last and count as equal
+    here) in index order, so the sorted index order within each run of
+    equal values is the stable order.  Sorting the key
+    ``run * n + index`` does that for every run at once.
+    """
+    n = sv.shape[1]
+    same = (sv[:, 1:] == sv[:, :-1]) | (np.isnan(sv[:, 1:]) & np.isnan(sv[:, :-1]))
+    base = np.zeros(sv.shape, dtype=np.int64)
+    np.cumsum(~same, axis=1, out=base[:, 1:])
+    base *= n
+    key = base + order
+    key.sort(axis=1)
+    key -= base
+    return key
+
+
 class Booster:
     """Incremental boosting over a fixed value matrix.
 
-    ``values`` has shape (n_samples, n_features); its column sort order
-    is cached once since the values are weight-independent.
+    ``values`` has shape (n_samples, n_features).  Everything that does
+    not depend on the weights is built once, block by block over
+    ``_STEP_BLOCK`` features:
+
+    - ``_order`` (n_features, n_samples, int32) is each feature's stable
+      sort order, one contiguous row per feature.  Rows are sorted with
+      numpy's default (unstable) argsort.  Distinct values have only one
+      order; a row whose sorted values are not strictly increasing (ties,
+      -0.0 next to 0.0, NaN) gets its runs of equal values put back in
+      index order by :func:`_stable_within_ties`, so every row equals
+      ``argsort(kind="stable")``.
+    - ``_tied`` (n_features, n_samples, bool) marks sorted positions whose
+      value equals the next one: no threshold falls between them, so
+      ``step`` skips that candidate.  The last column is always False.
     """
 
     def __init__(self, values: np.ndarray, labels: np.ndarray, weights: np.ndarray):
         self.values = values
         self.labels = np.asarray(labels)
         self.weights = np.asarray(weights, dtype=np.float64).copy()
-        self._order = np.argsort(values, axis=0, kind="stable").astype(np.int32)
+        n, nf = values.shape
+        self._order = np.empty((nf, n), dtype=np.int32)
+        self._tied = np.zeros((nf, n), dtype=bool)
+        for lo in range(0, nf, _STEP_BLOCK):
+            hi = min(nf, lo + _STEP_BLOCK)
+            vt = np.ascontiguousarray(values[:, lo:hi].T)
+            order = np.argsort(vt, axis=1)
+            sv = np.take_along_axis(vt, order, axis=1)
+            redo = np.flatnonzero(~(sv[:, :-1] < sv[:, 1:]).all(axis=1))
+            if len(redo):
+                order[redo] = _stable_within_ties(sv[redo], order[redo])
+            self._order[lo:hi] = order
+            self._tied[lo:hi, :-1] = sv[:, :-1] == sv[:, 1:]
         self._is_pos = (self.labels == 1).astype(np.float64)
         self._is_neg = 1.0 - self._is_pos
 
     def step(self) -> tuple[float, WeakClassifier, np.ndarray]:
         """One round: normalise, pick the global best stump, reweight.
 
-        The winner is the first feature with the minimum error, and its
-        stump is the one :func:`train_weak` would pick on that column.
+        Per block, the cumulative class weights along each sorted row give
+        every candidate's error for both parities; their minimum, with
+        tied rows set to inf, is reduced once.  The winner is the first
+        feature with the minimum error, and its stump is the one
+        :func:`train_weak` would pick on that column.
         Returns (alpha, weak, predictions over samples).
         """
         self.weights /= self.weights.sum()
-        n, nf = self.values.shape
-        best_err = np.inf
-        wp_full = self.weights * self._is_pos
-        wn_full = self.weights * self._is_neg
+        nf = self.values.shape[1]
+        wp = self.weights * self._is_pos
+        wn = self.weights * self._is_neg
+        best_err, best = np.inf, 0
         for lo in range(0, nf, _STEP_BLOCK):
             hi = min(nf, lo + _STEP_BLOCK)
-            order = self._order[:, lo:hi]
-            sv = np.take_along_axis(self.values[:, lo:hi], order, axis=0)
-            c1 = np.cumsum(wp_full[order], axis=0)
-            c0 = np.cumsum(wn_full[order], axis=0)
-            tot1, tot0 = c1[-1], c0[-1]
-            e_plus = np.vstack([tot1[None, :], (tot1 - c1) + c0])
-            e_minus = np.vstack([tot0[None, :], c1 + (tot0 - c0)])
-            invalid = np.zeros((n + 1, hi - lo), dtype=bool)
-            invalid[1:n] = sv[:-1] == sv[1:]
-            e_plus[invalid] = np.inf
-            e_minus[invalid] = np.inf
-            errs = np.minimum(e_plus.min(axis=0), e_minus.min(axis=0))
+            c1 = np.take(wp, self._order[lo:hi]).cumsum(axis=1)
+            c0 = np.take(wn, self._order[lo:hi]).cumsum(axis=1)
+            # copies: c0 is overwritten below, and a view of c1 would keep
+            # this block's c1 alive while the next block allocates its own
+            tot1, tot0 = c1[:, -1:].copy(), c0[:, -1:].copy()
+            errs = tot1 - c1
+            errs += c0  # e_plus = (tot1 - c1) + c0
+            e_minus = np.subtract(tot0, c0, out=c0)
+            e_minus += c1  # = c1 + (tot0 - c0)
+            np.minimum(errs, e_minus, out=errs)
+            np.putmask(errs, self._tied[lo:hi], np.inf)
+            errs = np.minimum(errs.min(axis=1), np.minimum(tot1[:, 0], tot0[:, 0]))
             k = int(np.argmin(errs))
             if errs[k] < best_err:
-                best_err = errs[k]
-                err, t, parity = _column_stump(e_plus[:, k], e_minus[:, k], sv[:, k])
-                weak = WeakClassifier(t, parity, err, feature_index=lo + k)
+                best_err, best = errs[k], lo + k
+        weak = self._stump(best, wp, wn)
         col = self.values[:, weak.feature_index]
         eps = min(max(weak.error, EPS_CLAMP), 0.5 - EPS_CLAMP)
         beta = eps / (1.0 - eps)
@@ -181,6 +234,22 @@ class Booster:
         correct = pred == self.labels
         self.weights[correct] *= beta  # exponent 1 - e, with e = 0 when correct
         return alpha, weak, pred
+
+    def _stump(self, j: int, wp: np.ndarray, wn: np.ndarray) -> WeakClassifier:
+        """Feature ``j``'s stump, from its n + 1 candidate errors per parity.
+
+        ``cumsum`` adds in sequence, so these are the errors ``step``
+        reduced over, bit for bit.
+        """
+        order = self._order[j]
+        c1, c0 = np.cumsum(wp[order]), np.cumsum(wn[order])
+        tot1, tot0 = c1[-1:], c0[-1:]
+        e_plus = np.concatenate([tot1, (tot1 - c1) + c0])
+        e_minus = np.concatenate([tot0, c1 + (tot0 - c0)])
+        e_plus[1:][self._tied[j]] = np.inf
+        e_minus[1:][self._tied[j]] = np.inf
+        err, t, parity = _column_stump(e_plus, e_minus, self.values[order, j])
+        return WeakClassifier(t, parity, err, feature_index=j)
 
 
 def eval_strong(

@@ -109,6 +109,16 @@ def _tokenize_pgm(data: bytes, start: int, count: int):
     yield b"", pos  # final cursor position
 
 
+def _pgm_int(token: bytes, offset: int, what: str) -> int:
+    """A PGM field of ASCII decimal digits."""
+    if not token.isdigit():
+        raise PgmFormatError(f"non-numeric {what}", offset)
+    digits = token.lstrip(b"0")
+    if len(digits) > 18:  # int() refuses strings past 4300 digits
+        raise PgmFormatError(f"{what} too large", offset)
+    return int(digits or b"0")
+
+
 def load_pgm(data: bytes) -> GrayImage:
     """Decode binary (P5) or ASCII (P2) PGM content with maxval <= 255.
 
@@ -122,12 +132,8 @@ def load_pgm(data: bytes) -> GrayImage:
     fields = []
     for token, off in _tokenize_pgm(data, 2, 3):
         fields.append((token, off))
-    (w_tok, w_off), (h_tok, h_off), (mv_tok, mv_off), (_, cursor) = fields
-    try:
-        width, height, maxval = int(w_tok), int(h_tok), int(mv_tok)
-    except ValueError:
-        bad = next(off for tok, off in fields[:3] if not tok.isdigit())
-        raise PgmFormatError("non-numeric header field", bad) from None
+    (_, w_off), (_, h_off), (_, mv_off), (_, cursor) = fields
+    width, height, maxval = (_pgm_int(tok, off, "header field") for tok, off in fields[:3])
     if width < 1 or height < 1:
         raise PgmFormatError("image dimensions must be >= 1", w_off if width < 1 else h_off)
     if not 0 < maxval <= 255:
@@ -151,9 +157,7 @@ def load_pgm(data: bytes) -> GrayImage:
         for token, off in _tokenize_pgm(data, cursor, npix):
             if i == npix:
                 break
-            if not token.isdigit():
-                raise PgmFormatError("non-numeric sample", off)
-            v = int(token)
+            v = _pgm_int(token, off, "sample")
             if v > maxval:
                 raise PgmFormatError(f"sample {v} exceeds maxval", off)
             vals[i] = v

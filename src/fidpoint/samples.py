@@ -259,8 +259,20 @@ def write_description_log(descriptions: list[SampleDescription]) -> bytes:
 
 
 def parse_description_log(data: bytes) -> list[SampleDescription]:
+    """Parse ``<image> <count> <x> <y> <w> <h> ...`` lines; blank lines are skipped.
+
+    Any malformed line, including a non-ASCII byte, a negative count and a
+    rect of zero extent, raises :class:`PointsFormatError` with its line
+    number.
+    """
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as e:
+        # the bad byte is on the line that a character in its place would end
+        lineno = len((data[: e.start].decode("ascii") + "x").splitlines())
+        raise PointsFormatError("non-ASCII byte", lineno) from None
     out = []
-    for lineno, line in enumerate(data.decode("ascii").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         toks = line.split()
@@ -269,9 +281,14 @@ def parse_description_log(data: bytes) -> list[SampleDescription]:
             vals = [int(t) for t in toks[2:]]
         except (IndexError, ValueError):
             raise PointsFormatError("malformed description line", lineno) from None
+        if n < 0:
+            raise PointsFormatError(f"negative rect count {n}", lineno)
         if len(vals) != 4 * n:
             raise PointsFormatError(f"expected {4 * n} rect values, got {len(vals)}", lineno)
-        rects = [Rect(*vals[i : i + 4]) for i in range(0, len(vals), 4)]
+        try:
+            rects = [Rect(*vals[i : i + 4]) for i in range(0, len(vals), 4)]
+        except ValueError as e:
+            raise PointsFormatError(str(e), lineno) from None
         out.append(SampleDescription(toks[0], rects))
     return out
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,68 @@ def test_step_tie_break_matches_train_weak(n, nf, spread, rounds, block, seed):
                 ref.threshold, ref.parity, ref.error)
             col = values[:, weak.feature_index]
             assert (pred == (ref.parity * col < ref.parity * ref.threshold)).all()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # midpoint of -inf and inf
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 70),
+    kinds=st.lists(st.sampled_from(["float", "int", "special"]), min_size=1, max_size=10),
+    rounds=st.integers(1, 4),
+    block=st.sampled_from([1, 3, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_matches_brute_force_with_unequal_weights(n, kinds, rounds, block, seed):
+    # weights that are not binary fractions round differently when a tie
+    # group is summed in another order, so only train_weak's stable sort
+    # order reproduces its errors bit for bit, while numpy's default
+    # argsort may order ties otherwise
+    rng = np.random.default_rng(seed)
+    column = {
+        "float": lambda: rng.normal(size=n),
+        "int": lambda: rng.integers(-3, 4, n).astype(float),
+        "special": lambda: rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0], n),
+    }
+    values = np.stack([column[k]() for k in kinds], axis=1)
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boost, "_STEP_BLOCK", block)
+        b = Booster(values, labels, rng.random(n) + 0.05)
+        for _ in range(rounds):
+            w = b.weights / b.weights.sum()
+            _, weak, pred = b.step()
+            per_feature = [train_weak(values[:, j], labels, w) for j in range(len(kinds))]
+            errors = [wk.error for wk in per_feature]
+            j = errors.index(min(errors))
+            ref = per_feature[j]
+            assert repr((weak.feature_index, weak.threshold, weak.parity, weak.error)) == repr(
+                (j, ref.threshold, ref.parity, ref.error))
+            want = (ref.parity * values[:, j] < ref.parity * ref.threshold).astype(np.int8)
+            assert pred.tolist() == want.tolist()
+            eps = min(max(ref.error, boost.EPS_CLAMP), 0.5 - boost.EPS_CLAMP)
+            w[want == labels] *= eps / (1.0 - eps)
+            assert repr(b.weights.tolist()) == repr(w.tolist())
+
+
+def test_booster_memory_below_value_matrix():
+    # the int32 order and the tie mask take 5/8 of the float64 values and
+    # block temporaries bound the rest; a full int64 argsort alone would
+    # be as large as the values
+    rng = np.random.default_rng(37)
+    values = rng.normal(size=(188, 14_140))
+    labels = rng.integers(0, 2, 188)
+    labels[:2] = [0, 1]
+    weights = init_weights(labels)
+    tracemalloc.start()
+    try:
+        b = Booster(values, labels, weights)
+        b.step()
+        b.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes
 
 
 def test_alpha_always_positive():

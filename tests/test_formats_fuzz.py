@@ -1,5 +1,6 @@
 """Mutation fuzzing of the file formats: a malformed file raises only the
-format's typed error, never IndexError, MemoryError or another crash.
+format's typed error, never IndexError, MemoryError, UnicodeDecodeError or
+another crash.
 
 Each case takes a valid file and applies a few mutations: truncation, a
 flipped byte, a dropped whitespace-separated token, or an inserted token
@@ -17,12 +18,16 @@ from fidpoint.boost import StrongClassifier, WeakClassifier
 from fidpoint.cascade import Cascade, CascadeFormatError, Stage, deserialize, serialize
 from fidpoint.geom import Point2
 from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature
+from fidpoint.raster import GrayImage, PgmFormatError, Rect, load_pgm, save_pgm
 from fidpoint.samples import (
     PatchSet,
     PatchSetFormatError,
     PointsFormatError,
+    SampleDescription,
+    parse_description_log,
     parse_points_file,
     read_patchset,
+    write_description_log,
     write_patchset,
     write_points_file,
 )
@@ -46,6 +51,24 @@ def _patchset_file() -> bytes:
                                           for i in range(3)]))
 
 
+def _description_log() -> bytes:
+    return write_description_log([
+        SampleDescription("faces/a.pgm", [Rect(3, 4, 20, 22), Rect(0, 0, 1, 1)]),
+        SampleDescription("b.pgm", []),
+        SampleDescription("c.pgm", [Rect(-2, 7, 5, 5)]),
+    ])
+
+
+def _pixels() -> np.ndarray:
+    return np.random.default_rng(5).integers(0, 256, (3, 4), dtype=np.uint8)
+
+
+def _p2_file() -> bytes:
+    rows = "\n".join(" ".join(str(v) for v in row) for row in _pixels())
+    return f"P2\n# a comment\n4 3\n255\n{rows}\n".encode("ascii")
+
+
+PGM_WORDS = [b"P5", b"P2", b"#", b"# c\n", b"255", b"256", b"00", b"9" * 4400, b"\n"]
 NUMBERS = [b"0", b"1", b"-1", b"+1", b"2", b"9", b"1e999", b"-1e999", b"nan", b"inf",
            b"0.5", b"99999999999", b"x", b""]
 FORMATS = {
@@ -57,6 +80,10 @@ FORMATS = {
             parse_points_file, PointsFormatError, [b"PTS", b"n", b"\n"]),
     "patchset": (_patchset_file(), read_patchset, PatchSetFormatError,
                  [b"FPSET1", b"\x00", b"\x01", b"\x02", b"\xff" * 4]),
+    "description": (_description_log(), parse_description_log, PointsFormatError,
+                    [b"img.pgm", b"\xff", b"\x0c", b"\r", b"\n"]),
+    "pgm_p5": (save_pgm(GrayImage(_pixels())), load_pgm, PgmFormatError, PGM_WORDS),
+    "pgm_p2": (_p2_file(), load_pgm, PgmFormatError, PGM_WORDS),
 }
 
 

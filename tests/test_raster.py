@@ -97,6 +97,26 @@ def test_malformed_pgm_raises_with_offset(blob):
     assert exc.value.offset >= 0
 
 
+@pytest.mark.parametrize(
+    "blob, offset",
+    [
+        (b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00", 3),  # past int()'s 4300-digit limit
+        (b"P2\n1 1\n255\n" + b"9" * 5000 + b"\n", 11),
+        (b"P2\n1 1\n255\n-1\n", 11),  # a sign is not a digit
+        (b"P5\n+1 1\n255\n\x07", 3),
+    ],
+)
+def test_pgm_bad_number_raises_with_offset(blob, offset):
+    with pytest.raises(PgmFormatError) as exc:
+        load_pgm(blob)
+    assert exc.value.offset == offset
+
+
+def test_pgm_leading_zeros_are_decimal():
+    img = load_pgm(b"P2\n" + b"0" * 5000 + b"1 1\n255\n0007\n")
+    assert img.width == 1 and img.pixels[0, 0] == 7
+
+
 # --- integral tables ------------------------------------------------------
 
 def test_tables_single_pixel():

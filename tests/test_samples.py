@@ -210,6 +210,22 @@ def test_description_log_roundtrip():
     assert write_description_log(again) == data
 
 
+@pytest.mark.parametrize(
+    "blob, line",
+    [
+        (b"img.pgm 1 0 0 0 5\n", 1),  # zero-width rect
+        (b"img\xff.pgm 0\n", 1),  # non-ASCII byte
+        (b"img.pgm -1\n", 1),  # negative count
+        (b"a.pgm 0\n\nb.pgm 1 0 0 2 2\nc\xff.pgm 0\n", 4),  # non-ASCII on a later line
+        (b"a.pgm 0\r\nb.pgm 1 0 0 2 0", 2),
+    ],
+)
+def test_description_log_malformed_raises_with_line(blob, line):
+    with pytest.raises(PointsFormatError) as err:
+        parse_description_log(blob)
+    assert err.value.line == line
+
+
 # --- negative sampling ------------------------------------------------------------------
 
 def big_fixture(point=Point2(100.0, 100.0)):
