@@ -11,6 +11,10 @@ stage keeps at least ``minhitrate`` of its training positives.
 negative pool is filtered to survivors of the cascade so far and
 replenished from the negative source, which makes hit and false-alarm
 rates compound multiplicatively across stages.
+
+:func:`run_stages` is the one batch stage loop: the scanner runs it per
+scale over a frame's windows, and bootstrap filtering runs it over the
+stacked negative patches.  :func:`classify_window` is its scalar oracle.
 """
 
 from __future__ import annotations
@@ -31,9 +35,11 @@ from .haar import (
     feature_matrix,
     fits_window,
     mirror_feature,
+    cells_at,
+    cells_value,
     round_half_up,
     scale_feature,
-    cells_value,
+    stack_tables,
 )
 from .raster import BoundsError, IntegralTables, Rect, window_inv_stddev
 
@@ -194,27 +200,47 @@ def classify_window(
     return True, None
 
 
+def run_stages(c: Cascade, cells: list, flat: dict, inv: np.ndarray):
+    """(accepted, summed stump margin) of N windows, each stage reading only its survivors.
+
+    ``cells``: the weak classifiers' ScaledCells in cascade order; ``inv``: the windows'
+    1/sigma; ``flat``: rotated -> (flattened table, row stride, window origin offsets).
+    """
+    alive = np.ones(len(inv), dtype=bool)
+    margin = np.zeros(len(inv))
+    cell_iter = iter(cells)
+    for stage in c.stages:
+        idx = np.nonzero(alive)[0]
+        if len(idx) == 0:
+            break
+        at = {}  # rotated -> the survivors' window offsets, gathered on first use
+        inv_at = inv[idx]
+        score = np.zeros(len(idx))
+        for (alpha, weak), sc in zip(stage.strong.rounds, cell_iter):
+            table, stride, bases = flat[sc.rotated]
+            if sc.rotated not in at:
+                at[sc.rotated] = bases[idx]
+            v = cells_at(table, stride, at[sc.rotated], sc.slots, sc.rotated)[:, 0] * inv_at
+            score += alpha * (weak.parity * v < weak.parity * weak.threshold)
+            margin[idx] += alpha * (weak.parity * (weak.threshold - v))
+        alive[idx[score < stage.strong.threshold]] = False
+    return alive, margin
+
+
 def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:
-    """Vector of cascade verdicts for unit-scale window-sized patches.
+    """Cascade verdicts for window-sized patches: one :func:`run_stages` pass.
 
     Bit-identical to :func:`classify_window` at scale 1.
     """
-    n = len(tables_list)
-    alive = np.ones(n, dtype=bool)
-    if not c.stages or n == 0:
-        return alive
-    feats = [weak.feature for st in c.stages for _, weak in st.strong.rounds]
+    for t in tables_list:
+        if (t.width, t.height) != (c.window_w, c.window_h):
+            raise ValueError(f"{t.width}x{t.height} patch for a {c.window_w}x{c.window_h} cascade")
+    if not c.stages or not tables_list:
+        return np.ones(len(tables_list), dtype=bool)
+    weaks = [wk for st in c.stages for _, wk in st.strong.rounds]
+    cells = [scale_feature(wk.feature, 1, c.window_w, c.window_h) for wk in weaks]
     inv = np.array([sample_inv_sigma(t) for t in tables_list])
-    values = feature_matrix(feats, tables_list, inv)
-    col = 0
-    for stage in c.stages:
-        score = np.zeros(n)
-        for alpha, weak in stage.strong.rounds:
-            v = values[:, col]
-            col += 1
-            score += alpha * (weak.parity * v < weak.parity * weak.threshold)
-        alive &= score >= stage.strong.threshold
-    return alive
+    return run_stages(c, cells, stack_tables(tables_list, {sc.rotated for sc in cells}), inv)[0]
 
 
 def train_cascade(

@@ -47,8 +47,11 @@ Evaluation
 
 Upright and rotated cells alike are four corner reads in one table
 (``sums`` or ``tilted`` of :class:`~fidpoint.raster.IntegralTables`).
-:func:`cells_at` is the one evaluator: :func:`cells_value`, the scanner
-and :func:`feature_matrix` all call it.
+:func:`cells_at` is the one evaluator: :func:`cells_value`, the
+cascade's stage loop and :func:`feature_matrix` all call it.
+:func:`feature_matrix` serves only stage training (every feature on
+every sample); cascades, in the scanner and in bootstrap filtering, are
+evaluated by ``cascade.run_stages``.
 """
 
 from __future__ import annotations
@@ -417,6 +420,14 @@ def mirror_rect(r: Rect, window_w: int) -> Rect:
 _MATRIX_BLOCK = 2048
 
 
+def stack_tables(tables_list: Sequence[IntegralTables], rotations) -> dict:
+    """rotated -> (the samples' tables stacked flat, row stride, sample s's base s * size)."""
+    if True in rotations and any(t.tilted is None for t in tables_list):
+        raise ValueError("rotated features require tables built with want_rotated")
+    stacks = {r: np.stack([t.tilted if r else t.sums for t in tables_list]) for r in rotations}
+    return {r: (s.ravel(), s.shape[2], np.arange(len(s)) * s[0].size) for r, s in stacks.items()}
+
+
 def feature_matrix(
     features: Sequence[HaarFeature],
     tables_list: Sequence[IntegralTables],
@@ -424,11 +435,10 @@ def feature_matrix(
 ) -> np.ndarray:
     """Values of every feature on every window-sized sample patch.
 
-    Returns an (n_samples, n_features) float64 array.  The samples'
-    tables are stacked into one flat table (sample s at base offset
-    s * table size) and each block of features is read kind by kind with
-    :func:`cells_at`, so entries are bit-identical to the scalar path at
-    scale 1.
+    Returns an (n_samples, n_features) float64 array.  Each block of
+    features is read kind by kind with :func:`cells_at` from the
+    :func:`stack_tables` stack, so entries are bit-identical to the
+    scalar path at scale 1.
     """
     n = len(tables_list)
     out = np.empty((n, len(features)))
@@ -436,13 +446,7 @@ def feature_matrix(
         return out
     code = {kind: i for i, kind in enumerate(ALL_KINDS)}
     soa = np.array([(code[f.kind], f.x, f.y, f.w, f.h) for f in features], dtype=np.int64)
-    kinds = [ALL_KINDS[k] for k in np.unique(soa[:, 0])]
-    flat = {}  # rotated -> (stacked flat table, row stride, base offset of each sample)
-    for rotated in {kind.rotated for kind in kinds}:
-        tabs = [t.tilted if rotated else t.sums for t in tables_list]
-        if rotated and any(t is None for t in tabs):
-            raise ValueError("rotated features require tables built with want_rotated")
-        flat[rotated] = (np.stack(tabs).ravel(), tabs[0].shape[1], np.arange(n) * tabs[0].size)
+    flat = stack_tables(tables_list, {ALL_KINDS[k].rotated for k in np.unique(soa[:, 0])})
     inv = np.ones(n) if inv_sigmas is None else np.asarray(inv_sigmas, dtype=np.float64)
     for lo in range(0, len(features), _MATRIX_BLOCK):
         block = soa[lo : lo + _MATRIX_BLOCK]

@@ -147,6 +147,9 @@ def load_pgm(data: bytes) -> GrayImage:
         if len(data) - cursor < npix:
             raise PgmFormatError("truncated pixel data", len(data))
         arr = np.frombuffer(data, dtype=np.uint8, count=npix, offset=cursor)
+        over = np.flatnonzero(arr > maxval)
+        if len(over):
+            raise PgmFormatError(f"sample {arr[over[0]]} exceeds maxval", cursor + int(over[0]))
     else:
         # every sample needs a separator and a digit; checking that before
         # allocating keeps a forged header from requesting a huge array

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cascade import Cascade
+from .cascade import Cascade, run_stages
 from .geom import (
     EyeCorner,
     InsufficientPointsError,
@@ -61,7 +61,7 @@ from .geom import (
 )
 from fractions import Fraction
 
-from .haar import ScaledCells, cells_at, round_half_up, scale_feature
+from .haar import FeatureSet, ScaledCells, round_half_up, scale_feature
 from .raster import (
     BoundsError,
     GrayImage,
@@ -110,7 +110,6 @@ class DetectorConfig:
     min_h: int = 0
     is_point: bool = True
     on_right_side: bool = False
-    ok: bool = False
     # optional per-detector search prior inside the parent feature rect:
     # (dx, dy, half) in units of the parent's size; the hierarchy then
     # searches a square of half-width half*parent_w centred at
@@ -229,16 +228,16 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
     if roi.x < 0 or roi.y < 0 or roi.x + roi.w > tables.width or roi.y + roi.h > tables.height:
         raise BoundsError(f"roi {roi} outside {tables.width}x{tables.height} image")
     out: list[Detection] = []
-    weaks = [(st, alpha, weak) for st in c.stages for alpha, weak in st.strong.rounds]
+    weaks = [weak for st in c.stages for _, weak in st.strong.rounds]
     # rotated -> (flattened table, row stride); the cells of one weak
     # classifier read one of them at the window origins' flat offsets
-    flat = {False: (tables.sums.ravel(), tables.width + 1)}
+    tabs = {False: (tables.sums.ravel(), tables.width + 1)}
     if tables.tilted is not None:
-        flat[True] = (tables.tilted.ravel(), tables.width + 2)
-    elif any(weak.feature.kind.rotated for _, _, weak in weaks):
+        tabs[True] = (tables.tilted.ravel(), tables.width + 2)
+    elif any(weak.feature.kind.rotated for weak in weaks):
         raise ValueError("tables were built without rotated sums")
     for (w_k, h_k), frac in _scan_sizes(c, cfg, roi):
-        scaled: list[ScaledCells] = [scale_feature(wk.feature, frac) for _, _, wk in weaks]
+        scaled = [scale_feature(wk.feature, frac) for wk in weaks]
         l, t, rgt, btm = _cell_overhang(scaled, w_k, h_k)
         step_x = max(1, round_half_up(w_k / c.window_w))
         step_y = max(1, round_half_up(h_k / c.window_h))
@@ -253,28 +252,8 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
         oxs = gx.ravel()
         oys = gy.ravel()
         inv = window_inv_stddevs(tables, oxs, oys, w_k, h_k)
-        bases = {rot: oys * stride + oxs for rot, (_, stride) in flat.items()}
-        alive = np.ones(len(oxs), dtype=bool)
-        margin = np.zeros(len(oxs))
-        ci = 0
-        for stage in c.stages:
-            idx = np.nonzero(alive)[0]
-            if len(idx) == 0:
-                break
-            at = {}  # rotated -> the survivors' window offsets, gathered on first use
-            inv_at = inv[idx]
-            score = np.zeros(len(idx))
-            for alpha, weak in stage.strong.rounds:
-                cells = scaled[ci]
-                ci += 1
-                rot = cells.rotated
-                if rot not in at:
-                    at[rot] = bases[rot][idx]
-                table, stride = flat[rot]
-                v = cells_at(table, stride, at[rot], cells.slots, rot)[:, 0] * inv_at
-                score += alpha * (weak.parity * v < weak.parity * weak.threshold)
-                margin[idx] += alpha * (weak.parity * (weak.threshold - v))
-            alive[idx[score < stage.strong.threshold]] = False
+        flat = {rot: (table, stride, oys * stride + oxs) for rot, (table, stride) in tabs.items()}
+        alive, margin = run_stages(c, scaled, flat, inv)
         for i in np.nonzero(alive)[0]:
             out.append(
                 Detection(Rect(int(oxs[i]), int(oys[i]), w_k, h_k), margin=float(margin[i]))
@@ -283,8 +262,6 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
 
 
 def _tables_for(c: Cascade, image: GrayImage) -> IntegralTables:
-    from .haar import FeatureSet
-
     return build_tables(image, want_rotated=c.feature_set is FeatureSet.ALL)
 
 
@@ -446,11 +423,10 @@ def detect_point(image: GrayImage, cfg: DetectorConfig) -> tuple[int, int] | Non
     patch = GrayImage(image.pixels[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w])
     if cfg.on_right_side:
         patch = patch.mirrored()
-    local = replace(cfg, roi=Rect(0, 0, roi.w, roi.h), ok=False)
+    local = replace(cfg, roi=Rect(0, 0, roi.w, roi.h))
     raw = scan_roi(cfg.cascade, _tables_for(cfg.cascade, patch), local)
     grouped = group_detections(raw, cfg.min_neighbors)
     best = select_result(grouped, True, roi_center=((roi.w - 1) / 2.0, (roi.h - 1) / 2.0))
-    cfg.ok = best is not None
     if best is None:
         return None
     px2, py2 = best.point2x
@@ -469,7 +445,6 @@ def detect_region(image, cfg: DetectorConfig) -> Rect | None:
     raw = scan_roi(cfg.cascade, image, cfg)
     grouped = group_detections(raw, cfg.min_neighbors)
     best = select_result(grouped, cfg.is_point)
-    cfg.ok = best is not None
     return best.rect if best else None
 
 
@@ -489,7 +464,6 @@ class HierarchyGeometry:
     point_expand: float = 0.40  # each side of a feature rect, clamped to image
 
     def feature_roi(self, face: Rect, name: str) -> Rect:
-        fx, fy, fw, fh = face.x, face.y, face.w, face.h
         if name == "left_eye":
             return _subrect(face, 0.0, 0.0, 0.5, self.eye_band)
         if name == "right_eye":
@@ -539,8 +513,12 @@ def detect_hierarchy(
     center = Point2((image.width - 1) / 2.0, (image.height - 1) / 2.0)
     work = image if correction == 0.0 else rotate_image(image, center, -correction)
     result.tilt_applied = correction
+    # one set of frame tables serves the face and all feature scans
+    region_cfgs = (face_cfg, *feature_cfgs.values())
+    rotated = any(cfg.cascade.feature_set is FeatureSet.ALL for cfg in region_cfgs)
+    tables = build_tables(work, want_rotated=rotated)
 
-    face = detect_region(work, face_cfg)
+    face = detect_region(tables, face_cfg)
     if face is None:
         tilt_state.alpha = 0.0
         return result
@@ -554,13 +532,12 @@ def detect_hierarchy(
             feature_rects[name] = None
             continue
         cfg.roi = _clamp_rect(geometry.feature_roi(face, name), work.width, work.height)
-        feature_rects[name] = detect_region(work, cfg)
+        feature_rects[name] = detect_region(tables, cfg)
     result.features = feature_rects
 
     for name, cfg in point_cfgs.items():
         parent = feature_rects.get(POINT_PARENTS[name])
         if parent is None:
-            cfg.ok = False
             continue
         if cfg.sub_roi is not None:
             cfg.roi = _sub_roi_rect(

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidpoint.boost import StrongClassifier, WeakClassifier, eval_strong
 from fidpoint.cascade import (
     Cascade,
+    _batch_accept,
     CascadeFormatError,
     Stage,
     StageStuckError,
@@ -220,6 +223,56 @@ def test_classify_matches_no_early_exit():
             assert rejected_at is None
         else:
             assert rejected_at == verdicts.index(False)
+
+
+# --- _batch_accept ------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    feature_set=st.sampled_from(FeatureSet),
+    n_stages=st.integers(0, 3),
+    n_samples=st.integers(0, 40),
+    dead_stage=st.booleans(),
+)
+def test_batch_accept_matches_classify_window(seed, feature_set, n_stages, n_samples, dead_stage):
+    # weak classifiers draw from a small pool of features of mixed kinds,
+    # so kinds interleave and features repeat within and across stages
+    rng = np.random.default_rng(seed)
+    feats = enumerate_features(8, 8, feature_set)
+    pool = [feats[int(i)] for i in rng.integers(0, len(feats), 4)]
+    stages = []
+    for _ in range(n_stages):
+        sc = StrongClassifier()
+        for _ in range(int(rng.integers(1, 4))):
+            weak = WeakClassifier(
+                float(rng.normal(0, 3)), int(rng.choice([-1, 1])), feature=pool[rng.integers(4)]
+            )
+            sc.rounds.append((float(rng.uniform(0.2, 1.5)), weak))
+        if rng.random() < 0.5:
+            sc.threshold = float(rng.uniform(0, 1) * sc.alpha_sum)
+        else:  # a sum of some alphas, which a window can score exactly
+            sc.threshold = sum(alpha for alpha, _ in sc.rounds if rng.random() < 0.5)
+        stages.append(Stage(sc))
+    if dead_stage and stages:
+        dead = stages[int(rng.integers(len(stages)))].strong
+        dead.threshold = dead.alpha_sum + 1.0  # no sample passes this stage
+    c = Cascade(8, 8, feature_set, stages)
+    rotated = feature_set is FeatureSet.ALL
+    tables = [make_tables(rng, 8, rotated) for _ in range(n_samples)]
+    got = _batch_accept(c, tables)
+    assert got.dtype == bool
+    assert got.tolist() == [classify_window(c, t)[0] for t in tables]
+
+
+@pytest.mark.parametrize("side", [7, 9])
+@pytest.mark.parametrize("n_stages", [0, 2])
+def test_batch_accept_rejects_patches_off_the_window(side, n_stages):
+    # a stacked read past a patch's own table would score the wrong pixels
+    rng = np.random.default_rng(29)
+    c = random_cascade(rng, n_stages=n_stages)
+    with pytest.raises(ValueError, match=f"{side}x{side}"):
+        _batch_accept(c, [make_tables(rng, side) for _ in range(3)])
 
 
 # --- serialization -----------------------------------------------------------------

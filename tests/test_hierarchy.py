@@ -104,3 +104,24 @@ def test_fourth_corner_inferred_when_one_missing(hierarchy_configs):
     assert got is not None  # inferred from the other three corners
     truth = truth_points()["right_eye_outer"]
     assert math.hypot(got.x - truth.x, got.y - truth.y) <= 3.0
+
+
+def test_frame_tables_built_once(hierarchy_configs, monkeypatch):
+    # the face and the four feature scans share one set of full-frame
+    # tables; only the point patches get tables of their own
+    import fidpoint.scan as scan_mod
+
+    sizes = []
+    real = scan_mod.build_tables
+
+    def counting(image, *args, **kwargs):
+        sizes.append((image.width, image.height))
+        return real(image, *args, **kwargs)
+
+    monkeypatch.setattr(scan_mod, "build_tables", counting)
+    face_cfg, feature_cfgs, point_cfgs = hierarchy_configs
+    img = build_face_image(41)
+    result = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
+    assert result.face_found and all(result.features.values())
+    assert sizes.count((img.width, img.height)) == 1
+    assert len(sizes) > 1  # the point scans still ran

@@ -104,6 +104,7 @@ def test_malformed_pgm_raises_with_offset(blob):
         (b"P2\n1 1\n255\n" + b"9" * 5000 + b"\n", 11),
         (b"P2\n1 1\n255\n-1\n", 11),  # a sign is not a digit
         (b"P5\n+1 1\n255\n\x07", 3),
+        (b"P5\n1 1\n7\n\xff", 9),  # a binary sample above maxval
     ],
 )
 def test_pgm_bad_number_raises_with_offset(blob, offset):
