@@ -57,6 +57,7 @@ evaluated by ``cascade.run_stages``.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,6 +264,7 @@ def _unit_cells(kind: FeatureKind, x, y, w, h) -> list[tuple]:
     return [(x + cx * w, y + cy * h, cw * w, ch * h, wt) for cx, cy, cw, ch, wt in layout]
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def scale_feature(
     f: HaarFeature,
     factor,
@@ -279,6 +281,9 @@ def scale_feature(
     exact rounding midpoint).  Negative weights are rescaled to restore
     the zero-mean invariant.  If window dimensions are given, the scaled
     footprint is checked against the scaled window.
+
+    Results are cached; the arguments and the returned cells are all
+    immutable, so an entry never goes stale.
     """
     if factor < 1:
         raise ValueError("scale factor must be >= 1")
@@ -286,11 +291,7 @@ def scale_feature(
     rotated = f.kind.rotated
     rects = []
     weights = []
-    if frac == 1:
-        slots = _unit_cells(f.kind, f.x, f.y, f.w, f.h)
-        rects = [Rect(x, y, w, h) for x, y, w, h, _ in slots]
-        weights = [wt for *_, wt in slots]
-    elif not rotated:
+    if not rotated:
         for cx, cy, cw, ch, wt in _UPRIGHT_CELLS[f.kind]:
             x1 = round_half_up((f.x + cx * f.w) * frac)
             x2 = round_half_up((f.x + (cx + cw) * f.w) * frac)

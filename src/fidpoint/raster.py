@@ -122,7 +122,9 @@ def _pgm_int(token: bytes, offset: int, what: str) -> int:
 def load_pgm(data: bytes) -> GrayImage:
     """Decode binary (P5) or ASCII (P2) PGM content with maxval <= 255.
 
-    Header comments (``#`` to end of line) are skipped.  Raises
+    Header comments (``#`` to end of line) are skipped.  Samples of a
+    file whose maxval is below 255 are rescaled to 0..255 with exact
+    round-half-up, v -> round(v * 255 / maxval).  Raises
     :class:`PgmFormatError` naming the offending byte offset on any
     malformed input.
     """
@@ -166,6 +168,8 @@ def load_pgm(data: bytes) -> GrayImage:
             vals[i] = v
             i += 1
         arr = vals
+    if maxval != 255:
+        arr = ((arr.astype(np.int64) * 510 + maxval) // (2 * maxval)).astype(np.uint8)
     return GrayImage(arr.reshape(height, width))
 
 

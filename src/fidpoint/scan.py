@@ -3,15 +3,20 @@
 Scan schedule
 -------------
 
-Window sizes grow from the configured minimum by ``scale_factor`` until
-they no longer fit the ROI (duplicate rounded sizes are scanned once).
-At each size the step is max(1, round(size / cascade_window)) and the
-position grid contains the multiples of the step from both ends of the
-feasible range, so the grid maps onto itself under horizontal or
-vertical mirroring; that closure is what makes patch-flip detection and
-mirrored-cascade detection agree window for window.  Windows whose
-scaled cells would read outside the image (possible for rotated cells
-at fractional scales) are skipped.
+Every scan moves and scales the detector over one set of integral
+tables of the whole frame, as Viola and Jones do; no ROI is cut out,
+flipped or given tables of its own.  Window sizes grow from the
+configured minimum by ``scale_factor`` until they no longer fit the ROI
+(duplicate rounded sizes are scanned once).  At each size the step is
+max(1, round(size / cascade_window)) and the position grid contains the
+multiples of the step from both ends of the feasible range, so the grid
+maps onto itself under horizontal or vertical mirroring about the ROI.
+Windows whose scaled cells would read outside the frame (possible for
+rotated cells at fractional scales) are skipped.  Right-side points run
+the mirrored left-side cascade (``cascade.mirror``) on the same tables;
+the mirror-closed grid and the mirror-covariant grouping below make it
+find the mirror image of what the left-side cascade finds on the
+mirrored frame.
 
 Grouping
 --------
@@ -21,7 +26,7 @@ bottom-right corners each agree within 0.2*max of the sizes
 (|a.x-b.x| <= 0.2*max(a.w,b.w) and |(a.x+a.w)-(b.x+b.w)| <= the same
 bound, likewise for y) and the sizes agree within 20 percent.  Testing
 both corners makes the relation invariant under mirroring, so grouping
-commutes with patch flips.  Clusters are the connected components of
+commutes with mirroring.  Clusters are the connected components of
 that relation; each cluster of at least ``min_neighbors`` members emits
 one detection whose point is the round-half-even exact mean of the
 member centres (a reflection-equivariant rounding) and whose rect is
@@ -43,11 +48,11 @@ is O(n) plus one block, whatever the number of raw windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import Cascade, run_stages
+from .cascade import Cascade, mirror, run_stages
 from .geom import (
     EyeCorner,
     InsufficientPointsError,
@@ -176,8 +181,8 @@ class HierarchyResult:
 def _grid_positions(extent: int, step: int) -> np.ndarray:
     """Multiples of ``step`` in [0, extent] taken from both ends.
 
-    The result is its own mirror image (x -> extent - x), which keeps
-    flipped-patch scans aligned with direct scans.
+    The result is its own mirror image (x -> extent - x), which keeps a
+    mirrored-cascade scan aligned with a direct scan of the mirrored frame.
     """
     fwd = np.arange(0, extent + 1, step)
     rev = extent - fwd
@@ -223,7 +228,10 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
     ``image`` may be a GrayImage or prebuilt IntegralTables (built with
     rotated sums when the cascade uses the extended feature set).
     """
-    tables = image if isinstance(image, IntegralTables) else _tables_for(c, image)
+    if isinstance(image, IntegralTables):
+        tables = image
+    else:
+        tables = build_tables(image, want_rotated=c.feature_set is FeatureSet.ALL)
     roi = cfg.roi or Rect(0, 0, tables.width, tables.height)
     if roi.x < 0 or roi.y < 0 or roi.x + roi.w > tables.width or roi.y + roi.h > tables.height:
         raise BoundsError(f"roi {roi} outside {tables.width}x{tables.height} image")
@@ -259,10 +267,6 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
                 Detection(Rect(int(oxs[i]), int(oys[i]), w_k, h_k), margin=float(margin[i]))
             )
     return out
-
-
-def _tables_for(c: Cascade, image: GrayImage) -> IntegralTables:
-    return build_tables(image, want_rotated=c.feature_set is FeatureSet.ALL)
 
 
 # candidate pairs tested at once by group_detections; bounds its working
@@ -409,30 +413,21 @@ def select_result(
     return min(ds, key=point_key)
 
 
-def detect_point(image: GrayImage, cfg: DetectorConfig) -> tuple[int, int] | None:
-    """One point coordinate inside cfg.roi, flipping the patch for right-side points.
+def detect_point(image, cfg: DetectorConfig) -> tuple[int, int] | None:
+    """One point coordinate inside cfg.roi, in frame coordinates.
 
-    Right-side detectors mirror the ROI patch, scan it with the
-    left-side-trained cascade, and mirror the winning coordinate back
-    (x -> roi_w - 1 - x).  Because the scan grid, grouping relation, and
-    rounded cluster centres are all mirror-covariant, this is
-    coordinate-for-coordinate identical to scanning the unmirrored
-    patch with the mirrored cascade.
+    ``image`` may be a GrayImage or prebuilt IntegralTables, as for
+    :func:`detect_region`.  Right-side points run ``mirror(cfg.cascade)``
+    (see "Scan schedule" above).  Of the clusters with the most
+    neighbours, the one whose centre is nearest the ROI centre wins.
     """
+    c = mirror(cfg.cascade) if cfg.on_right_side else cfg.cascade
     roi = cfg.roi or Rect(0, 0, image.width, image.height)
-    patch = GrayImage(image.pixels[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w])
-    if cfg.on_right_side:
-        patch = patch.mirrored()
-    local = replace(cfg, roi=Rect(0, 0, roi.w, roi.h))
-    raw = scan_roi(cfg.cascade, _tables_for(cfg.cascade, patch), local)
-    grouped = group_detections(raw, cfg.min_neighbors)
-    best = select_result(grouped, True, roi_center=((roi.w - 1) / 2.0, (roi.h - 1) / 2.0))
-    if best is None:
-        return None
-    px2, py2 = best.point2x
-    if cfg.on_right_side:
-        px2 = 2 * (roi.w - 1) - px2  # mirror back in half-pixel units
-    return roi.x + px2 // 2, roi.y + py2 // 2
+    grouped = group_detections(scan_roi(c, image, cfg), cfg.min_neighbors)
+    best = select_result(
+        grouped, True, roi_center=(roi.x + (roi.w - 1) / 2.0, roi.y + (roi.h - 1) / 2.0)
+    )
+    return best.point if best else None
 
 
 def detect_region(image, cfg: DetectorConfig) -> Rect | None:
@@ -448,48 +443,36 @@ def detect_region(image, cfg: DetectorConfig) -> Rect | None:
     return best.rect if best else None
 
 
-@dataclass(frozen=True)
-class HierarchyGeometry:
-    """Fractions carving feature search regions out of the face rect.
+# feature search regions as (x0, y0, x1, y1) fractions of the face rect:
+# eyes and brows share the upper band, split at the midline.  Plain
+# configuration, not measurements.
+FEATURE_BANDS = {
+    "left_eye": (0.0, 0.0, 0.5, 0.55),
+    "right_eye": (0.5, 0.0, 1.0, 0.55),
+    "nose": (0.30, 0.35, 0.70, 0.75),
+    "mouth": (0.15, 2.0 / 3.0, 0.85, 1.0),
+}
+POINT_EXPAND = 0.40  # point search margin on each side of a feature rect
 
-    The values below are this artifact's defaults; they are plain
-    configuration, not measurements.
-    """
 
-    eye_band: float = 0.55  # eyes + brows: upper band, split at the midline
-    nose_x: tuple[float, float] = (0.30, 0.70)
-    nose_y: tuple[float, float] = (0.35, 0.75)
-    mouth_x: tuple[float, float] = (0.15, 0.85)
-    mouth_y: tuple[float, float] = (2.0 / 3.0, 1.0)
-    point_expand: float = 0.40  # each side of a feature rect, clamped to image
-
-    def feature_roi(self, face: Rect, name: str) -> Rect:
-        if name == "left_eye":
-            return _subrect(face, 0.0, 0.0, 0.5, self.eye_band)
-        if name == "right_eye":
-            return _subrect(face, 0.5, 0.0, 1.0, self.eye_band)
-        if name == "nose":
-            return _subrect(face, self.nose_x[0], self.nose_y[0], self.nose_x[1], self.nose_y[1])
-        if name == "mouth":
-            return _subrect(face, self.mouth_x[0], self.mouth_y[0], self.mouth_x[1], self.mouth_y[1])
+def feature_roi(face: Rect, name: str) -> Rect:
+    """The search region of feature ``name`` inside the face rect."""
+    if name not in FEATURE_BANDS:
         raise ValueError(f"unknown feature {name!r}")
-
-    def point_roi(self, feature: Rect, image_w: int, image_h: int) -> Rect:
-        ex = round_half_up(feature.w * self.point_expand)
-        ey = round_half_up(feature.h * self.point_expand)
-        x0 = max(0, feature.x - ex)
-        y0 = max(0, feature.y - ey)
-        x1 = min(image_w, feature.x + feature.w + ex)
-        y1 = min(image_h, feature.y + feature.h + ey)
-        return Rect(x0, y0, x1 - x0, y1 - y0)
-
-
-def _subrect(r: Rect, fx0: float, fy0: float, fx1: float, fy1: float) -> Rect:
-    x0 = r.x + round_half_up(r.w * fx0)
-    y0 = r.y + round_half_up(r.h * fy0)
-    x1 = r.x + round_half_up(r.w * fx1)
-    y1 = r.y + round_half_up(r.h * fy1)
+    fx0, fy0, fx1, fy1 = FEATURE_BANDS[name]
+    x0 = face.x + round_half_up(face.w * fx0)
+    y0 = face.y + round_half_up(face.h * fy0)
+    x1 = face.x + round_half_up(face.w * fx1)
+    y1 = face.y + round_half_up(face.h * fy1)
     return Rect(x0, y0, max(1, x1 - x0), max(1, y1 - y0))
+
+
+def point_roi(feature: Rect, image_w: int, image_h: int) -> Rect | None:
+    """The feature rect grown by POINT_EXPAND of its size on each side, clamped to the image."""
+    ex = round_half_up(feature.w * POINT_EXPAND)
+    ey = round_half_up(feature.h * POINT_EXPAND)
+    grown = Rect(feature.x - ex, feature.y - ey, feature.w + 2 * ex, feature.h + 2 * ey)
+    return _clamp_rect(grown, image_w, image_h)
 
 
 def detect_hierarchy(
@@ -498,7 +481,6 @@ def detect_hierarchy(
     feature_cfgs: dict[str, DetectorConfig],
     point_cfgs: dict[str, DetectorConfig],
     tilt_state: TiltState,
-    geometry: HierarchyGeometry = HierarchyGeometry(),
 ) -> HierarchyResult:
     """Face, then features, then points, with inter-frame tilt correction.
 
@@ -513,9 +495,9 @@ def detect_hierarchy(
     center = Point2((image.width - 1) / 2.0, (image.height - 1) / 2.0)
     work = image if correction == 0.0 else rotate_image(image, center, -correction)
     result.tilt_applied = correction
-    # one set of frame tables serves the face and all feature scans
-    region_cfgs = (face_cfg, *feature_cfgs.values())
-    rotated = any(cfg.cascade.feature_set is FeatureSet.ALL for cfg in region_cfgs)
+    # one set of frame tables serves the face, feature and point scans
+    cfgs = (face_cfg, *feature_cfgs.values(), *point_cfgs.values())
+    rotated = any(cfg.cascade.feature_set is FeatureSet.ALL for cfg in cfgs)
     tables = build_tables(work, want_rotated=rotated)
 
     face = detect_region(tables, face_cfg)
@@ -531,8 +513,8 @@ def detect_hierarchy(
         if cfg is None:
             feature_rects[name] = None
             continue
-        cfg.roi = _clamp_rect(geometry.feature_roi(face, name), work.width, work.height)
-        feature_rects[name] = detect_region(tables, cfg)
+        cfg.roi = _clamp_rect(feature_roi(face, name), work.width, work.height)
+        feature_rects[name] = None if cfg.roi is None else detect_region(tables, cfg)
     result.features = feature_rects
 
     for name, cfg in point_cfgs.items():
@@ -544,8 +526,9 @@ def detect_hierarchy(
                 parent, cfg.sub_roi, cfg.cascade.window_w, work.width, work.height
             )
         else:
-            cfg.roi = geometry.point_roi(parent, work.width, work.height)
-        coord = detect_point(work, cfg)
+            cfg.roi = point_roi(parent, work.width, work.height)
+        # a search square wholly outside the frame leaves the point undetected
+        coord = None if cfg.roi is None else detect_point(tables, cfg)
         if coord is not None:
             result.points[name] = Point2(float(coord[0]), float(coord[1]))
 
@@ -579,15 +562,18 @@ def detect_hierarchy(
     return result
 
 
-def _clamp_rect(r: Rect, w: int, h: int) -> Rect:
+def _clamp_rect(r: Rect, w: int, h: int) -> Rect | None:
+    """The part of ``r`` inside a w x h image, or None when they do not meet."""
     x0 = max(0, r.x)
     y0 = max(0, r.y)
     x1 = min(w, r.x + r.w)
     y1 = min(h, r.y + r.h)
-    return Rect(x0, y0, max(1, x1 - x0), max(1, y1 - y0))
+    if x1 <= x0 or y1 <= y0:
+        return None
+    return Rect(x0, y0, x1 - x0, y1 - y0)
 
 
-def _sub_roi_rect(parent: Rect, sub_roi, window: int, image_w: int, image_h: int) -> Rect:
+def _sub_roi_rect(parent: Rect, sub_roi, window: int, image_w: int, image_h: int) -> Rect | None:
     """Per-detector search square inside/around the parent feature rect."""
     dx, dy, half_u = sub_roi
     cx = parent.x + (parent.w - 1) / 2.0 + dx * parent.w

@@ -107,8 +107,8 @@ def test_fourth_corner_inferred_when_one_missing(hierarchy_configs):
 
 
 def test_frame_tables_built_once(hierarchy_configs, monkeypatch):
-    # the face and the four feature scans share one set of full-frame
-    # tables; only the point patches get tables of their own
+    # the face, the four feature and the fourteen point scans share one
+    # set of full-frame tables
     import fidpoint.scan as scan_mod
 
     sizes = []
@@ -123,5 +123,22 @@ def test_frame_tables_built_once(hierarchy_configs, monkeypatch):
     img = build_face_image(41)
     result = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
     assert result.face_found and all(result.features.values())
-    assert sizes.count((img.width, img.height)) == 1
-    assert len(sizes) > 1  # the point scans still ran
+    assert sizes == [(img.width, img.height)]
+    assert any(p is not None for p in result.points.values())  # the point scans ran
+
+
+def test_point_square_outside_frame_is_skipped(hierarchy_configs):
+    # a search prior far off the parent puts the square wholly right of
+    # the frame; that point stays undetected and the others are unaffected
+    face_cfg, feature_cfgs, point_cfgs = hierarchy_configs
+    img = build_face_image(41)
+    baseline = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
+    far = point_cfgs["right_pupil"]
+    far.sub_roi = (20.0, 0.0, 0.3)
+    result = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
+    assert far.roi is None
+    assert baseline.points["right_pupil"] is not None
+    assert result.points["right_pupil"] is None
+    for name in DETECTED_POINT_NAMES:
+        if name != "right_pupil":
+            assert result.points[name] == baseline.points[name], name

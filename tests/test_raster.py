@@ -113,6 +113,19 @@ def test_pgm_bad_number_raises_with_offset(blob, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "blob, expected",
+    [
+        (b"P2 2 1 15\n15 0\n", [255, 0]),
+        (b"P2\n3 1\n2\n0 1 2\n", [0, 128, 255]),  # 127.5 rounds half up
+        (b"P5\n3 1\n7\n" + bytes([7, 0, 3]), [255, 0, 109]),
+        (b"P5\n2 1\n1\n" + bytes([1, 0]), [255, 0]),
+    ],
+)
+def test_pgm_maxval_below_255_rescales(blob, expected):
+    assert load_pgm(blob).pixels.tolist() == [expected]
+
+
 def test_pgm_leading_zeros_are_decimal():
     img = load_pgm(b"P2\n" + b"0" * 5000 + b"1 1\n255\n0007\n")
     assert img.width == 1 and img.pixels[0, 0] == 7
