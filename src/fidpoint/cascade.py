@@ -381,6 +381,8 @@ def deserialize(data: bytes) -> Cascade:
     if len(st) != 2:
         raise CascadeFormatError("malformed stages line", r.no)
     nstages = _parse_int(st[1], r)
+    if nstages < 0:
+        raise CascadeFormatError(f"negative stage count {nstages}", r.no)
     cascade = Cascade(window_w, window_h, feature_set, [])
     for i in range(nstages):
         parts = r.next("stage")
@@ -389,6 +391,8 @@ def deserialize(data: bytes) -> Cascade:
             raise CascadeFormatError("malformed stage line", r.no)
         threshold = _parse_float(parts[3], r)
         nweak = _parse_int(parts[5], r)
+        if nweak < 0:
+            raise CascadeFormatError(f"negative weak count {nweak}", r.no)
         hr = _parse_float(parts[7], r)
         fa = _parse_float(parts[9], r)
         sc = StrongClassifier(threshold=threshold)

@@ -79,11 +79,6 @@ def round_half_up(v) -> int:
     return int(math.floor(v + 0.5))
 
 
-def as_scale(factor) -> Fraction:
-    """Exact rational form of a scale factor (floats convert exactly)."""
-    return factor if isinstance(factor, Fraction) else Fraction(factor)
-
-
 class FeatureKind(enum.Enum):
     EDGE_H = "EDGE_H"
     EDGE_V = "EDGE_V"
@@ -287,7 +282,7 @@ def scale_feature(
     """
     if factor < 1:
         raise ValueError("scale factor must be >= 1")
-    frac = as_scale(factor)
+    frac = Fraction(factor)  # exact for ints, floats and Fractions
     rotated = f.kind.rotated
     rects = []
     weights = []
@@ -408,11 +403,6 @@ def mirror_feature(f: HaarFeature, window_w: int) -> tuple[HaarFeature, bool]:
         FeatureKind.LINE_V_45: FeatureKind.LINE_H_45,
     }[kind]
     return HaarFeature(swap, window_w - 1 - x, y, h, w), False
-
-
-def mirror_rect(r: Rect, window_w: int) -> Rect:
-    """Upright cell-rect mirror: (x, y, w, h) -> (window_w - x - w, y, w, h)."""
-    return Rect(window_w - r.x - r.w, r.y, r.w, r.h)
 
 
 # --- batch evaluation (training path) --------------------------------------

@@ -21,16 +21,18 @@ mirrored frame.
 Grouping
 --------
 
-Raw rects a, b are similar iff their top-left corners and their
-bottom-right corners each agree within 0.2*max of the sizes
-(|a.x-b.x| <= 0.2*max(a.w,b.w) and |(a.x+a.w)-(b.x+b.w)| <= the same
-bound, likewise for y) and the sizes agree within 20 percent.  Testing
-both corners makes the relation invariant under mirroring, so grouping
-commutes with mirroring.  Clusters are the connected components of
-that relation; each cluster of at least ``min_neighbors`` members emits
-one detection whose point is the round-half-even exact mean of the
-member centres (a reflection-equivariant rounding) and whose rect is
-the mean size centred on that point.
+:func:`group_detections` clusters the ``RAW_WINDOW`` records that
+:func:`scan_roi` returns.  Raw rects a, b are similar iff their
+top-left corners and their bottom-right corners each agree within
+0.2*max of the sizes (|a.x-b.x| <= 0.2*max(a.w,b.w) and
+|(a.x+a.w)-(b.x+b.w)| <= the same bound, likewise for y) and the sizes
+agree within 20 percent.  Testing both corners makes the relation
+invariant under mirroring, so grouping commutes with mirroring.
+Clusters are the connected components of that relation; each cluster
+of at least ``min_neighbors`` members emits one :class:`Detection`
+whose point is the round-half-even exact mean of the member centres (a
+reflection-equivariant rounding) and whose rect is the mean size
+centred on that point.
 
 The components are found without testing all n^2 pairs.  Similar widths
 differ by at most 0.2*max(a.w, b.w), so the larger is at most 1.25 times
@@ -133,31 +135,27 @@ class DetectorConfig:
             raise ValueError("min size is below the cascade window")
 
 
+# one accepted window of scan_roi: its rect and summed stump margin
+RAW_WINDOW = np.dtype([("x", "i8"), ("y", "i8"), ("w", "i8"), ("h", "i8"), ("margin", "f8")])
+
+
 @dataclass(frozen=True)
 class Detection:
-    """A (possibly clustered) window with its centre in half-pixel units.
+    """One grouped cluster of raw windows, its centre in half-pixel units.
 
-    ``point2x`` is twice the exact window centre (2x + w - 1, 2y + h - 1
-    for a raw window); keeping it doubled makes mirroring exact, since
-    the reflection axis 2*(extent - 1) is always even.  ``point`` floors
-    it to whole pixels (the centre pixel for odd sizes, the left/upper
-    of the two central pixels for even sizes).
+    ``point2x`` is twice the rounded mean member centre (2x + w - 1,
+    2y + h - 1 for one window); keeping it doubled makes mirroring exact,
+    since the reflection axis 2*(extent - 1) is always even.  ``point``
+    floors it to whole pixels (the centre pixel for odd sizes, the
+    left/upper of the two central pixels for even sizes).
     """
 
     rect: Rect
-    neighbors: int = 1
-    point2x: tuple[int, int] | None = None
-    # summed stump margin sum(alpha * parity * (threshold - value)); exactly
-    # mirror-invariant, used to break otherwise symmetric selection ties
-    margin: float = 0.0
-
-    def __post_init__(self):
-        if self.point2x is None:
-            object.__setattr__(
-                self,
-                "point2x",
-                (2 * self.rect.x + self.rect.w - 1, 2 * self.rect.y + self.rect.h - 1),
-            )
+    neighbors: int
+    point2x: tuple[int, int]
+    # the members' summed stump margins sum(alpha * parity * (threshold - value));
+    # exactly mirror-invariant, used to break otherwise symmetric selection ties
+    margin: float
 
     @property
     def point(self) -> tuple[int, int]:
@@ -222,9 +220,10 @@ def _cell_overhang(cells_list: list[ScaledCells], win_w: int, win_h: int):
     return left, top, right, bottom
 
 
-def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
-    """All accepted windows over the scan schedule, in deterministic order.
+def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
+    """All accepted windows over the scan schedule, one ``RAW_WINDOW`` record each.
 
+    Records are ordered by window size ascending, then ``y``, then ``x``.
     ``image`` may be a GrayImage or prebuilt IntegralTables (built with
     rotated sums when the cascade uses the extended feature set).
     """
@@ -235,7 +234,7 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
     roi = cfg.roi or Rect(0, 0, tables.width, tables.height)
     if roi.x < 0 or roi.y < 0 or roi.x + roi.w > tables.width or roi.y + roi.h > tables.height:
         raise BoundsError(f"roi {roi} outside {tables.width}x{tables.height} image")
-    out: list[Detection] = []
+    found = [np.empty(0, RAW_WINDOW)]
     weaks = [weak for st in c.stages for _, weak in st.strong.rounds]
     # rotated -> (flattened table, row stride); the cells of one weak
     # classifier read one of them at the window origins' flat offsets
@@ -262,11 +261,11 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
         inv = window_inv_stddevs(tables, oxs, oys, w_k, h_k)
         flat = {rot: (table, stride, oys * stride + oxs) for rot, (table, stride) in tabs.items()}
         alive, margin = run_stages(c, scaled, flat, inv)
-        for i in np.nonzero(alive)[0]:
-            out.append(
-                Detection(Rect(int(oxs[i]), int(oys[i]), w_k, h_k), margin=float(margin[i]))
-            )
-    return out
+        win = np.empty(np.count_nonzero(alive), RAW_WINDOW)
+        win["x"], win["y"], win["w"], win["h"] = oxs[alive], oys[alive], w_k, h_k
+        win["margin"] = margin[alive]
+        found.append(win)
+    return np.concatenate(found)
 
 
 # candidate pairs tested at once by group_detections; bounds its working
@@ -274,12 +273,12 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> list[Detection]:
 _GROUP_BLOCK_PAIRS = 1 << 16
 
 
-def group_detections(raw: list[Detection], min_neighbors: int) -> list[Detection]:
-    """Connected-component clustering under the documented similarity rule."""
+def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
+    """Connected-component clustering of ``RAW_WINDOW`` records under the documented rule."""
     n = len(raw)
     if n == 0:
         return []
-    rects = np.array([(d.rect.x, d.rect.y, d.rect.w, d.rect.h) for d in raw], dtype=np.int64)
+    rects = np.stack([raw["x"], raw["y"], raw["w"], raw["h"]], axis=1)
     order = np.argsort(rects[:, 0], kind="stable")
     x, y, w, h = rects[order].T
     x2, y2 = x + w, y + h
@@ -322,7 +321,7 @@ def group_detections(raw: list[Detection], min_neighbors: int) -> list[Detection
     starts = np.cumsum(sizes) - sizes
     x, y, w, h = rects[members].T
     sums = np.add.reduceat(np.stack([2 * x + w - 1, 2 * y + h - 1, w, h], axis=1), starts)
-    margins = [raw[m].margin for m in members.tolist()]
+    margins = raw["margin"][members].tolist()
     out = []
     for s, k, (sx2, sy2, sw, sh) in zip(starts.tolist(), sizes.tolist(), sums.tolist()):
         if k < min_neighbors:

@@ -311,6 +311,16 @@ def test_deserialize_version_and_malformed_lines():
     with pytest.raises(CascadeFormatError) as err:
         deserialize(b"FIDCASCADE 1\nwindow 13\nfeatures ALL\nstages 0\n")
     assert err.value.line == 2
+    # negative counts would parse to empty lists and re-serialize as 0
+    with pytest.raises(CascadeFormatError) as err:
+        deserialize(b"FIDCASCADE 1\nwindow 13 13\nfeatures ALL\nstages -2\n")
+    assert err.value.line == 4
+    with pytest.raises(CascadeFormatError) as err:
+        deserialize(
+            b"FIDCASCADE 1\nwindow 13 13\nfeatures ALL\nstages 1\n"
+            b"stage 0 threshold 0.5 nweak -4 hr 1 fa 1\n"
+        )
+    assert err.value.line == 5
 
 
 def test_infinite_weak_threshold_roundtrips():

@@ -15,7 +15,6 @@ from fidpoint.haar import (
     fits_window,
     footprint,
     mirror_feature,
-    mirror_rect,
     scale_feature,
 )
 from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, rotated_rect_members
@@ -180,12 +179,14 @@ def test_scale_bounds_error():
 
 # --- mirroring -------------------------------------------------------------------
 
-def test_mirror_rect_paper_example():
-    assert mirror_rect(Rect(10, 0, 2, 9), 13) == Rect(1, 0, 2, 9)
+def test_mirror_feature_paper_example():
+    mf, _ = mirror_feature(HaarFeature(FeatureKind.LINE_V, 10, 0, 2, 3), 13)
+    assert footprint(mf) == Rect(1, 0, 2, 9)
 
 
-def test_mirror_rect_centered_fixed():
-    assert mirror_rect(Rect(5, 2, 3, 4), 13) == Rect(5, 2, 3, 4)
+def test_mirror_feature_centered_fixed():
+    f = HaarFeature(FeatureKind.LINE_H, 5, 2, 1, 4)
+    assert mirror_feature(f, 13) == (f, False)
 
 
 def test_mirror_involution_and_value():

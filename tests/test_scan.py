@@ -2,6 +2,7 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,16 @@ import fidpoint.scan as scan_module
 from fidpoint.boost import StrongClassifier, WeakClassifier
 from fidpoint.cascade import Cascade, Stage, classify_window, mirror
 from fidpoint.geom import Point2, TiltMode, TiltState
-from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature, enumerate_features, round_half_up
-from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables
+from fidpoint.haar import (
+    FeatureKind,
+    FeatureSet,
+    HaarFeature,
+    cells_value,
+    enumerate_features,
+    round_half_up,
+    scale_feature,
+)
+from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, window_inv_stddev
 from fidpoint.scan import (
     Detection,
     DetectorConfig,
@@ -101,7 +110,7 @@ def test_scan_pinned_grid_example():
     img = GrayImage(rng.integers(0, 256, (15, 15), dtype=np.uint8))
     cfg = DetectorConfig(cascade=zero_stage_cascade(13), scale_factor=1.2, min_neighbors=1)
     dets = scan_roi(cfg.cascade, img, cfg)
-    got = {(d.rect.x, d.rect.y, d.rect.w) for d in dets}
+    got = set(dets[["x", "y", "w"]].tolist())
     assert got == {(x, y, 13) for x in (0, 1, 2) for y in (0, 1, 2)}
     assert len(dets) == 9
 
@@ -110,14 +119,14 @@ def test_scan_always_reject_empty():
     rng = np.random.default_rng(5)
     img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
     cfg = DetectorConfig(cascade=reject_all_cascade(13))
-    assert scan_roi(cfg.cascade, img, cfg) == []
+    assert len(scan_roi(cfg.cascade, img, cfg)) == 0
 
 
 def test_scan_roi_smaller_than_min_size():
     rng = np.random.default_rng(7)
     img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
     cfg = DetectorConfig(cascade=zero_stage_cascade(13), roi=Rect(0, 0, 9, 9))
-    assert scan_roi(cfg.cascade, img, cfg) == []
+    assert len(scan_roi(cfg.cascade, img, cfg)) == 0
 
 
 def test_scan_roi_out_of_image():
@@ -139,14 +148,47 @@ def test_scan_matches_reference_scanner(feature_set):
         ry = int(rng.integers(0, side - 10))
         roi = Rect(rx, ry, int(rng.integers(9, side - rx + 1)), int(rng.integers(9, side - ry + 1)))
         cfg = DetectorConfig(cascade=c, roi=roi, scale_factor=1.15, min_neighbors=1, min_w=8, min_h=8)
-        got = [d.rect for d in scan_roi(c, img, cfg)]
+        got = [Rect(*r) for r in scan_roi(c, img, cfg)[["x", "y", "w", "h"]].tolist()]
         want = reference_scan(c, img, cfg)
         assert sorted(got, key=lambda r: (r.w, r.y, r.x)) == sorted(
             want, key=lambda r: (r.w, r.y, r.x)
         )
 
 
+@pytest.mark.parametrize("feature_set", [FeatureSet.BASIC, FeatureSet.ALL])
+def test_scan_margins_match_scalar(feature_set):
+    # the reported margin is the scalar stump margin summed over every weak
+    # classifier in cascade order, bit for bit (point selection breaks ties on it)
+    rng = np.random.default_rng(53)
+    checked = 0
+    for _ in range(12):
+        c = random_stump_cascade(rng, window=8, n_stages=2, feature_set=feature_set)
+        side = int(rng.integers(14, 24))
+        img = GrayImage(rng.integers(0, 256, (side, side), dtype=np.uint8))
+        tables = build_tables(img, want_rotated=True)
+        cfg = DetectorConfig(cascade=c, scale_factor=1.15, min_neighbors=1)
+        for x, y, w, h, margin in scan_roi(c, tables, cfg).tolist():
+            inv = window_inv_stddev(tables, Rect(x, y, w, h))
+            want = 0.0
+            for stage in c.stages:
+                for alpha, weak in stage.strong.rounds:
+                    cells = scale_feature(weak.feature, Fraction(w, c.window_w))
+                    v = cells_value(cells, tables, x, y, inv)
+                    want += alpha * (weak.parity * (weak.threshold - v))
+            assert margin == want
+            checked += 1
+    assert checked > 100  # the comparison must exercise real windows
+
+
 # --- grouping ---------------------------------------------------------------------
+
+def raw_windows(rects, margins=None):
+    """scan_roi-style raw windows: one RAW_WINDOW record per rect."""
+    margins = [0.0] * len(rects) if margins is None else margins
+    return np.array(
+        [(r.x, r.y, r.w, r.h, m) for r, m in zip(rects, margins)], dtype=scan_module.RAW_WINDOW
+    )
+
 
 def half_even(num, den):
     """Round-half-even of num/den via exact integer arithmetic."""
@@ -186,12 +228,12 @@ def test_group_empty():
 
 def test_group_three_identical():
     r = Rect(5, 6, 10, 10)
-    out = group_detections([Detection(r)] * 3, 3)
-    assert out == [Detection(r, neighbors=3)]
+    out = group_detections(raw_windows([r] * 3), 3)
+    assert out == [Detection(r, neighbors=3, point2x=(19, 21), margin=0.0)]
 
 
 def test_group_min_neighbors_filters():
-    out = group_detections([Detection(Rect(0, 0, 10, 10))], 2)
+    out = group_detections(raw_windows([Rect(0, 0, 10, 10)]), 2)
     assert out == []
 
 
@@ -206,7 +248,7 @@ def test_group_matches_closure_oracle():
         ]
         want = closure_clusters(rects)
         # recover the implementation's partition via a labelled run
-        out = group_detections([Detection(r) for r in rects], 1)
+        out = group_detections(raw_windows(rects), 1)
         assert sum(d.neighbors for d in out) == n
         # cluster membership check: each oracle cluster appears with its size
         got_sizes = sorted(d.neighbors for d in out)
@@ -237,11 +279,11 @@ def test_group_permutation_invariant():
              int(rng.integers(8, 20)), int(rng.integers(8, 20)))
         for _ in range(20)
     ]
-    dets = [Detection(r) for r in rects]
+    dets = raw_windows(rects)
     base = group_detections(dets, 2)
     for _ in range(5):
         perm = list(rng.permutation(len(dets)))
-        assert group_detections([dets[i] for i in perm], 2) == base
+        assert group_detections(dets[perm], 2) == base
 
 
 SCAN_SIDES = (13, 14, 16, 17, 19, 21, 23, 25, 28, 31, 34, 37, 41, 45)  # 13 * 1.1**k
@@ -295,13 +337,13 @@ def test_group_partition_matches_closure_property(n, seed, spread, block, data):
     # distinct 32-bit labels in the margins: each cluster's fsum is the
     # exact label sum, which identifies its member set
     labels = [(i * 2654435761) % 2**32 for i in range(n)]
-    dets = [Detection(r, margin=float(lab)) for r, lab in zip(rects, labels)]
+    dets = raw_windows(rects, [float(lab) for lab in labels])
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(scan_module, "_GROUP_BLOCK_PAIRS", block)
         out = group_detections(dets, 1)
         perm = data.draw(st.permutations(range(n)))
-        assert group_detections([dets[i] for i in perm], 1) == out
+        assert group_detections(dets[perm], 1) == out
     want = sorted(cluster_fingerprint(rects, labels, c) for c in closure_clusters(rects))
     got = sorted(
         (d.neighbors, int(d.margin), d.point2x[0], d.point2x[1], d.rect.w, d.rect.h)
@@ -319,9 +361,8 @@ def test_group_mirror_equivariant_large():
         rects = clustered_rects(rng, n, spread)
         width = max(r.x + r.w for r in rects) + int(rng.integers(0, 5))
         margins = rng.standard_normal(n).tolist()
-        dets = [Detection(r, margin=m) for r, m in zip(rects, margins)]
-        flipped = [Detection(Rect(width - r.x - r.w, r.y, r.w, r.h), margin=m)
-                   for r, m in zip(rects, margins)]
+        dets = raw_windows(rects, margins)
+        flipped = raw_windows([Rect(width - r.x - r.w, r.y, r.w, r.h) for r in rects], margins)
         for min_neighbors in (1, 3):
             out = group_detections(dets, min_neighbors)
             assert len(out) > 0
@@ -374,7 +415,7 @@ def test_group_memory_bounded_at_20k_windows():
     # 20k windows: the dense n x n formulation would need gigabytes
     rng = np.random.default_rng(47)
     rects = clustered_rects(rng, 20_000, 2400)
-    dets = [Detection(r) for r in rects]
+    dets = raw_windows(rects)
     start = time.perf_counter()
     out = group_detections(dets, 1)
     assert time.perf_counter() - start < 5.0
@@ -391,20 +432,20 @@ def test_group_memory_bounded_at_20k_windows():
 # --- selection ---------------------------------------------------------------------
 
 def test_select_single():
-    d = Detection(Rect(1, 2, 10, 10), 4)
+    d = Detection(Rect(1, 2, 10, 10), 4, point2x=(11, 13), margin=0.0)
     assert select_result([d], True) == d
     assert select_result([d], False) == d
 
 
 def test_select_largest_region():
-    a = Detection(Rect(0, 0, 10, 10), 9)
-    b = Detection(Rect(5, 5, 20, 20), 2)
+    a = Detection(Rect(0, 0, 10, 10), 9, point2x=(9, 9), margin=0.0)
+    b = Detection(Rect(5, 5, 20, 20), 2, point2x=(29, 29), margin=0.0)
     assert select_result([a, b], False) == b
 
 
 def test_select_most_neighbors_for_points():
-    a = Detection(Rect(0, 0, 10, 10), 5)
-    b = Detection(Rect(8, 8, 10, 10), 9)
+    a = Detection(Rect(0, 0, 10, 10), 5, point2x=(9, 9), margin=0.0)
+    b = Detection(Rect(8, 8, 10, 10), 9, point2x=(25, 25), margin=0.0)
     assert select_result([a, b], True) == b
 
 
