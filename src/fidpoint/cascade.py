@@ -14,7 +14,9 @@ rates compound multiplicatively across stages.
 
 :func:`run_stages` is the one batch stage loop: the scanner runs it per
 scale over a frame's windows, and bootstrap filtering runs it over the
-stacked negative patches.  :func:`classify_window` is its scalar oracle.
+stacked negative patches.  It keeps the survivors compact, with one
+running margin per window summed stump by stump in cascade order.
+:func:`classify_window` is its scalar oracle.
 """
 
 from __future__ import annotations
@@ -205,26 +207,27 @@ def run_stages(c: Cascade, cells: list, flat: dict, inv: np.ndarray):
 
     ``cells``: the weak classifiers' ScaledCells in cascade order; ``inv``: the windows'
     1/sigma; ``flat``: rotated -> (flattened table, row stride, window origin offsets).
+    The survivors' offsets, 1/sigma and running margins (one stump added after another in
+    cascade order) stay compact; they are scattered to full length once, 0 where rejected.
     """
-    alive = np.ones(len(inv), dtype=bool)
-    margin = np.zeros(len(inv))
+    alive, full = np.zeros(len(inv), dtype=bool), np.zeros(len(inv))
+    idx, margin = np.arange(len(inv)), np.zeros(len(inv))
     cell_iter = iter(cells)
     for stage in c.stages:
-        idx = np.nonzero(alive)[0]
         if len(idx) == 0:
             break
-        at = {}  # rotated -> the survivors' window offsets, gathered on first use
-        inv_at = inv[idx]
         score = np.zeros(len(idx))
         for (alpha, weak), sc in zip(stage.strong.rounds, cell_iter):
-            table, stride, bases = flat[sc.rotated]
-            if sc.rotated not in at:
-                at[sc.rotated] = bases[idx]
-            v = cells_at(table, stride, at[sc.rotated], sc.slots, sc.rotated)[:, 0] * inv_at
-            score += alpha * (weak.parity * v < weak.parity * weak.threshold)
-            margin[idx] += alpha * (weak.parity * (weak.threshold - v))
-        alive[idx[score < stage.strong.threshold]] = False
-    return alive, margin
+            table, stride, at = flat[sc.rotated]
+            v = cells_at(table, stride, at, sc.slots, sc.rotated)[:, 0] * inv
+            # parity * v < parity * threshold and alpha * (parity * d), sign flips hoisted
+            score += alpha * (v < weak.threshold if weak.parity > 0 else v > weak.threshold)
+            margin += (alpha * weak.parity) * (weak.threshold - v)
+        keep = np.flatnonzero(~(score < stage.strong.threshold))  # not >=: NaN keeps all
+        idx, inv, margin = idx[keep], inv[keep], margin[keep]
+        flat = {rot: (t, s, a[keep]) for rot, (t, s, a) in flat.items()}
+    alive[idx], full[idx] = True, margin
+    return alive, full
 
 
 def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:

@@ -48,7 +48,9 @@ Evaluation
 Upright and rotated cells alike are four corner reads in one table
 (``sums`` or ``tilted`` of :class:`~fidpoint.raster.IntegralTables`).
 :func:`cells_at` is the one evaluator: :func:`cells_value`, the
-cascade's stage loop and :func:`feature_matrix` all call it.
+cascade's stage loop and :func:`feature_matrix` all call it.  A scalar
+corner offset k (scaled cells) is read through the view ``table[k:]``,
+the per-feature offset arrays of :func:`feature_matrix` by an index add.
 :func:`feature_matrix` serves only stage training (every feature on
 every sample); cascades, in the scanner and in bootstrap filtering, are
 evaluated by ``cascade.run_stages``.
@@ -332,13 +334,19 @@ def cells_at(table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: b
     ints or as arrays of F entries, and one weight per slot.  Positive
     and negative cells are accumulated separately, each in layout order,
     and differenced at the end; mirrored features then evaluate to the
-    exact float negation on mirrored input.
+    exact float negation on mirrored input.  A scalar corner offset k is read
+    through the view ``table[k:]``; arrays of F offsets are added to the bases.
     """
     at = base[:, None]
     pos = neg = 0.0
     for x, y, w, h, wt in slots:
         a, b, c, d = cell_corners(x, y, w, h, rotated, stride)
-        s = table[at + a] - table[at + b] - table[at + c] + table[at + d]
+        if isinstance(a, np.ndarray):
+            s = table[at + a] - table[at + b] - table[at + c] + table[at + d]
+        elif min(a, b, c, d) < 0:
+            raise ValueError(f"corner offset {min(a, b, c, d)} < 0: table[k:] counts from the end")
+        else:
+            s = table[a:][at] - table[b:][at] - table[c:][at] + table[d:][at]
         if wt > 0:
             pos += wt * s
         else:

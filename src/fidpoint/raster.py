@@ -315,14 +315,17 @@ def rotated_rect_sum(tables: IntegralTables, r: Rect) -> int:
 def window_inv_stddevs(tables: IntegralTables, xs, ys, w: int, h: int) -> np.ndarray:
     """1/sigma of the w x h windows at origins (xs, ys), 1 where sigma < 1.
 
-    Origins are ints or arrays.  Window sums and squared sums of 8-bit
-    pixels stay below 2**53, so they convert to float exactly and the
-    result does not depend on how many windows are evaluated at once.
+    Origins are ints or arrays; corners are read at their flat offsets through views of
+    the flattened tables, so every window must lie inside the image (unchecked).  Window
+    sums and squared sums of 8-bit pixels stay below 2**53, so they convert to float
+    exactly and the result does not depend on how many windows are evaluated at once.
     """
-    n = w * h
-    s, sq = tables.sums, tables.sq_sums
-    s1 = s[ys + h, xs + w] - s[ys, xs + w] - s[ys + h, xs] + s[ys, xs]
-    s2 = sq[ys + h, xs + w] - sq[ys, xs + w] - sq[ys + h, xs] + sq[ys, xs]
+    n, stride = w * h, tables.width + 1
+    at = ys * stride + xs
+    a, b, c, _ = cell_corners(0, 0, w, h, False, stride)
+    s, sq = tables.sums.ravel(), tables.sq_sums.ravel()
+    s1 = s[a:][at] - s[b:][at] - s[c:][at] + s[at]
+    s2 = sq[a:][at] - sq[b:][at] - sq[c:][at] + sq[at]
     mean = s1 / n
     sigma = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))
     return 1.0 / np.maximum(sigma, 1.0)

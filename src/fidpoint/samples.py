@@ -136,6 +136,8 @@ def parse_points_file(data: bytes) -> list[Point2]:
         count = int(lines[1].split()[1])
     except ValueError:
         raise PointsFormatError("bad point count", 2) from None
+    if count < 0:
+        raise PointsFormatError("negative point count", 2)
     points = []
     for i in range(count):
         lineno = 3 + i
@@ -145,9 +147,12 @@ def parse_points_file(data: bytes) -> list[Point2]:
         if len(toks) != 2:
             raise PointsFormatError("expected '<x> <y>'", lineno)
         try:
-            points.append(Point2(float(toks[0]), float(toks[1])))
+            x, y = float(toks[0]), float(toks[1])
         except ValueError:
             raise PointsFormatError("non-numeric coordinate", lineno) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PointsFormatError("non-finite coordinate", lineno)
+        points.append(Point2(x, y))
     for extra in lines[2 + count :]:
         if extra.strip():
             raise PointsFormatError("trailing content after declared points", 3 + count)

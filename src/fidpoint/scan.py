@@ -253,11 +253,7 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
         # drop positions whose overhanging cells would leave the image
         xs = xs[(xs - l >= 0) & (xs + w_k - 1 + rgt <= tables.width - 1)]
         ys = ys[(ys - t >= 0) & (ys + h_k - 1 + btm <= tables.height - 1)]
-        if len(xs) == 0 or len(ys) == 0:
-            continue
-        gy, gx = np.meshgrid(ys, xs, indexing="ij")
-        oxs = gx.ravel()
-        oys = gy.ravel()
+        oxs, oys = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y-major grid
         inv = window_inv_stddevs(tables, oxs, oys, w_k, h_k)
         flat = {rot: (table, stride, oys * stride + oxs) for rot, (table, stride) in tabs.items()}
         alive, margin = run_stages(c, scaled, flat, inv)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,15 @@ from fidpoint.haar import (
     mirror_feature,
     scale_feature,
 )
-from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, rotated_rect_members
+from fidpoint.raster import (
+    BoundsError,
+    GrayImage,
+    Rect,
+    build_tables,
+    cell_corners,
+    rect_sum,
+    rotated_rect_members,
+)
 
 
 # --- independent counting oracle -------------------------------------------
@@ -249,3 +259,29 @@ def test_feature_matrix_rejects_feature_outside_window():
     t = build_tables(GrayImage(np.zeros((9, 9), dtype=np.uint8)))
     with pytest.raises(BoundsError):
         feature_matrix([HaarFeature(FeatureKind.EDGE_H, 6, 0, 2, 1)], [t])
+
+
+# --- corner reads ---------------------------------------------------------------
+
+def test_cells_at_rejects_negative_corner_offset():
+    # a scalar corner offset k is read through table[k:], where a negative k
+    # would silently count from the end of the table
+    t = build_tables(GrayImage(np.arange(36, dtype=np.uint8).reshape(6, 6)))
+    table, stride = t.sums.ravel(), t.width + 1
+    base = np.array([2 * stride + 2])
+    with pytest.raises(ValueError, match="corner offset"):
+        haar.cells_at(table, stride, base, [(-1, -1, 2, 2, 1.0)], False)
+    # array offsets (feature_matrix geometry) are added to the bases instead
+    got = haar.cells_at(table, stride, base, [(np.array([-1]), np.array([-1]), 2, 2, 1.0)], False)
+    assert got[0, 0] == rect_sum(t, Rect(1, 1, 2, 2))
+
+
+def test_rotated_corner_offsets_nonnegative_up_to_4x():
+    # the scanner reads scalar offsets relative to the window origin, so a
+    # negative one would raise; none occurs for window 8 at scales up to 4,
+    # even at the smallest row stride (an image as wide as the window)
+    rotated = [f for f in enumerate_features(8, 8, FeatureSet.ALL) if f.kind.rotated]
+    for width in range(8, 33):
+        for f in rotated:
+            for x, y, w, h, _ in scale_feature(f, Fraction(width, 8)).slots:
+                assert min(cell_corners(x, y, w, h, True, width + 2)) >= 0

@@ -15,6 +15,7 @@ from fidpoint.raster import (
     rotated_rect_sum,
     save_pgm,
     window_inv_stddev,
+    window_inv_stddevs,
 )
 
 
@@ -331,3 +332,43 @@ def test_inv_stddev_random_against_direct():
             got = window_inv_stddev(t, Rect(x, y, w, h))
             assert got == pytest.approx(want, rel=1e-9)
             checked += 1
+
+
+def inv_stddevs_2d(tables, xs, ys, w, h):
+    # the batch formula with 2-D corner indexing, operation for operation
+    n = w * h
+    s, sq = tables.sums, tables.sq_sums
+    s1 = s[ys + h, xs + w] - s[ys, xs + w] - s[ys + h, xs] + s[ys, xs]
+    s2 = sq[ys + h, xs + w] - sq[ys, xs + w] - sq[ys + h, xs] + sq[ys, xs]
+    mean = s1 / n
+    sigma = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))
+    return 1.0 / np.maximum(sigma, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 20),
+    height=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([1, 3, 256]),  # flat windows clamp sigma to 1
+    data=st.data(),
+)
+@example(width=1, height=17, seed=0, spread=256, data=None)
+@example(width=17, height=1, seed=1, spread=256, data=None)
+def test_window_inv_stddevs_bit_exact(width, height, seed, spread, data):
+    rng = np.random.default_rng(seed)
+    lo = int(rng.integers(0, 257 - spread))
+    img = GrayImage(rng.integers(lo, lo + spread, size=(height, width), dtype=np.uint8))
+    t = build_tables(img)
+    if data is None:
+        w, h = max(1, width // 2), max(1, height // 2)
+    else:
+        w, h = data.draw(st.integers(1, width)), data.draw(st.integers(1, height))
+    # every origin, so windows touch the first and the last row and column
+    ys, xs = (g.ravel() for g in np.mgrid[: height - h + 1, : width - w + 1])
+    got = window_inv_stddevs(t, xs, ys, w, h)
+    want = inv_stddevs_2d(t, xs, ys, w, h)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for x in (0, width - w):
+        for y in (0, height - h):
+            assert window_inv_stddevs(t, x, y, w, h) == inv_stddevs_2d(t, x, y, w, h)

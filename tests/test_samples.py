@@ -52,6 +52,19 @@ def test_parse_points_count_mismatch_names_line():
     assert err.value.line == 5
 
 
+def test_parse_points_negative_count_names_count_line():
+    with pytest.raises(PointsFormatError, match="negative point count") as err:
+        parse_points_file(b"PTS 1\nn -3\n1 2\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("coords", [b"nan inf", b"1 nan", b"-inf 2", b"1e999 0"])
+def test_parse_points_non_finite_coordinate_names_line(coords):
+    with pytest.raises(PointsFormatError, match="non-finite") as err:
+        parse_points_file(b"PTS 1\nn 2\n1 2\n" + coords + b"\n")
+    assert err.value.line == 4
+
+
 def test_points_roundtrip_random():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -23,7 +23,7 @@ from fidpoint.haar import (
     round_half_up,
     scale_feature,
 )
-from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, window_inv_stddev
+from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, cell_box, window_inv_stddev
 from fidpoint.scan import (
     Detection,
     DetectorConfig,
@@ -178,6 +178,65 @@ def test_scan_margins_match_scalar(feature_set):
             assert margin == want
             checked += 1
     assert checked > 100  # the comparison must exercise real windows
+
+
+def scalar_margin(c, tables, x, y, w, h):
+    inv = window_inv_stddev(tables, Rect(x, y, w, h))
+    total = 0.0
+    for stage in c.stages:
+        for alpha, weak in stage.strong.rounds:
+            v = cells_value(scale_feature(weak.feature, Fraction(w, c.window_w)), tables, x, y, inv)
+            total += alpha * (weak.parity * (weak.threshold - v))
+    return total
+
+
+def window_reach(c, x, y, w, h):
+    """Bounding box of a window and of every cell its cascade reads there."""
+    x0, y0, x1, y1 = x, y, x + w - 1, y + h - 1
+    for stage in c.stages:
+        for _, weak in stage.strong.rounds:
+            cells = scale_feature(weak.feature, Fraction(w, c.window_w))
+            for r in cells.rects:
+                bx0, by0, bx1, by1 = cell_box(r.x + x, r.y + y, r.w, r.h, cells.rotated)
+                x0, y0, x1, y1 = min(x0, bx0), min(y0, by0), max(x1, bx1), max(y1, by1)
+    return x0, y0, x1, y1
+
+
+@pytest.mark.parametrize("scale_factor", [1.15, 1.3])
+def test_scan_edges_match_reference_and_scalar(scale_factor):
+    # whole-image ROIs, so the admitted windows reach the first and last rows
+    # and columns, and fractional scales make rotated cells overhang the window
+    rng = np.random.default_rng(61)
+    overhanging = 0
+    for _ in range(4):
+        cascades = [random_stump_cascade(rng, 8, 2, FeatureSet.ALL) for _ in range(5)]
+        reject_2, pass_1, pass_all = cascades[2:]
+        reject_2.stages[1].strong.threshold = 2 * reject_2.stages[1].strong.alpha_sum
+        pass_1.stages[0].strong.threshold = 0.0
+        for stage in pass_all.stages:
+            stage.strong.threshold = 0.0
+        width, height = (int(v) for v in rng.integers(12, 22, size=2))
+        img = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+        tables = build_tables(img, want_rotated=True)
+        for c in cascades:
+            cfg = DetectorConfig(cascade=c, scale_factor=scale_factor, min_neighbors=1)
+            raw = scan_roi(c, tables, cfg)
+            got = [Rect(*r) for r in raw[["x", "y", "w", "h"]].tolist()]
+            assert sorted(got, key=lambda r: (r.w, r.y, r.x)) == sorted(
+                reference_scan(c, img, cfg), key=lambda r: (r.w, r.y, r.x)
+            )
+            for x, y, w, h, margin in raw.tolist():
+                assert margin == scalar_margin(c, tables, x, y, w, h)
+                reach = window_reach(c, x, y, w, h)
+                overhanging += reach[0] < x or reach[1] < y or reach[2] >= x + w or reach[3] >= y + h
+            if c is reject_2:
+                assert len(raw) == 0
+            if c is pass_all:
+                # every admitted window passes; together they read up to every border
+                reach = np.array([window_reach(c, r.x, r.y, r.w, r.h) for r in got])
+                assert reach[:, :2].min(axis=0).tolist() == [0, 0]
+                assert reach[:, 2:].max(axis=0).tolist() == [width - 1, height - 1]
+    assert overhanging > 0
 
 
 # --- grouping ---------------------------------------------------------------------
