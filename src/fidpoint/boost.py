@@ -28,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .haar import HaarFeature, feature_value
-from .raster import IntegralTables, window_inv_stddevs
+from .raster import IntegralTables
 
 EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
 # features per Booster block; bounds the (block x samples) temporaries of
 # __init__ and step
-_STEP_BLOCK = 1024
+_STEP_BLOCK = 512
 
 
 @dataclass
@@ -61,8 +61,16 @@ class StrongClassifier:
 
 
 def sample_inv_sigma(tables: IntegralTables) -> float:
-    """Lighting correction factor of a full training patch."""
-    return float(window_inv_stddevs(tables, 0, 0, tables.width, tables.height))
+    """Lighting correction factor of a full training patch.
+
+    ``window_inv_stddevs`` of the whole patch, in its operation order: the
+    window's three other corners are zero border entries, so its sums are
+    the tables' last entries.
+    """
+    n = tables.width * tables.height
+    mean = int(tables.sums[-1, -1]) / n
+    sigma = math.sqrt(max(int(tables.sq_sums[-1, -1]) / n - mean * mean, 0.0))
+    return 1.0 / max(sigma, 1.0)
 
 
 def init_weights(labels) -> np.ndarray:

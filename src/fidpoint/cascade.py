@@ -146,6 +146,8 @@ def train_stage(
     """
     if not positives or not negatives:
         raise ValueError("both sample sets must be non-empty")
+    if not features:
+        raise ValueError(f"no feature fits the {positives[0].width}x{positives[0].height} window")
     npos = len(positives)
     tables = [*positives, *negatives]
     labels = np.repeat([1, 0], [npos, len(negatives)])

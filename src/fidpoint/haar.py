@@ -47,13 +47,17 @@ Evaluation
 
 Upright and rotated cells alike are four corner reads in one table
 (``sums`` or ``tilted`` of :class:`~fidpoint.raster.IntegralTables`).
-:func:`cells_at` is the one evaluator: :func:`cells_value`, the
-cascade's stage loop and :func:`feature_matrix` all call it.  A scalar
-corner offset k (scaled cells) is read through the view ``table[k:]``,
-the per-feature offset arrays of :func:`feature_matrix` by an index add.
-:func:`feature_matrix` serves only stage training (every feature on
-every sample); cascades, in the scanner and in bootstrap filtering, are
-evaluated by ``cascade.run_stages``.
+:func:`cells_at` is the one window evaluator: :func:`cells_value` and
+the cascade's stage loop (``cascade.run_stages``, which serves the
+scanner and bootstrap filtering) call it with a scaled feature's int
+cells, and it reads each corner offset k through the view ``table[k:]``.
+
+:func:`feature_matrix` serves stage training (every feature on every
+sample).  A feature's value is a linear functional of one table, so
+per block of features it is one matrix product ``T @ C`` per table:
+``T`` holds the samples' tables as rows, and ``C`` each feature's
+cell weights at its corner offsets.  The product is exact integer
+arithmetic in float64, hence bit-identical to :func:`cells_at`.
 """
 
 from __future__ import annotations
@@ -325,28 +329,24 @@ def scale_feature(
 
 
 def cells_at(table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: bool) -> np.ndarray:
-    """(N, F) values pos - neg of the cells of F features at N windows.
+    """(N, 1) values pos - neg of one feature's cells at N windows.
 
     ``table`` is a flattened ``sums`` table (upright cells) or ``tilted``
     table (rotated cells) with row stride ``stride``, and ``base`` holds
     the N flat offsets of the window origins.  ``slots`` lists the cells
-    in layout order as (x, y, w, h, weight): window-relative geometry as
-    ints or as arrays of F entries, and one weight per slot.  Positive
-    and negative cells are accumulated separately, each in layout order,
-    and differenced at the end; mirrored features then evaluate to the
-    exact float negation on mirrored input.  A scalar corner offset k is read
-    through the view ``table[k:]``; arrays of F offsets are added to the bases.
+    in layout order as (x, y, w, h, weight) with int window-relative
+    geometry.  Positive and negative cells are accumulated separately,
+    each in layout order, and differenced at the end; mirrored features
+    then evaluate to the exact float negation on mirrored input.  A
+    corner offset k is read through the view ``table[k:]``.
     """
     at = base[:, None]
     pos = neg = 0.0
     for x, y, w, h, wt in slots:
         a, b, c, d = cell_corners(x, y, w, h, rotated, stride)
-        if isinstance(a, np.ndarray):
-            s = table[at + a] - table[at + b] - table[at + c] + table[at + d]
-        elif min(a, b, c, d) < 0:
+        if min(a, b, c, d) < 0:
             raise ValueError(f"corner offset {min(a, b, c, d)} < 0: table[k:] counts from the end")
-        else:
-            s = table[a:][at] - table[b:][at] - table[c:][at] + table[d:][at]
+        s = table[a:][at] - table[b:][at] - table[c:][at] + table[d:][at]
         if wt > 0:
             pos += wt * s
         else:
@@ -415,12 +415,20 @@ def mirror_feature(f: HaarFeature, window_w: int) -> tuple[HaarFeature, bool]:
 
 # --- batch evaluation (training path) --------------------------------------
 
-# features per feature_matrix block; bounds its (samples x block) temporaries
+# features per feature_matrix block; bounds its (table size x block)
+# coefficients and (samples x block) products
 _MATRIX_BLOCK = 2048
 
 
 def stack_tables(tables_list: Sequence[IntegralTables], rotations) -> dict:
-    """rotated -> (the samples' tables stacked flat, row stride, sample s's base s * size)."""
+    """rotated -> (the samples' tables stacked flat, row stride, sample s's base s * size).
+
+    Raises ``ValueError`` naming the first sample whose size differs from the first's.
+    """
+    w, h = tables_list[0].width, tables_list[0].height
+    for t in tables_list:
+        if (t.width, t.height) != (w, h):
+            raise ValueError(f"{t.width}x{t.height} sample among {w}x{h} samples")
     if True in rotations and any(t.tilted is None for t in tables_list):
         raise ValueError("rotated features require tables built with want_rotated")
     stacks = {r: np.stack([t.tilted if r else t.sums for t in tables_list]) for r in rotations}
@@ -434,10 +442,16 @@ def feature_matrix(
 ) -> np.ndarray:
     """Values of every feature on every window-sized sample patch.
 
-    Returns an (n_samples, n_features) float64 array.  Each block of
-    features is read kind by kind with :func:`cells_at` from the
-    :func:`stack_tables` stack, so entries are bit-identical to the
-    scalar path at scale 1.
+    Returns an (n_samples, n_features) float64 array.  A feature's value
+    is a linear functional of one table, so each block of features is
+    one product ``T @ C`` per table: ``T`` holds the samples' tables as
+    (n_samples, table size) rows, and column j of ``C`` holds feature j's
+    cell weights, +-weight at each cell corner's flat offset (corners
+    shared by adjacent cells merge into one coefficient).  Table entries
+    are integers of at most 255 * W * H and scale-1 weights small
+    integers, so every partial sum is an integer below 2**53 and the
+    product is exact in any summation order; entries are therefore
+    bit-identical to the scalar path at scale 1.
     """
     n = len(tables_list)
     out = np.empty((n, len(features)))
@@ -445,16 +459,28 @@ def feature_matrix(
         return out
     code = {kind: i for i, kind in enumerate(ALL_KINDS)}
     soa = np.array([(code[f.kind], f.x, f.y, f.w, f.h) for f in features], dtype=np.int64)
-    flat = stack_tables(tables_list, {ALL_KINDS[k].rotated for k in np.unique(soa[:, 0])})
+    rotated = np.array([kind.rotated for kind in ALL_KINDS])[soa[:, 0]]
+    flat = stack_tables(tables_list, set(rotated.tolist()))
+    stacks = {r: (t.reshape(n, -1).astype(np.float64), s) for r, (t, s, _) in flat.items()}
     inv = np.ones(n) if inv_sigmas is None else np.asarray(inv_sigmas, dtype=np.float64)
     for lo in range(0, len(features), _MATRIX_BLOCK):
-        block = soa[lo : lo + _MATRIX_BLOCK]
-        for k in np.unique(block[:, 0]):
-            kind = ALL_KINDS[k]
-            cols = np.nonzero(block[:, 0] == k)[0]
-            slots = _unit_cells(kind, *block[cols, 1:].T)
-            for x, y, w, h, _ in slots:
-                require_inside(tables_list[0], x, y, w, h, kind.rotated)
-            table, stride, base = flat[kind.rotated]
-            out[:, lo + cols] = cells_at(table, stride, base, slots, kind.rotated) * inv[:, None]
+        for rot, (table, stride) in stacks.items():
+            cols = lo + np.flatnonzero(rotated[lo : lo + _MATRIX_BLOCK] == rot)
+            m = len(cols)
+            if m == 0:
+                continue
+            at, weights = [], []
+            for k in np.unique(soa[cols, 0]):
+                j = np.flatnonzero(soa[cols, 0] == k)
+                for x, y, w, h, wt in _unit_cells(ALL_KINDS[k], *soa[cols[j], 1:].T):
+                    require_inside(tables_list[0], x, y, w, h, rot)
+                    for corner, sign in zip(cell_corners(x, y, w, h, rot, stride), (1, -1, -1, 1)):
+                        at.append(corner * m + j)
+                        weights.append(np.full(len(j), sign * wt))
+            coef = np.bincount(np.concatenate(at), np.concatenate(weights), table.shape[1] * m)
+            if cols[-1] - cols[0] == m - 1:
+                # a run of columns, as in any enumeration: a slice writes
+                # the fresh output several times faster than an index array
+                cols = slice(cols[0], cols[-1] + 1)
+            out[:, cols] = (table @ coef.reshape(-1, m)) * inv[:, None]
     return out

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fidpoint import boost
@@ -18,7 +18,7 @@ from fidpoint.boost import (
 )
 from fidpoint.cascade import TrainParams, serialize, train_cascade, train_stage
 from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature, enumerate_features, feature_value
-from fidpoint.raster import GrayImage, build_tables
+from fidpoint.raster import GrayImage, build_tables, window_inv_stddevs
 
 
 def dyadic_weights(rng, n, denom_bits=12):
@@ -281,6 +281,28 @@ def half_bright_patches(rng, n_pos, n_neg, side=6):
         px[:, : side // 2] += 180  # bright left half
         neg.append(build_tables(GrayImage(px.astype(np.uint8))))
     return pos, neg
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 24),
+    height=st.integers(1, 24),
+    fill=st.sampled_from([None, 0, 7, 255]),  # None: random pixels; else a constant patch
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=1, height=24, fill=None, seed=0)
+@example(width=24, height=1, fill=None, seed=1)
+@example(width=24, height=24, fill=255, seed=0)
+def test_sample_inv_sigma_matches_window_inv_stddevs(width, height, fill, seed):
+    rng = np.random.default_rng(seed)
+    if fill is None:
+        px = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    else:
+        px = np.full((height, width), fill, dtype=np.uint8)
+    t = build_tables(GrayImage(px))
+    got = sample_inv_sigma(t)
+    assert type(got) is float
+    assert got == window_inv_stddevs(t, 0, 0, width, height)
 
 
 def test_train_stage_separable_reaches_zero_error():

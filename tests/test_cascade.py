@@ -130,6 +130,25 @@ def test_train_stage_unlearnable_sticks():
     assert 0.0 <= err.value.false_alarm <= 1.0
 
 
+def test_train_cascade_rejects_window_without_features():
+    # no feature fits a 1x1 window; the empty value matrix used to reach Booster
+    rng = np.random.default_rng(11)
+    pos = [make_tables(rng, side=1) for _ in range(4)]
+    neg = [make_tables(rng, side=1) for _ in range(8)]
+    params = TrainParams(nstages=1, npos=4, nneg=4)
+    with pytest.raises(ValueError, match="no feature fits the 1x1 window"):
+        train_cascade(pos, iter(neg), params)
+
+
+def test_train_stage_rejects_mixed_sample_sizes():
+    rng = np.random.default_rng(13)
+    pos, neg = separable_patches(rng, 4, 4)
+    neg[2] = make_tables(rng, side=7)
+    feats = enumerate_features(6, 6, FeatureSet.BASIC)
+    with pytest.raises(ValueError, match="7x7 sample among 6x6 samples"):
+        train_stage(pos, neg, feats, TrainParams(nstages=1, npos=4, nneg=4))
+
+
 def test_train_stage_postconditions_replay():
     rng = np.random.default_rng(9)
     pos, neg = separable_patches(rng, 10, 30)

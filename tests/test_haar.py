@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fidpoint import haar
 from fidpoint.haar import (
@@ -261,6 +263,54 @@ def test_feature_matrix_rejects_feature_outside_window():
         feature_matrix([HaarFeature(FeatureKind.EDGE_H, 6, 0, 2, 1)], [t])
 
 
+def test_feature_matrix_rejects_mixed_sample_sizes():
+    tables = [build_tables(GrayImage(np.zeros((9, 9), dtype=np.uint8))) for _ in range(3)]
+    tables[1] = build_tables(GrayImage(np.zeros((9, 8), dtype=np.uint8)))
+    with pytest.raises(ValueError, match="8x9 sample among 9x9 samples"):
+        feature_matrix([HaarFeature(FeatureKind.EDGE_H, 0, 0, 2, 1)], tables)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    width=st.integers(1, 24),
+    height=st.integers(1, 24),
+    fill=st.sampled_from([None, 0, 255]),  # None: random pixels; else a constant patch
+    block=st.sampled_from([None, 1, 3, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=1, height=24, fill=None, block=None, seed=0)
+@example(width=24, height=1, fill=None, block=3, seed=1)
+@example(width=24, height=24, fill=255, block=None, seed=2)  # CENTER_SURROUND 8x8: largest sums
+@example(width=24, height=24, fill=0, block=64, seed=3)
+def test_feature_matrix_bit_exact(width, height, fill, block, seed):
+    # every entry == feature_value, sign bit included (0.0 on a flat patch, never -0.0)
+    rng = np.random.default_rng(seed)
+    pool = enumerate_features(width, height, FeatureSet.ALL)
+    if not pool:
+        return
+    feats = [pool[int(i)] for i in rng.integers(0, len(pool), 40)]
+    surround = [f for f in pool if f.kind is FeatureKind.CENTER_SURROUND]
+    feats += [max(surround, key=lambda f: f.w * f.h)] if surround else []  # largest sums
+    feats += feats[:8]
+    rng.shuffle(feats)
+    tables = []
+    for _ in range(3):
+        if fill is None:
+            px = rng.integers(0, 256, (height, width), dtype=np.uint8)
+        else:
+            px = np.full((height, width), fill, dtype=np.uint8)
+        tables.append(build_tables(GrayImage(px), want_rotated=True))
+    inv = rng.uniform(0.01, 2.0, len(tables))
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(haar, "_MATRIX_BLOCK", block)
+        mat = feature_matrix(feats, tables, inv)
+    for si, t in enumerate(tables):
+        for fi, f in enumerate(feats):
+            want = feature_value(f, t, inv_sigma=float(inv[si]))
+            assert mat[si, fi] == want and np.signbit(mat[si, fi]) == np.signbit(want)
+
+
 # --- corner reads ---------------------------------------------------------------
 
 def test_cells_at_rejects_negative_corner_offset():
@@ -271,9 +321,6 @@ def test_cells_at_rejects_negative_corner_offset():
     base = np.array([2 * stride + 2])
     with pytest.raises(ValueError, match="corner offset"):
         haar.cells_at(table, stride, base, [(-1, -1, 2, 2, 1.0)], False)
-    # array offsets (feature_matrix geometry) are added to the bases instead
-    got = haar.cells_at(table, stride, base, [(np.array([-1]), np.array([-1]), 2, 2, 1.0)], False)
-    assert got[0, 0] == rect_sum(t, Rect(1, 1, 2, 2))
 
 
 def test_rotated_corner_offsets_nonnegative_up_to_4x():
