@@ -60,19 +60,6 @@ class StrongClassifier:
         return sum(a for a, _ in self.rounds)
 
 
-def sample_inv_sigma(tables: IntegralTables) -> float:
-    """Lighting correction factor of a full training patch.
-
-    ``window_inv_stddevs`` of the whole patch, in its operation order: the
-    window's three other corners are zero border entries, so its sums are
-    the tables' last entries.
-    """
-    n = tables.width * tables.height
-    mean = int(tables.sums[-1, -1]) / n
-    sigma = math.sqrt(max(int(tables.sq_sums[-1, -1]) / n - mean * mean, 0.0))
-    return 1.0 / max(sigma, 1.0)
-
-
 def init_weights(labels) -> np.ndarray:
     """Initial weights: 1/(2l) per positive and 1/(2m) per negative."""
     y = np.asarray(labels)

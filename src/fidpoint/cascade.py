@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boost import Booster, StrongClassifier, WeakClassifier, init_weights, sample_inv_sigma
+from .boost import Booster, StrongClassifier, WeakClassifier, init_weights
 from .haar import (
     FeatureSet,
     HaarFeature,
@@ -41,6 +41,7 @@ from .haar import (
     cells_value,
     round_half_up,
     scale_feature,
+    scan_plan,
     stack_tables,
 )
 from .raster import BoundsError, IntegralTables, Rect, window_inv_stddev
@@ -151,7 +152,7 @@ def train_stage(
     npos = len(positives)
     tables = [*positives, *negatives]
     labels = np.repeat([1, 0], [npos, len(negatives)])
-    inv = np.array([sample_inv_sigma(t) for t in tables])
+    inv = np.array([window_inv_stddev(t, Rect(0, 0, t.width, t.height)) for t in tables])
     values = feature_matrix(features, tables, inv)
     booster = Booster(values, labels, init_weights(labels))
     pos_scores = np.zeros(npos)
@@ -242,9 +243,11 @@ def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:
             raise ValueError(f"{t.width}x{t.height} patch for a {c.window_w}x{c.window_h} cascade")
     if not c.stages or not tables_list:
         return np.ones(len(tables_list), dtype=bool)
-    weaks = [wk for st in c.stages for _, wk in st.strong.rounds]
-    cells = [scale_feature(wk.feature, 1, c.window_w, c.window_h) for wk in weaks]
-    inv = np.array([sample_inv_sigma(t) for t in tables_list])
+    features = tuple(wk.feature for st in c.stages for _, wk in st.strong.rounds)
+    cells, overhang = scan_plan(c.window_w, c.window_h, features, Fraction(1), False)
+    if any(overhang):
+        raise BoundsError(f"cells overhang the {c.window_w}x{c.window_h} window by {overhang}")
+    inv = np.array([window_inv_stddev(t, Rect(0, 0, t.width, t.height)) for t in tables_list])
     return run_stages(c, cells, stack_tables(tables_list, {sc.rotated for sc in cells}), inv)[0]
 
 
@@ -378,9 +381,11 @@ def deserialize(data: bytes) -> Cascade:
     if window_w < 1 or window_h < 1:
         raise CascadeFormatError("window must be positive", r.no)
     fs = r.next("features")
+    if len(fs) != 2:
+        raise CascadeFormatError("malformed features line", r.no)
     try:
         feature_set = FeatureSet(fs[1])
-    except (IndexError, ValueError):
+    except ValueError:
         raise CascadeFormatError("features must be BASIC or ALL", r.no) from None
     st = r.next("stages")
     if len(st) != 2:
@@ -436,8 +441,10 @@ def deserialize(data: bytes) -> Cascade:
 # --- mirroring ----------------------------------------------------------------
 
 def mirror(c: Cascade) -> Cascade:
-    """Horizontally mirrored cascade for right-side detection.
+    """Horizontally mirrored cascade; it serves mirrored cascade files only.
 
+    Scans reflect the scaled cells instead (``haar.scan_plan``): rotated
+    cells mirrored before scaling can land one pixel off the mirror image.
     Upright cell rects (x, y, w, h) become (window_w - x - w, y, w, h);
     kinds whose signed layout is left/right asymmetric (EDGE_H, DIAG)
     mirror by negating both parity and stump threshold, which leaves

@@ -71,7 +71,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .raster import BoundsError, IntegralTables, Rect, cell_box, cell_corners, require_inside
+from .raster import IntegralTables, Rect, cell_box, cell_corners, require_inside
 
 
 def round_half_up(v) -> int:
@@ -266,22 +266,13 @@ def _unit_cells(kind: FeatureKind, x, y, w, h) -> list[tuple]:
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def scale_feature(
-    f: HaarFeature,
-    factor,
-    window_w: int | None = None,
-    window_h: int | None = None,
-) -> ScaledCells:
+def scale_feature(f: HaarFeature, factor) -> ScaledCells:
     """Round each cell to the nearest pixel grid at ``factor`` and re-balance.
 
     Upright cell edges are rounded independently (so adjacent cells stay
     adjacent); rotated cells round apex position and diagonal step
-    counts.  Rounding happens in exact rational arithmetic, so mirrored
-    features at the same scale land on exactly mirrored cells whenever
-    the scaled window width recovers the scale (odd windows never hit an
-    exact rounding midpoint).  Negative weights are rescaled to restore
-    the zero-mean invariant.  If window dimensions are given, the scaled
-    footprint is checked against the scaled window.
+    counts, in exact rational arithmetic.  Negative weights are rescaled
+    to restore the zero-mean invariant.
 
     Results are cached; the arguments and the returned cells are all
     immutable, so an entry never goes stale.
@@ -318,14 +309,39 @@ def scale_feature(
         target = (pos + neg) / 2.0
         rp, rn = target / pos, target / neg
         weights = [wt * rn if wt < 0 else wt * rp for wt in weights]
-    if window_w is not None and window_h is not None:
-        win_w = round_half_up(window_w * frac)
-        win_h = round_half_up(window_h * frac)
-        for r in rects:
-            x0, y0, x1, y1 = cell_box(r.x, r.y, r.w, r.h, rotated)
-            if x0 < 0 or y0 < 0 or x1 >= win_w or y1 >= win_h:
-                raise BoundsError(f"scaled cell {r} exceeds {win_w}x{win_h} window")
     return ScaledCells(rotated, tuple(rects), tuple(weights))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def scan_plan(window_w: int, window_h: int, features: tuple, frac: Fraction, mirrored: bool):
+    """(cells, overhang) of ``features`` in a window_w x window_h window scaled by ``frac``.
+
+    The overhang (left, top, right, bottom) is how far the cells reach
+    beyond the scaled w_k x h_k window.  ``mirrored`` reflects the scaled
+    cells about that window: upright x -> w_k - x - w, rotated apex
+    x -> w_k - 1 - x with w and h swapped.  Weights stay with their cells
+    in layout order, so reflected cells on a mirrored window give the
+    plain cells' value bit for bit.  Cached on feature values, so an
+    edited cascade never reads a stale plan.
+    """
+    win_w, win_h = round_half_up(window_w * frac), round_half_up(window_h * frac)
+    plan = []
+    left = top = right = bottom = 0
+    for f in features:
+        cells = scale_feature(f, frac)
+        if mirrored:
+            rects = tuple(
+                Rect(win_w - 1 - r.x, r.y, r.h, r.w) if cells.rotated
+                else Rect(win_w - r.x - r.w, r.y, r.w, r.h)
+                for r in cells.rects
+            )
+            cells = ScaledCells(cells.rotated, rects, cells.weights)
+        for r in cells.rects:
+            x0, y0, x1, y1 = cell_box(r.x, r.y, r.w, r.h, cells.rotated)
+            left, top = max(left, -x0), max(top, -y0)
+            right, bottom = max(right, x1 - (win_w - 1)), max(bottom, y1 - (win_h - 1))
+        plan.append(cells)
+    return tuple(plan), (left, top, right, bottom)
 
 
 def cells_at(table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: bool) -> np.ndarray:

@@ -11,12 +11,14 @@ configured minimum by ``scale_factor`` until they no longer fit the ROI
 max(1, round(size / cascade_window)) and the position grid contains the
 multiples of the step from both ends of the feasible range, so the grid
 maps onto itself under horizontal or vertical mirroring about the ROI.
-Windows whose scaled cells would read outside the frame (possible for
-rotated cells at fractional scales) are skipped.  Right-side points run
-the mirrored left-side cascade (``cascade.mirror``) on the same tables;
-the mirror-closed grid and the mirror-covariant grouping below make it
-find the mirror image of what the left-side cascade finds on the
-mirrored frame.
+Each size reads its cells from one cached ``haar.scan_plan``.  Windows
+whose scaled cells would read outside the frame (possible for rotated
+cells at fractional scales) are skipped.  Right-side scans
+(``on_right_side``) reflect the scaled cells about each window, so each
+window's margin is bit for bit that of its mirror image in a left-side
+scan of the mirrored frame; with the mirror-closed grid and the
+mirror-covariant grouping below, a right-side point is exactly the
+mirror image of the left-side point on the mirrored frame.
 
 Grouping
 --------
@@ -51,10 +53,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .cascade import Cascade, mirror, run_stages
+from .cascade import Cascade, run_stages
 from .geom import (
     EyeCorner,
     InsufficientPointsError,
@@ -66,18 +69,8 @@ from .geom import (
     rotate_image,
     rotate_point,
 )
-from fractions import Fraction
-
-from .haar import FeatureSet, ScaledCells, round_half_up, scale_feature
-from .raster import (
-    BoundsError,
-    GrayImage,
-    IntegralTables,
-    Rect,
-    build_tables,
-    cell_box,
-    window_inv_stddevs,
-)
+from .haar import FeatureSet, round_half_up, scan_plan
+from .raster import BoundsError, GrayImage, IntegralTables, Rect, build_tables, window_inv_stddevs
 
 # the fourteen detectable points, grouped by their parent facial feature
 POINT_PARENTS = {
@@ -125,8 +118,8 @@ class DetectorConfig:
     sub_roi: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if self.scale_factor <= 1.0:
-            raise ValueError("scale_factor must exceed 1")
+        if not 1.0 < self.scale_factor < math.inf:
+            raise ValueError("scale_factor must be finite and exceed 1")
         if self.min_w == 0:
             self.min_w = self.cascade.window_w
         if self.min_h == 0:
@@ -207,19 +200,6 @@ def _scan_sizes(c: Cascade, cfg: DetectorConfig, roi: Rect):
     return sizes
 
 
-def _cell_overhang(cells_list: list[ScaledCells], win_w: int, win_h: int):
-    """How far any cell extends beyond the scaled window box on each side."""
-    left = top = right = bottom = 0
-    for cells in cells_list:
-        for r in cells.rects:
-            x0, y0, x1, y1 = cell_box(r.x, r.y, r.w, r.h, cells.rotated)
-            left = max(left, -x0)
-            top = max(top, -y0)
-            right = max(right, x1 - (win_w - 1))
-            bottom = max(bottom, y1 - (win_h - 1))
-    return left, top, right, bottom
-
-
 def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
     """All accepted windows over the scan schedule, one ``RAW_WINDOW`` record each.
 
@@ -235,17 +215,18 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
     if roi.x < 0 or roi.y < 0 or roi.x + roi.w > tables.width or roi.y + roi.h > tables.height:
         raise BoundsError(f"roi {roi} outside {tables.width}x{tables.height} image")
     found = [np.empty(0, RAW_WINDOW)]
-    weaks = [weak for st in c.stages for _, weak in st.strong.rounds]
+    features = tuple(weak.feature for st in c.stages for _, weak in st.strong.rounds)
     # rotated -> (flattened table, row stride); the cells of one weak
     # classifier read one of them at the window origins' flat offsets
     tabs = {False: (tables.sums.ravel(), tables.width + 1)}
     if tables.tilted is not None:
         tabs[True] = (tables.tilted.ravel(), tables.width + 2)
-    elif any(weak.feature.kind.rotated for weak in weaks):
+    elif any(f.kind.rotated for f in features):
         raise ValueError("tables were built without rotated sums")
     for (w_k, h_k), frac in _scan_sizes(c, cfg, roi):
-        scaled = [scale_feature(wk.feature, frac) for wk in weaks]
-        l, t, rgt, btm = _cell_overhang(scaled, w_k, h_k)
+        scaled, (l, t, rgt, btm) = scan_plan(
+            c.window_w, c.window_h, features, frac, cfg.on_right_side
+        )
         step_x = max(1, round_half_up(w_k / c.window_w))
         step_y = max(1, round_half_up(h_k / c.window_h))
         xs = _grid_positions(roi.w - w_k, step_x) + roi.x
@@ -412,13 +393,12 @@ def detect_point(image, cfg: DetectorConfig) -> tuple[int, int] | None:
     """One point coordinate inside cfg.roi, in frame coordinates.
 
     ``image`` may be a GrayImage or prebuilt IntegralTables, as for
-    :func:`detect_region`.  Right-side points run ``mirror(cfg.cascade)``
-    (see "Scan schedule" above).  Of the clusters with the most
-    neighbours, the one whose centre is nearest the ROI centre wins.
+    :func:`detect_region`.  Right-side points scan ``cfg.cascade`` with
+    reflected cells (see "Scan schedule" above).  Of the clusters with the
+    most neighbours, the one whose centre is nearest the ROI centre wins.
     """
-    c = mirror(cfg.cascade) if cfg.on_right_side else cfg.cascade
     roi = cfg.roi or Rect(0, 0, image.width, image.height)
-    grouped = group_detections(scan_roi(c, image, cfg), cfg.min_neighbors)
+    grouped = group_detections(scan_roi(cfg.cascade, image, cfg), cfg.min_neighbors)
     best = select_result(
         grouped, True, roi_center=(roi.x + (roi.w - 1) / 2.0, roi.y + (roi.h - 1) / 2.0)
     )

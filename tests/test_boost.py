@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidpoint import boost
@@ -13,12 +13,11 @@ from fidpoint.boost import (
     WeakClassifier,
     eval_strong,
     init_weights,
-    sample_inv_sigma,
     train_weak,
 )
 from fidpoint.cascade import TrainParams, serialize, train_cascade, train_stage
 from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature, enumerate_features, feature_value
-from fidpoint.raster import GrayImage, build_tables, window_inv_stddevs
+from fidpoint.raster import GrayImage, Rect, build_tables, window_inv_stddev
 
 
 def dyadic_weights(rng, n, denom_bits=12):
@@ -283,28 +282,6 @@ def half_bright_patches(rng, n_pos, n_neg, side=6):
     return pos, neg
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    width=st.integers(1, 24),
-    height=st.integers(1, 24),
-    fill=st.sampled_from([None, 0, 7, 255]),  # None: random pixels; else a constant patch
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(width=1, height=24, fill=None, seed=0)
-@example(width=24, height=1, fill=None, seed=1)
-@example(width=24, height=24, fill=255, seed=0)
-def test_sample_inv_sigma_matches_window_inv_stddevs(width, height, fill, seed):
-    rng = np.random.default_rng(seed)
-    if fill is None:
-        px = rng.integers(0, 256, (height, width), dtype=np.uint8)
-    else:
-        px = np.full((height, width), fill, dtype=np.uint8)
-    t = build_tables(GrayImage(px))
-    got = sample_inv_sigma(t)
-    assert type(got) is float
-    assert got == window_inv_stddevs(t, 0, 0, width, height)
-
-
 def test_train_stage_separable_reaches_zero_error():
     rng = np.random.default_rng(17)
     pos, neg = half_bright_patches(rng, 20, 20)
@@ -314,7 +291,8 @@ def test_train_stage_separable_reaches_zero_error():
     sc = train_stage(pos, neg, features, params).strong
     errors = 0
     for tables, label in [(t, 1) for t in pos] + [(t, 0) for t in neg]:
-        _, decision = eval_strong(sc, tables, inv_sigma=sample_inv_sigma(tables))
+        inv = window_inv_stddev(tables, Rect(0, 0, tables.width, tables.height))
+        _, decision = eval_strong(sc, tables, inv_sigma=inv)
         errors += int(decision) != label
     assert errors == 0
     assert sc.threshold == pytest.approx(0.5 * sc.alpha_sum)
@@ -397,7 +375,7 @@ def test_eval_strong_matches_term_by_term():
             )
             rounds.append((float(rng.uniform(0.1, 2.0)), wk))
         sc = StrongClassifier(rounds=rounds, threshold=0.5 * sum(a for a, _ in rounds))
-        inv = sample_inv_sigma(t)
+        inv = window_inv_stddev(t, Rect(0, 0, t.width, t.height))
         score, decision = eval_strong(sc, t, inv_sigma=inv)
         want = 0.0
         for a, wk in rounds:

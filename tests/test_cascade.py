@@ -23,7 +23,7 @@ from fidpoint.cascade import (
     train_stage,
 )
 from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature, enumerate_features
-from fidpoint.raster import GrayImage, Rect, build_tables, window_inv_stddev
+from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, window_inv_stddev
 
 
 def make_tables(rng, side=6, rotated=False):
@@ -294,6 +294,20 @@ def test_batch_accept_rejects_patches_off_the_window(side, n_stages):
         _batch_accept(c, [make_tables(rng, side) for _ in range(3)])
 
 
+def test_batch_accept_bounds_error():
+    # a feature whose cells leave the cascade window has no scale-1 plan
+    rng = np.random.default_rng(47)
+    patches = [make_tables(rng, 13) for _ in range(3)]
+
+    def one_feature(f):
+        sc = StrongClassifier(rounds=[(1.0, WeakClassifier(0.0, 1, feature=f))], threshold=0.5)
+        return Cascade(13, 13, FeatureSet.BASIC, [Stage(sc)])
+
+    _batch_accept(one_feature(HaarFeature(FeatureKind.EDGE_H, 9, 0, 2, 3)), patches)
+    with pytest.raises(BoundsError):  # footprint 4 wide at x=12 in 13
+        _batch_accept(one_feature(HaarFeature(FeatureKind.EDGE_H, 12, 0, 2, 3)), patches)
+
+
 # --- serialization -----------------------------------------------------------------
 
 def test_empty_cascade_roundtrip():
@@ -330,6 +344,9 @@ def test_deserialize_version_and_malformed_lines():
     with pytest.raises(CascadeFormatError) as err:
         deserialize(b"FIDCASCADE 1\nwindow 13\nfeatures ALL\nstages 0\n")
     assert err.value.line == 2
+    with pytest.raises(CascadeFormatError, match="malformed features line") as err:
+        deserialize(b"FIDCASCADE 1\nwindow 13 13\nfeatures BASIC junk\nstages 0\n")
+    assert err.value.line == 3
     # negative counts would parse to empty lists and re-serialize as 0
     with pytest.raises(CascadeFormatError) as err:
         deserialize(b"FIDCASCADE 1\nwindow 13 13\nfeatures ALL\nstages -2\n")

@@ -182,13 +182,6 @@ def test_scale_rebalanced_zero_mean():
         assert abs(total) < 1e-9
 
 
-def test_scale_bounds_error():
-    f = HaarFeature(FeatureKind.EDGE_H, 9, 0, 2, 3)  # footprint 4 wide at x=9 in 13
-    scale_feature(f, 1.0, 13, 13)
-    with pytest.raises(BoundsError):
-        scale_feature(HaarFeature(FeatureKind.EDGE_H, 12, 0, 2, 3), 1.0, 13, 13)
-
-
 # --- mirroring -------------------------------------------------------------------
 
 def test_mirror_feature_paper_example():

@@ -334,6 +334,36 @@ def test_inv_stddev_random_against_direct():
             checked += 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 24),
+    height=st.integers(1, 24),
+    fill=st.sampled_from([None, 0, 7, 255]),  # None: random pixels; else a constant patch
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=1, height=24, fill=None, seed=0)
+@example(width=24, height=1, fill=None, seed=1)
+@example(width=24, height=24, fill=255, seed=0)
+def test_window_inv_stddev_matches_window_inv_stddevs(width, height, fill, seed):
+    # the scalar path is the batch's N = 1 case bit for bit: on the whole
+    # patch, as training and bootstrap filtering read it, and on sub-windows
+    rng = np.random.default_rng(seed)
+    if fill is None:
+        px = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    else:
+        px = np.full((height, width), fill, dtype=np.uint8)
+    t = build_tables(GrayImage(px))
+    windows = [(0, 0, width, height)]
+    for _ in range(4):
+        w, h = int(rng.integers(1, width + 1)), int(rng.integers(1, height + 1))
+        x, y = int(rng.integers(0, width - w + 1)), int(rng.integers(0, height - h + 1))
+        windows.append((x, y, w, h))
+    for x, y, w, h in windows:
+        got = window_inv_stddev(t, Rect(x, y, w, h))
+        assert type(got) is float
+        assert got == window_inv_stddevs(t, x, y, w, h)
+
+
 def inv_stddevs_2d(tables, xs, ys, w, h):
     # the batch formula with 2-D corner indexing, operation for operation
     n = w * h

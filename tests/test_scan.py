@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import fidpoint.scan as scan_module
 
 from fidpoint.boost import StrongClassifier, WeakClassifier
-from fidpoint.cascade import Cascade, Stage, classify_window, mirror
+from fidpoint.cascade import Cascade, Stage, classify_window
 from fidpoint.geom import Point2, TiltMode, TiltState
 from fidpoint.haar import (
     FeatureKind,
@@ -127,6 +127,12 @@ def test_scan_roi_smaller_than_min_size():
     img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
     cfg = DetectorConfig(cascade=zero_stage_cascade(13), roi=Rect(0, 0, 9, 9))
     assert len(scan_roi(cfg.cascade, img, cfg)) == 0
+
+
+@pytest.mark.parametrize("scale_factor", [1.0, math.nan, math.inf])
+def test_config_rejects_scale_factor(scale_factor):
+    with pytest.raises(ValueError, match="scale_factor"):
+        DetectorConfig(cascade=zero_stage_cascade(13), scale_factor=scale_factor)
 
 
 def test_scan_roi_out_of_image():
@@ -578,7 +584,7 @@ def patch_flip_point(img, cfg):
     with the left-side cascade and mirror the winning centre back."""
     roi = cfg.roi
     patch = GrayImage(img.pixels[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w]).mirrored()
-    local = replace(cfg, roi=Rect(0, 0, roi.w, roi.h))
+    local = replace(cfg, roi=Rect(0, 0, roi.w, roi.h), on_right_side=False)
     raw = scan_roi(cfg.cascade, build_tables(patch, want_rotated=True), local)
     best = select_result(
         group_detections(raw, cfg.min_neighbors), True, ((roi.w - 1) / 2.0, (roi.h - 1) / 2.0)
@@ -607,17 +613,43 @@ def assert_patch_flip_agrees(feature_set, widths):
 
 
 def test_patch_flip_equals_mirrored_cascade():
-    # acceptance: the mirrored cascade on the frame finds the point the
+    # acceptance: the right-side scan on the frame finds the point the
     # patch route finds
     assert_patch_flip_agrees(FeatureSet.BASIC, (13, 21))
 
 
 def test_patch_flip_equals_mirrored_cascade_rotated_base_scale():
-    # 13 px wide ROIs scan only the base scale.  At fractional scales a
-    # mirrored rotated feature's rounded cells are not the exact mirror
-    # image of the original's, so the two routes may accept different
-    # windows there.
-    assert_patch_flip_agrees(FeatureSet.ALL, (13, 14))
+    # ROIs 13 to 20 px wide scan the base scale and fractional scales,
+    # where rotated cells are rounded before they are reflected
+    assert_patch_flip_agrees(FeatureSet.ALL, (13, 21))
+
+
+def test_right_side_scan_mirrors_left_side_scan():
+    # a right-side scan of I is, record for record and margin bit for bit,
+    # the mirror image of a left-side scan of mirror(I) over the mirrored ROI;
+    # every other ROI is the whole image, where cells overhanging the
+    # window decide which windows stay inside the frame
+    rng = np.random.default_rng(67)
+    checked = 0
+    for i in range(20):
+        c = random_stump_cascade(rng, window=8, n_stages=2, feature_set=FeatureSet.ALL)
+        width, height = (int(v) for v in rng.integers(12, 26, size=2))
+        img = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+        rx, ry = int(rng.integers(0, width - 8)), int(rng.integers(0, height - 8))
+        rw, rh = int(rng.integers(8, width - rx + 1)), int(rng.integers(8, height - ry + 1))
+        roi = Rect(rx, ry, rw, rh) if i % 2 else Rect(0, 0, width, height)
+        cfg = DetectorConfig(
+            cascade=c, roi=roi, scale_factor=1.15, min_neighbors=1, on_right_side=True
+        )
+        right = scan_roi(c, build_tables(img, want_rotated=True), cfg)
+        mirrored_roi = Rect(width - roi.x - roi.w, roi.y, roi.w, roi.h)
+        left_cfg = replace(cfg, roi=mirrored_roi, on_right_side=False)
+        left = scan_roi(c, build_tables(img.mirrored(), want_rotated=True), left_cfg)
+        left["x"] = width - left["x"] - left["w"]
+        left = left[np.lexsort((left["x"], left["y"], left["w"]))]
+        assert right.tobytes() == left.tobytes()
+        checked += len(right)
+    assert checked > 100  # the comparison must exercise real windows
 
 
 def test_detect_region_picks_largest():
