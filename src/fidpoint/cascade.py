@@ -21,6 +21,7 @@ running margin per window summed stump by stump in cascade order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -222,7 +223,7 @@ def run_stages(c: Cascade, cells: list, flat: dict, inv: np.ndarray):
         score = np.zeros(len(idx))
         for (alpha, weak), sc in zip(stage.strong.rounds, cell_iter):
             table, stride, at = flat[sc.rotated]
-            v = cells_at(table, stride, at, sc.slots, sc.rotated)[:, 0] * inv
+            v = cells_at(table, stride, at, sc.slots, sc.rotated) * inv
             # parity * v < parity * threshold and alpha * (parity * d), sign flips hoisted
             score += alpha * (v < weak.threshold if weak.parity > 0 else v > weak.threshold)
             margin += (alpha * weak.parity) * (weak.threshold - v)
@@ -286,14 +287,9 @@ def train_cascade(
             pool = [t for t, k in zip(pool, keep) if k]
         budget = 200 * params.nneg
         while len(pool) < params.nneg and not exhausted and budget > 0:
-            batch = []
-            try:
-                while len(batch) < min(batch_size, budget):
-                    batch.append(next(source))
-            except StopIteration:
-                exhausted = True
-            if not batch:
-                break
+            want = min(batch_size, budget)
+            batch = list(itertools.islice(source, want))
+            exhausted = len(batch) < want
             budget -= len(batch)
             keep = _batch_accept(cascade, batch)
             pool.extend(t for t, k in zip(batch, keep) if k)

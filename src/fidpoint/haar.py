@@ -37,8 +37,11 @@ Enumeration convention
 
 :func:`enumerate_features` is exhaustive with unit steps in position
 and base-cell size: every feature whose footprint fits the window
-appears exactly once, ordered by (kind, y, x, h, w) ascending.  Under
-this convention a 24x24 window yields 162,336 BASIC features; smaller
+appears exactly once, ordered by (kind, y, x, h, w) ascending.  One
+fit rule serves both orientations: a feature whose kind has footprint
+multiples (n_a, n_b) fits iff the one cell (x, y, n_a*w, n_b*h),
+upright or rotated like the kind, lies inside the window.  Under this
+convention a 24x24 window yields 162,336 BASIC features; smaller
 published counts for the same window come from coarser scale or
 position grids.
 
@@ -47,10 +50,12 @@ Evaluation
 
 Upright and rotated cells alike are four corner reads in one table
 (``sums`` or ``tilted`` of :class:`~fidpoint.raster.IntegralTables`).
-:func:`cells_at` is the one window evaluator: :func:`cells_value` and
-the cascade's stage loop (``cascade.run_stages``, which serves the
-scanner and bootstrap filtering) call it with a scaled feature's int
-cells, and it reads each corner offset k through the view ``table[k:]``.
+A feature's cells at a scale are :class:`ScaledCells`, stored as the
+(x, y, w, h, weight) slots that :func:`cells_at`, the one window
+evaluator, reads.  :func:`cells_value` and the cascade's stage loop
+(``cascade.run_stages``, which serves the scanner and bootstrap
+filtering) pass those slots unconverted, and :func:`cells_at` reads
+each corner offset k through the view ``table[k:]``.
 
 :func:`feature_matrix` serves stage training (every feature on every
 sample).  A feature's value is a linear functional of one table, so
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,18 +188,25 @@ class HaarFeature:
             raise ValueError("base cell must be at least 1x1")
 
 
+def _fits(kind: FeatureKind, x, y, w, h, window_w: int, window_h: int):
+    """Whether the footprint, one n_a*w x n_b*h cell, lies inside the window.
+
+    Works on ints and on numpy arrays alike.
+    """
+    na, nb = _GRID[kind]
+    x0, y0, x1, y1 = cell_box(x, y, na * w, nb * h, kind.rotated)
+    return (x0 >= 0) & (y0 >= 0) & (x1 < window_w) & (y1 < window_h)
+
+
 def footprint(f: HaarFeature) -> Rect:
     """Window-relative bounding box of all member pixels."""
     na, nb = _GRID[f.kind]
-    if not f.kind.rotated:
-        return Rect(f.x, f.y, na * f.w, nb * f.h)
-    a_tot, b_tot = na * f.w, nb * f.h
-    return Rect(f.x - (b_tot - 1), f.y, a_tot + b_tot - 1, a_tot + b_tot - 1)
+    x0, y0, x1, y1 = cell_box(f.x, f.y, na * f.w, nb * f.h, f.kind.rotated)
+    return Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
 def fits_window(f: HaarFeature, window_w: int, window_h: int) -> bool:
-    fp = footprint(f)
-    return fp.x >= 0 and fp.y >= 0 and fp.x + fp.w <= window_w and fp.y + fp.h <= window_h
+    return _fits(f.kind, f.x, f.y, f.w, f.h, window_w, window_h)
 
 
 def enumerate_features(
@@ -205,31 +218,16 @@ def enumerate_features(
     out: list[HaarFeature] = []
     for kind in feature_set.kinds:
         na, nb = _GRID[kind]
-        if not kind.rotated:
-            for y in range(window_h):
-                for x in range(window_w):
-                    for h in range(1, (window_h - y) // nb + 1):
-                        for w in range(1, (window_w - x) // na + 1):
-                            out.append(HaarFeature(kind, x, y, w, h))
-        else:
-            for y in range(window_h):
-                for x in range(window_w):
-                    h = 1
-                    while True:
-                        b_tot = nb * h
-                        if x - (b_tot - 1) < 0 or y + b_tot - 1 >= window_h:
-                            break
-                        w = 1
-                        while True:
-                            a_tot = na * w
-                            if (
-                                x + a_tot - 1 >= window_w
-                                or y + a_tot + b_tot - 2 >= window_h
-                            ):
-                                break
-                            out.append(HaarFeature(kind, x, y, w, h))
-                            w += 1
-                        h += 1
+        # every (x, h, w) a fitting footprint can take, x-major; a feature
+        # that fits at some row also fits at row 0, so keep only those
+        grid = np.mgrid[:window_w, 1 : window_h // nb + 1, 1 : window_w // na + 1]
+        x, h, w = grid.reshape(3, -1)
+        top = _fits(kind, x, 0, w, h, window_w, window_h)
+        x, h, w = x[top], h[top], w[top]
+        rows = _fits(kind, x, np.arange(window_h)[:, None], w, h, window_w, window_h)
+        for y, keep in enumerate(rows):
+            xywh = x[keep].tolist(), itertools.repeat(y), w[keep].tolist(), h[keep].tolist()
+            out += map(HaarFeature, itertools.repeat(kind), *xywh)
     return out
 
 
@@ -237,19 +235,22 @@ def enumerate_features(
 class ScaledCells:
     """Concrete integer cells of a feature at a given scale.
 
-    ``rects`` are window-relative; for rotated kinds each Rect is a
-    rotated rect in apex form.  ``weights`` are re-balanced so that
-    sum(weight * pixel_count) is exactly zero at the rounded geometry.
+    ``slots`` holds the cells in layout order as (x, y, w, h, weight),
+    the form :func:`cells_at` reads: int window-relative geometry, in
+    apex form for rotated kinds, and weights re-balanced so that
+    sum(weight * w * h) is exactly zero at the rounded geometry.
     """
 
     rotated: bool
-    rects: tuple[Rect, ...]
-    weights: tuple[float, ...]
+    slots: tuple[tuple[int, int, int, int, float], ...]
 
     @property
-    def slots(self) -> list[tuple[int, int, int, int, float]]:
-        """The cells as (x, y, w, h, weight) slots for :func:`cells_at`."""
-        return [(r.x, r.y, r.w, r.h, wt) for r, wt in zip(self.rects, self.weights)]
+    def rects(self) -> tuple[Rect, ...]:
+        return tuple(Rect(x, y, w, h) for x, y, w, h, _ in self.slots)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(slot[4] for slot in self.slots)
 
 
 def _unit_cells(kind: FeatureKind, x, y, w, h) -> list[tuple]:
@@ -269,10 +270,11 @@ def _unit_cells(kind: FeatureKind, x, y, w, h) -> list[tuple]:
 def scale_feature(f: HaarFeature, factor) -> ScaledCells:
     """Round each cell to the nearest pixel grid at ``factor`` and re-balance.
 
-    Upright cell edges are rounded independently (so adjacent cells stay
-    adjacent); rotated cells round apex position and diagonal step
-    counts, in exact rational arithmetic.  Negative weights are rescaled
-    to restore the zero-mean invariant.
+    Both orientations start from the layout of :func:`_unit_cells`, in
+    exact rational arithmetic.  Upright cells round each edge on its own
+    (so adjacent cells stay adjacent); rotated kinds are laid out again
+    from the rounded apex and the rounded cell size.  Weights are
+    re-balanced to restore the zero-mean invariant.
 
     Results are cached; the arguments and the returned cells are all
     immutable, so an entry never goes stale.
@@ -280,36 +282,26 @@ def scale_feature(f: HaarFeature, factor) -> ScaledCells:
     if factor < 1:
         raise ValueError("scale factor must be >= 1")
     frac = Fraction(factor)  # exact for ints, floats and Fractions
-    rotated = f.kind.rotated
-    rects = []
-    weights = []
-    if not rotated:
-        for cx, cy, cw, ch, wt in _UPRIGHT_CELLS[f.kind]:
-            x1 = round_half_up((f.x + cx * f.w) * frac)
-            x2 = round_half_up((f.x + (cx + cw) * f.w) * frac)
-            y1 = round_half_up((f.y + cy * f.h) * frac)
-            y2 = round_half_up((f.y + (cy + ch) * f.h) * frac)
-            rects.append(Rect(x1, y1, max(1, x2 - x1), max(1, y2 - y1)))
-            weights.append(wt)
+    if f.kind.rotated:
+        w, h = (max(1, round_half_up(v * frac)) for v in (f.w, f.h))
+        cells = _unit_cells(f.kind, round_half_up(f.x * frac), round_half_up(f.y * frac), w, h)
     else:
-        w_s = max(1, round_half_up(f.w * frac))
-        h_s = max(1, round_half_up(f.h * frac))
-        for a_step, b_step, wt in _ROTATED_CELLS[f.kind]:
-            ax = round_half_up(f.x * frac) + a_step * w_s - b_step * h_s
-            ay = round_half_up(f.y * frac) + a_step * w_s + b_step * h_s
-            rects.append(Rect(ax, ay, w_s, h_s))
-            weights.append(wt)
+        cells = []
+        for x, y, w, h, wt in _unit_cells(f.kind, f.x, f.y, f.w, f.h):
+            x0, y0 = round_half_up(x * frac), round_half_up(y * frac)
+            x1, y1 = round_half_up((x + w) * frac), round_half_up((y + h) * frac)
+            cells.append((x0, y0, max(1, x1 - x0), max(1, y1 - y0), wt))
     # an upright or rotated w x h cell holds w * h pixels
-    pos = sum(wt * r.w * r.h for r, wt in zip(rects, weights) if wt > 0)
-    neg = sum(-wt * r.w * r.h for r, wt in zip(rects, weights) if wt < 0)
+    pos = sum(wt * w * h for _, _, w, h, wt in cells if wt > 0)
+    neg = sum(-wt * w * h for _, _, w, h, wt in cells if wt < 0)
     if neg > 0 and pos != neg:
         # symmetric re-balance: both sides meet at the mean weighted area,
         # so a mirrored feature (whose cells swap roles) scales by the
         # same factors and its value is the exact negation
         target = (pos + neg) / 2.0
         rp, rn = target / pos, target / neg
-        weights = [wt * rn if wt < 0 else wt * rp for wt in weights]
-    return ScaledCells(rotated, tuple(rects), tuple(weights))
+        cells = [(x, y, w, h, wt * rn if wt < 0 else wt * rp) for x, y, w, h, wt in cells]
+    return ScaledCells(f.kind.rotated, tuple(cells))
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -330,14 +322,13 @@ def scan_plan(window_w: int, window_h: int, features: tuple, frac: Fraction, mir
     for f in features:
         cells = scale_feature(f, frac)
         if mirrored:
-            rects = tuple(
-                Rect(win_w - 1 - r.x, r.y, r.h, r.w) if cells.rotated
-                else Rect(win_w - r.x - r.w, r.y, r.w, r.h)
-                for r in cells.rects
+            slots = tuple(
+                (win_w - 1 - x, y, h, w, wt) if cells.rotated else (win_w - x - w, y, w, h, wt)
+                for x, y, w, h, wt in cells.slots
             )
-            cells = ScaledCells(cells.rotated, rects, cells.weights)
-        for r in cells.rects:
-            x0, y0, x1, y1 = cell_box(r.x, r.y, r.w, r.h, cells.rotated)
+            cells = ScaledCells(cells.rotated, slots)
+        for x, y, w, h, _ in cells.slots:
+            x0, y0, x1, y1 = cell_box(x, y, w, h, cells.rotated)
             left, top = max(left, -x0), max(top, -y0)
             right, bottom = max(right, x1 - (win_w - 1)), max(bottom, y1 - (win_h - 1))
         plan.append(cells)
@@ -345,7 +336,7 @@ def scan_plan(window_w: int, window_h: int, features: tuple, frac: Fraction, mir
 
 
 def cells_at(table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: bool) -> np.ndarray:
-    """(N, 1) values pos - neg of one feature's cells at N windows.
+    """(N,) values pos - neg of one feature's cells at N windows.
 
     ``table`` is a flattened ``sums`` table (upright cells) or ``tilted``
     table (rotated cells) with row stride ``stride``, and ``base`` holds
@@ -356,13 +347,12 @@ def cells_at(table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: b
     then evaluate to the exact float negation on mirrored input.  A
     corner offset k is read through the view ``table[k:]``.
     """
-    at = base[:, None]
     pos = neg = 0.0
     for x, y, w, h, wt in slots:
         a, b, c, d = cell_corners(x, y, w, h, rotated, stride)
         if min(a, b, c, d) < 0:
             raise ValueError(f"corner offset {min(a, b, c, d)} < 0: table[k:] counts from the end")
-        s = table[a:][at] - table[b:][at] - table[c:][at] + table[d:][at]
+        s = table[a:][base] - table[b:][base] - table[c:][base] + table[d:][base]
         if wt > 0:
             pos += wt * s
         else:
@@ -385,12 +375,12 @@ def cells_value(
     table = tables.tilted if cells.rotated else tables.sums
     if table is None:
         raise ValueError("tables were built without rotated sums")
-    for r in cells.rects:
-        require_inside(tables, r.x + origin_x, r.y + origin_y, r.w, r.h, cells.rotated)
+    for x, y, w, h, _ in cells.slots:
+        require_inside(tables, x + origin_x, y + origin_y, w, h, cells.rotated)
     stride = table.shape[1]
     base = np.array([origin_y * stride + origin_x])
     value = cells_at(table.ravel(), stride, base, cells.slots, cells.rotated)
-    return float(value[0, 0]) * inv_sigma
+    return float(value[0]) * inv_sigma
 
 
 def feature_value(

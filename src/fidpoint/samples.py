@@ -5,9 +5,7 @@ Point id table
 
 Markups carry 20 points; ids are list positions.  The default table
 below names them with left/right taken from the viewer's perspective.
-It is this artifact's own convention (datasets vary); pipelines that
-ingest differently ordered markups can pass a remapped
-:class:`PointScheme`.
+It is this artifact's own convention (datasets vary).
 
     0 left_pupil          1 right_pupil
     2 left_mouth_corner   3 right_mouth_corner
@@ -167,16 +165,14 @@ def write_points_file(points: list[Point2]) -> bytes:
 
 # --- tilt correction -----------------------------------------------------------
 
-def tilt_correct_markup(
-    image: GrayImage, markup: Markup, scheme: PointScheme = DEFAULT_SCHEME
-) -> tuple[GrayImage, Markup, float]:
+def tilt_correct_markup(image: GrayImage, markup: Markup) -> tuple[GrayImage, Markup, float]:
     """Level the eye-corner line: rotate image and ground truths by -alpha.
 
     The rotation centre is the image centre, so discarded border data is
     evenly distributed.  A vertical eye-corner line leaves the markup
     untouched (with a warning) and reports alpha = 0.
     """
-    corners = [markup.points[i] for i in scheme.eye_corners]
+    corners = [markup.points[i] for i in DEFAULT_SCHEME.eye_corners]
     try:
         alpha = estimate_tilt(corners)
     except VerticalLineError:
@@ -201,7 +197,6 @@ def compute_scales(
     markups: list[Markup],
     point_id: int,
     base: int = 13,
-    scheme: PointScheme = DEFAULT_SCHEME,
 ) -> list[int | None]:
     """Per-image odd sample size normalising the mean local eye width to ``base``.
 
@@ -210,7 +205,7 @@ def compute_scales(
     """
     widths = []
     for m in markups:
-        w = scheme.local_eye_width(m.points, point_id)
+        w = DEFAULT_SCHEME.local_eye_width(m.points, point_id)
         if w == 0:
             warnings.warn(f"{m.image_path}: zero eye width, image skipped")
             widths.append(None)
@@ -313,7 +308,6 @@ def generate_negatives(
     count_outer: int = 8,
     patch_side: int = 13,
     rng_seed: int = 0,
-    scheme: PointScheme = DEFAULT_SCHEME,
 ) -> list[Rect]:
     """Seeded negative patches around one feature point.
 
@@ -327,7 +321,7 @@ def generate_negatives(
     p = markup.points[point_id]
     cx, cy = round_half_up(p.x), round_half_up(p.y)
     half_patch = (patch_side - 1) // 2
-    eye_w = scheme.local_eye_width(markup.points, point_id)
+    eye_w = DEFAULT_SCHEME.local_eye_width(markup.points, point_id)
     half_sq = round_half_up(eye_w / 2.0)
 
     def patch_at(px: int, py: int) -> Rect | None:
@@ -388,7 +382,6 @@ def extract_and_rescale(image: GrayImage, rect: Rect, target_side: int = 13) -> 
     if rect.w == target_side and rect.h == target_side:
         return crop.copy()
     src = crop.astype(np.float64)
-    out = np.empty((target_side, target_side), dtype=np.float64)
     js = (np.arange(target_side) + 0.5) * rect.w / target_side - 0.5
     iis = (np.arange(target_side) + 0.5) * rect.h / target_side - 0.5
     js = np.clip(js, 0, rect.w - 1)

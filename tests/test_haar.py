@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_4x4_edge_h_count_is_40():
     assert closed_form_count(FeatureKind.EDGE_H, 4, 4) == 40
 
 
-@pytest.mark.parametrize("win", [(4, 4), (7, 5), (13, 13)])
+@pytest.mark.parametrize("win", [(4, 4), (7, 5), (13, 13), (1, 9), (9, 1), (2, 17), (24, 24)])
 def test_counts_match_oracle_per_kind(win):
     W, H = win
     feats = enumerate_features(W, H, FeatureSet.ALL)
@@ -84,6 +85,8 @@ def test_counts_match_oracle_per_kind(win):
         by_kind[f.kind] = by_kind.get(f.kind, 0) + 1
     for kind in ALL_KINDS:
         assert by_kind.get(kind, 0) == closed_form_count(kind, W, H), kind
+    if win == (24, 24):  # the count the module docstring quotes
+        assert sum(by_kind.get(kind, 0) for kind in BASIC_KINDS) == 162_336
 
 
 def test_enumeration_unique_fitting_deterministic():
@@ -169,6 +172,34 @@ def test_scale_integer_doubling():
         if not kind.rotated:
             for a, b in zip(c1.rects, c2.rects):
                 assert (b.x, b.y, b.w, b.h) == (2 * a.x, 2 * a.y, 2 * a.w, 2 * a.h)
+
+
+@pytest.mark.parametrize(
+    "scale", [Fraction(k, 9) for k in range(9, 40)] + [1.1, 1.37, 2.5], ids=str
+)
+def test_scale_feature_rounding_rule(scale):
+    # restated from the scale-1 slots: upright cells round each edge on their
+    # own; rotated cells keep their layout steps (a, b) from the rounded apex
+    # of the first cell and the rounded cell size
+    def rnd(v):
+        return math.floor(v * Fraction(scale) + Fraction(1, 2))
+
+    for f in enumerate_features(9, 9, FeatureSet.ALL)[::7]:
+        unit, got = scale_feature(f, 1).slots, scale_feature(f, scale).slots
+        if f.kind.rotated:
+            ax, ay, w, h, _ = unit[0]
+            sw, sh = max(1, rnd(w)), max(1, rnd(h))
+            want = []
+            for x, y, _, _, _ in unit:
+                a, b = (x - ax + y - ay) // (2 * w), (y - ay - x + ax) // (2 * h)
+                want.append((rnd(ax) + a * sw - b * sh, rnd(ay) + a * sw + b * sh, sw, sh))
+        else:
+            want = [
+                (rnd(x), rnd(y), max(1, rnd(x + w) - rnd(x)), max(1, rnd(y + h) - rnd(y)))
+                for x, y, w, h, _ in unit
+            ]
+        assert [slot[:4] for slot in got] == want, f
+        assert [np.sign(slot[4]) for slot in got] == [np.sign(slot[4]) for slot in unit], f
 
 
 def test_scale_rebalanced_zero_mean():
