@@ -118,26 +118,29 @@ def rotate_image(img: GrayImage, center: Point2, alpha: float) -> GrayImage:
     size, so corner data may be discarded.
     """
     h, w = img.pixels.shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     ca, sa = math.cos(-alpha), math.sin(-alpha)
-    dx = xs - center.x
-    dy = ys - center.y
+    # a row of x offsets and a column of y offsets broadcast to the full maps
+    dx = np.arange(w, dtype=np.float64) - center.x
+    dy = np.arange(h, dtype=np.float64)[:, None] - center.y
     sx = center.x + dx * ca - dy * sa
     sy = center.y + dx * sa + dy * ca
     x0 = np.floor(sx)
     y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
-    # a zero border makes every out-of-image neighbour a read of 0
-    src = np.zeros((h + 2, w + 2))
-    src[1:-1, 1:-1] = img.pixels
+    # a two-pixel zero border: with the top-left neighbour clipped to [-2, extent]
+    # every out-of-image neighbour reads 0; the other three read offset views
+    stride = w + 4
+    src = np.zeros((h + 4, stride))
+    src[2:-2, 2:-2] = img.pixels
     flat = src.ravel()
-    cols = [np.clip(x0 + d, -1, w).astype(np.intp) + 1 for d in (0, 1)]
-    rows = [(np.clip(y0 + d, -1, h).astype(np.intp) + 1) * (w + 2) for d in (0, 1)]
-    out = (1 - fx) * (1 - fy) * flat[rows[0] + cols[0]]
-    out += fx * (1 - fy) * flat[rows[0] + cols[1]]
-    out += (1 - fx) * fy * flat[rows[1] + cols[0]]
-    out += fx * fy * flat[rows[1] + cols[1]]
+    at = (np.clip(y0, -2, h) + 2).astype(np.intp) * stride
+    at += (np.clip(x0, -2, w) + 2).astype(np.intp)
+    gx, gy = 1 - fx, 1 - fy
+    out = gx * gy * flat[at]
+    out += fx * gy * flat[1:][at]
+    out += gx * fy * flat[stride:][at]
+    out += fx * fy * flat[stride + 1 :][at]
     return GrayImage(np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8))
 
 

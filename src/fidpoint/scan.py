@@ -6,8 +6,9 @@ Scan schedule
 Every scan moves and scales the detector over one set of integral
 tables of the whole frame, as Viola and Jones do; no ROI is cut out,
 flipped or given tables of its own.  Window sizes grow from the
-configured minimum by ``scale_factor`` until they no longer fit the ROI
-(duplicate rounded sizes are scanned once).  At each size the step is
+configured minimum width by ``scale_factor`` until they no longer fit
+the ROI (duplicate rounded sizes are scanned once, sizes shorter than
+``min_h`` not at all).  At each size the step is
 max(1, round(size / cascade_window)) and the position grid contains the
 multiples of the step from both ends of the feasible range, so the grid
 maps onto itself under horizontal or vertical mirroring about the ROI.
@@ -36,17 +37,22 @@ whose point is the round-half-even exact mean of the member centres (a
 reflection-equivariant rounding) and whose rect is the mean size
 centred on that point.
 
-The components are found without testing all n^2 pairs.  Similar widths
-differ by at most 0.2*max(a.w, b.w), so the larger is at most 1.25 times
-the smaller, and the left corners then differ by at most
-0.2 * 1.25 * w = 0.25*w of either window.  With the windows sorted by x,
-the candidate partners of window i are those after it with
-x <= x_i + w_i // 4 + 1 (the +1 covers the float rounding of 0.2*max).
-Candidates are tested in blocks of consecutive rows holding at most
-``_GROUP_BLOCK_PAIRS`` pairs (a single row may exceed it, and holds at
-most n pairs), with exactly the float predicate of :func:`rects_similar`,
-and each block's edges are merged into a flat union-find array.  Memory
-is O(n) plus one block, whatever the number of raw windows.
+The components are found without testing all n^2 pairs.  For integer
+sizes below 2**50, |a.w-b.w| <= 0.2*max(a.w, b.w) holds exactly when
+5*|a.w-b.w| <= max(a.w, b.w).  So the wider window of a similar pair is
+at most 5*w//4 wide, w being the narrower width, and the same bound on
+|a.x-b.x| puts the left corners within 0.2 * 5*w/4 = w/4 of each other.
+With the windows sorted by (w, x), the candidate partners of window i
+are the later windows of each width W present with w_i <= W <= 5*w_i//4
+and |x - x_i| <= w_i // 4 + 1 (the +1 is slack); each (window, width)
+range is one pair of binary searches.  Candidates are tested in blocks
+of consecutive ranges holding at most ``_GROUP_BLOCK_PAIRS`` pairs (a
+single range may exceed it, and holds at most n pairs), with exactly
+the float predicate of :func:`rects_similar`, and each block's edges are
+merged into a flat union-find array.  Memory is O(n*k) plus one block,
+whatever the number of raw windows, where k is the number of distinct
+widths within 5/4 of a window's own (at most 3 for a scan at
+``scale_factor`` 1.1).
 """
 
 from __future__ import annotations
@@ -176,15 +182,17 @@ def _grid_positions(extent: int, step: int) -> np.ndarray:
     mirrored-cascade scan aligned with a direct scan of the mirrored frame.
     """
     fwd = np.arange(0, extent + 1, step)
-    rev = extent - fwd
-    return np.unique(np.concatenate([fwd, rev]))
+    # extent - fwd is fwd itself when step divides extent, else fwd + extent % step
+    r = extent % step
+    return np.add.outer(fwd, (0, r)).ravel() if r else fwd
 
 
 def _scan_sizes(c: Cascade, cfg: DetectorConfig, roi: Rect):
-    """Deduplicated (width, height, exact scale) triples that fit the ROI.
+    """Deduplicated ((width, height), exact scale) pairs that fit the ROI.
 
     Widths follow min_w * factor^k; the height comes from the same exact
-    width ratio so cells and window box stay mutually consistent.
+    width ratio so cells and window box stay mutually consistent.  Sizes
+    shorter than min_h are skipped, as OpenCV's ``minSize`` does.
     """
     sizes = []
     k = 0
@@ -194,7 +202,7 @@ def _scan_sizes(c: Cascade, cfg: DetectorConfig, roi: Rect):
         h = round_half_up(c.window_h * frac)
         if w > roi.w or h > roi.h:
             break
-        if not sizes or sizes[-1][0] != (w, h):
+        if h >= cfg.min_h and (not sizes or sizes[-1][0] != (w, h)):
             sizes.append(((w, h), frac))
         k += 1
     return sizes
@@ -214,7 +222,7 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
     roi = cfg.roi or Rect(0, 0, tables.width, tables.height)
     if roi.x < 0 or roi.y < 0 or roi.x + roi.w > tables.width or roi.y + roi.h > tables.height:
         raise BoundsError(f"roi {roi} outside {tables.width}x{tables.height} image")
-    found = [np.empty(0, RAW_WINDOW)]
+    found = []  # per size: (xs, ys, w, h, margins) of the accepted windows
     features = tuple(weak.feature for st in c.stages for _, weak in st.strong.rounds)
     # rotated -> (flattened table, row stride); the cells of one weak
     # classifier read one of them at the window origins' flat offsets
@@ -232,17 +240,20 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
         xs = _grid_positions(roi.w - w_k, step_x) + roi.x
         ys = _grid_positions(roi.h - h_k, step_y) + roi.y
         # drop positions whose overhanging cells would leave the image
-        xs = xs[(xs - l >= 0) & (xs + w_k - 1 + rgt <= tables.width - 1)]
-        ys = ys[(ys - t >= 0) & (ys + h_k - 1 + btm <= tables.height - 1)]
+        xs = xs[(xs >= l) & (xs <= tables.width - w_k - rgt)]
+        ys = ys[(ys >= t) & (ys <= tables.height - h_k - btm)]
         oxs, oys = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y-major grid
         inv = window_inv_stddevs(tables, oxs, oys, w_k, h_k)
         flat = {rot: (table, stride, oys * stride + oxs) for rot, (table, stride) in tabs.items()}
         alive, margin = run_stages(c, scaled, flat, inv)
-        win = np.empty(np.count_nonzero(alive), RAW_WINDOW)
-        win["x"], win["y"], win["w"], win["h"] = oxs[alive], oys[alive], w_k, h_k
-        win["margin"] = margin[alive]
-        found.append(win)
-    return np.concatenate(found)
+        found.append((oxs[alive], oys[alive], w_k, h_k, margin[alive]))
+    win = np.empty(sum(len(f[0]) for f in found), RAW_WINDOW)
+    if found:
+        xs, ys, ws, hs, margins = zip(*found)
+        counts = [len(m) for m in margins]
+        win["x"], win["y"], win["margin"] = map(np.concatenate, (xs, ys, margins))
+        win["w"], win["h"] = np.repeat(ws, counts), np.repeat(hs, counts)
+    return win
 
 
 # candidate pairs tested at once by group_detections; bounds its working
@@ -256,21 +267,32 @@ def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
     if n == 0:
         return []
     rects = np.stack([raw["x"], raw["y"], raw["w"], raw["h"]], axis=1)
-    order = np.argsort(rects[:, 0], kind="stable")
+    order = np.lexsort((rects[:, 0], rects[:, 2]))
     x, y, w, h = rects[order].T
     x2, y2 = x + w, y + h
-    # candidates of window i: the later windows with x <= x_i + w_i // 4 + 1
+    # one row per (window i, width class of a width W in w_i..5*w_i//4); its
+    # candidates are the later windows of that class with |x - x_i| <= w_i // 4 + 1
     # (the candidate bound in the module docstring)
-    counts = np.searchsorted(x, x + w // 4 + 1, side="right") - np.arange(1, n + 1)
+    widths, cls = np.unique(w, return_inverse=True)
+    span = np.searchsorted(widths, 5 * w // 4, side="right") - cls
+    row = np.repeat(np.arange(n), span)
+    row_cls = cls[row] + np.arange(len(row)) - np.repeat(np.cumsum(span) - span, span)
+    # keys ordered by (class, x), so one searchsorted pair bounds each row
+    x0, ext = x.min(), x.max() - x.min() + 1
+    key = cls * ext + (x - x0)
+    reach, xr = (w // 4 + 1)[row], x[row] - x0
+    first = np.maximum(np.searchsorted(key, row_cls * ext + np.maximum(xr - reach, 0)), row + 1)
+    stop = np.searchsorted(key, row_cls * ext + np.minimum(xr + reach, ext - 1), side="right")
+    counts = stop - first
     ends = np.cumsum(counts)
     parent = np.arange(n)
     r0 = 0
-    while r0 < n:
+    while r0 < len(row):
         base = ends[r0] - counts[r0]
         r1 = max(r0 + 1, int(np.searchsorted(ends, base + _GROUP_BLOCK_PAIRS, side="right")))
         c = counts[r0:r1]
-        i = np.repeat(np.arange(r0, r1), c)
-        j = i + 1 + np.arange(ends[r1 - 1] - base) - np.repeat(ends[r0:r1] - c - base, c)
+        i = np.repeat(row[r0:r1], c)
+        j = np.arange(base, ends[r1 - 1]) + np.repeat(first[r0:r1] - ends[r0:r1] + c, c)
         # the exact predicate of rects_similar; the y terms go first because
         # the candidate bound has already limited x
         hi, hj = h[i], h[j]

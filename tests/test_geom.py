@@ -247,6 +247,41 @@ def test_rotate_image_matches_scalar_bilinear(height, width, cx, cy, alpha, seed
     assert (rotate_image(img, center, alpha).pixels == scalar_rotate(img, center, alpha)).all()
 
 
+def mgrid_rotate(img, center, alpha):
+    """rotate_image as first written, on full-size mgrid coordinate grids."""
+    h, w = img.pixels.shape
+    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    ca, sa = math.cos(-alpha), math.sin(-alpha)
+    dx = xs - center.x
+    dy = ys - center.y
+    sx = center.x + dx * ca - dy * sa
+    sy = center.y + dx * sa + dy * ca
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    fx = sx - x0
+    fy = sy - y0
+    # a zero border makes every out-of-image neighbour a read of 0
+    src = np.zeros((h + 2, w + 2))
+    src[1:-1, 1:-1] = img.pixels
+    flat = src.ravel()
+    cols = [np.clip(x0 + d, -1, w).astype(np.intp) + 1 for d in (0, 1)]
+    rows = [(np.clip(y0 + d, -1, h).astype(np.intp) + 1) * (w + 2) for d in (0, 1)]
+    out = (1 - fx) * (1 - fy) * flat[rows[0] + cols[0]]
+    out += fx * (1 - fy) * flat[rows[0] + cols[1]]
+    out += (1 - fx) * fy * flat[rows[1] + cols[0]]
+    out += fx * fy * flat[rows[1] + cols[1]]
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+@pytest.mark.parametrize("alpha", [0.26, -0.26, 1e-9, math.pi / 2, -3.0])
+@pytest.mark.parametrize("center", [Point2(159.5, 119.5), Point2(41.25, 200.0)])
+def test_rotate_image_full_frame_matches_mgrid_formula(center, alpha):
+    # the hierarchy's frame size, where the scalar oracle above is too slow
+    rng = np.random.default_rng(83)
+    img = GrayImage(rng.integers(0, 256, (240, 320), dtype=np.uint8))
+    assert (rotate_image(img, center, alpha).pixels == mgrid_rotate(img, center, alpha)).all()
+
+
 # --- fourth corner -----------------------------------------------------------------
 
 def test_fourth_corner_axis_aligned():

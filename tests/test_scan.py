@@ -25,8 +25,10 @@ from fidpoint.haar import (
 )
 from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, cell_box, window_inv_stddev
 from fidpoint.scan import (
+    RAW_WINDOW,
     Detection,
     DetectorConfig,
+    _grid_positions,
     detect_point,
     detect_region,
     group_detections,
@@ -127,6 +129,40 @@ def test_scan_roi_smaller_than_min_size():
     img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
     cfg = DetectorConfig(cascade=zero_stage_cascade(13), roi=Rect(0, 0, 9, 9))
     assert len(scan_roi(cfg.cascade, img, cfg)) == 0
+
+
+def test_scan_no_fitting_size_is_empty_raw_window_array():
+    rng = np.random.default_rng(7)
+    img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
+    c = zero_stage_cascade(13)
+    for roi in (Rect(0, 0, 12, 30), Rect(3, 4, 27, 12)):  # too narrow, too short
+        raw = scan_roi(c, img, DetectorConfig(cascade=c, roi=roi))
+        assert raw.dtype == RAW_WINDOW and raw.shape == (0,)
+
+
+def test_grid_positions_match_set_union_oracle():
+    for extent in range(301):
+        for step in range(1, 41):
+            fwd = np.arange(0, extent + 1, step)
+            want = np.unique(np.concatenate([fwd, extent - fwd]))
+            got = _grid_positions(extent, step)
+            assert got.dtype.kind == "i"
+            assert np.array_equal(got, want)
+            assert np.array_equal(extent - got[::-1], got)  # its own mirror image
+
+
+def test_scan_sizes_honour_min_h():
+    # a pass-all 8x8 cascade admits every grid position, so the raw windows
+    # list exactly the scanned sizes: min_h=11 drops the sizes below 11 px
+    # tall and keeps every taller one, grid and all
+    rng = np.random.default_rng(71)
+    img = GrayImage(rng.integers(0, 256, (40, 36), dtype=np.uint8))
+    c = zero_stage_cascade(8)
+    every = scan_roi(c, img, DetectorConfig(cascade=c, scale_factor=1.1))
+    tall = scan_roi(c, img, DetectorConfig(cascade=c, scale_factor=1.1, min_h=11))
+    assert {8, 9, 10} <= set(every["h"].tolist())
+    assert tall["h"].min() == 11
+    assert tall.tobytes() == every[every["h"] >= 11].tobytes()
 
 
 @pytest.mark.parametrize("scale_factor", [1.0, math.nan, math.inf])
@@ -337,6 +373,58 @@ def test_group_matches_closure_oracle():
         assert got_out == want_out
 
 
+def test_group_widths_at_the_five_to_four_bound():
+    # similar widths differ by at most a fifth of the wider one: 4:5, 16:20
+    # and 20:25 are similar, 16:21 is not; each wider window sits up-left of
+    # the narrower one by the width difference (w // 4 for the similar pairs),
+    # so the bottom-right corners agree
+    for w, wide, similar in ((4, 5, True), (16, 20, True), (20, 25, True), (16, 21, False)):
+        d = wide - w
+        a, b = Rect(30, 40, w, w), Rect(30 - d, 40 - d, wide, wide)
+        assert rects_similar(a, b) == rects_similar(b, a) == similar
+        for pair in ([a, b], [b, a]):
+            out = group_detections(raw_windows(pair), 1)
+            assert sorted(det.neighbors for det in out) == ([2] if similar else [1, 1])
+
+
+def test_group_x_offsets_at_w_over_4():
+    # equal widths: left corners w // 5 apart (0.2 * w) are similar, one pixel
+    # more is not; the wider of a 5:4 pair may sit up to w // 4 left of the
+    # narrower one, at the edge of the narrower one's candidate range
+    for w in (5, 8, 13, 20, 44):
+        for dx, similar in ((w // 5, True), (w // 5 + 1, False)):
+            pair = [Rect(7, 9, w, w), Rect(7 + dx, 9, w, w)]
+            assert sorted(d.neighbors for d in group_detections(raw_windows(pair), 1)) == (
+                [2] if similar else [1, 1]
+            )
+    for w in (4, 8, 12, 16, 40):
+        wide = 5 * w // 4
+        for dx in (0, w // 4, wide - w):
+            pair = [Rect(50, 50, w, w), Rect(50 - dx, 50, wide, w)]
+            assert [d.neighbors for d in group_detections(raw_windows(pair), 1)] == [2]
+
+
+def test_group_negative_coordinates():
+    # raw windows left of and above the origin cluster as their translates do
+    rng = np.random.default_rng(73)
+    for shift_x, shift_y in ((-1000, -37), (-3, 0), (0, -501)):
+        rects = clustered_rects(rng, 300, 120)
+        moved = [Rect(r.x + shift_x, r.y + shift_y, r.w, r.h) for r in rects]
+        assert min(r.x for r in moved) < 0 or min(r.y for r in moved) < 0
+        margins = rng.standard_normal(len(rects)).tolist()
+        want = [
+            (d.point2x[0] + 2 * shift_x, d.point2x[1] + 2 * shift_y, d.rect.w, d.rect.h,
+             d.neighbors, d.margin)
+            for d in group_detections(raw_windows(rects, margins), 1)
+        ]
+        got = [
+            (d.point2x[0], d.point2x[1], d.rect.w, d.rect.h, d.neighbors, d.margin)
+            for d in group_detections(raw_windows(moved, margins), 1)
+        ]
+        assert sorted(got) == sorted(want)
+        assert sorted(d[4] for d in got) == sorted(len(c) for c in closure_clusters(moved))
+
+
 def test_group_permutation_invariant():
     rng = np.random.default_rng(17)
     rects = [
@@ -441,6 +529,25 @@ def test_group_mirror_equivariant_large():
                 for d in group_detections(flipped, min_neighbors)
             )
             assert got == want
+
+
+@pytest.mark.parametrize("n", [362, 363])
+def test_group_single_width_single_column_straddles_block(n):
+    # one width and one column make every one of the n(n-1)/2 pairs a
+    # candidate: 362 windows fit one default block of candidate pairs, 363 do not
+    assert 362 * 361 // 2 <= scan_module._GROUP_BLOCK_PAIRS < 363 * 362 // 2
+    rng = np.random.default_rng(n)
+    rects = [Rect(5, int(rng.integers(0, 400)), 20, int(rng.integers(12, 30))) for _ in range(n)]
+    labels = [(i * 2654435761) % 2**32 for i in range(n)]
+    out = group_detections(raw_windows(rects, [float(lab) for lab in labels]), 1)
+    clusters = closure_clusters(rects)
+    assert 1 < len(clusters) < n  # real clusters, not one blob or all singletons
+    want = sorted(cluster_fingerprint(rects, labels, c) for c in clusters)
+    got = sorted(
+        (d.neighbors, int(d.margin), d.point2x[0], d.point2x[1], d.rect.w, d.rect.h)
+        for d in out
+    )
+    assert got == want
 
 
 def similar_pairs_union_find(rects):
