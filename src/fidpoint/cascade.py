@@ -206,13 +206,13 @@ def classify_window(
     return True, None
 
 
-def run_stages(c: Cascade, cells: list, flat: dict, inv: np.ndarray):
+def run_stages(c: Cascade, cells: list, tables_by_kind: dict, stride: int, at, inv):
     """(accepted, summed stump margin) of N windows, each stage reading only its survivors.
 
-    ``cells``: the weak classifiers' ScaledCells in cascade order; ``inv``: the windows'
-    1/sigma; ``flat``: rotated -> (flattened table, row stride, window origin offsets).
-    The survivors' offsets, 1/sigma and running margins (one stump added after another in
-    cascade order) stay compact; they are scattered to full length once, 0 where rejected.
+    ``cells``: the weak classifiers' ScaledCells in cascade order; ``tables_by_kind``: rotated
+    -> flattened table of row stride ``stride``; ``at``, ``inv``: the windows' offsets (one
+    array for every table) and 1/sigma.  The survivors' offsets, 1/sigma and running margins
+    (stumps added in cascade order) stay compact, then scatter once, 0 where rejected.
     """
     alive, full = np.zeros(len(inv), dtype=bool), np.zeros(len(inv))
     idx, margin = np.arange(len(inv)), np.zeros(len(inv))
@@ -222,14 +222,12 @@ def run_stages(c: Cascade, cells: list, flat: dict, inv: np.ndarray):
             break
         score = np.zeros(len(idx))
         for (alpha, weak), sc in zip(stage.strong.rounds, cell_iter):
-            table, stride, at = flat[sc.rotated]
-            v = cells_at(table, stride, at, sc.slots, sc.rotated) * inv
+            v = cells_at(tables_by_kind[sc.rotated], stride, at, sc.slots, sc.rotated) * inv
             # parity * v < parity * threshold and alpha * (parity * d), sign flips hoisted
             score += alpha * (v < weak.threshold if weak.parity > 0 else v > weak.threshold)
             margin += (alpha * weak.parity) * (weak.threshold - v)
         keep = np.flatnonzero(~(score < stage.strong.threshold))  # not >=: NaN keeps all
-        idx, inv, margin = idx[keep], inv[keep], margin[keep]
-        flat = {rot: (t, s, a[keep]) for rot, (t, s, a) in flat.items()}
+        idx, at, inv, margin = idx[keep], at[keep], inv[keep], margin[keep]
     alive[idx], full[idx] = True, margin
     return alive, full
 
@@ -249,7 +247,7 @@ def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:
     if any(overhang):
         raise BoundsError(f"cells overhang the {c.window_w}x{c.window_h} window by {overhang}")
     inv = np.array([window_inv_stddev(t, Rect(0, 0, t.width, t.height)) for t in tables_list])
-    return run_stages(c, cells, stack_tables(tables_list, {sc.rotated for sc in cells}), inv)[0]
+    return run_stages(c, cells, *stack_tables(tables_list, {sc.rotated for sc in cells}), inv)[0]
 
 
 def train_cascade(
@@ -358,11 +356,14 @@ def _parse_int(tok: str, reader: _LineReader) -> int:
         raise CascadeFormatError(f"bad integer {tok!r}", reader.no) from None
 
 
-def _parse_float(tok: str, reader: _LineReader) -> float:
+def _parse_float(tok: str, reader: _LineReader, allow_inf: bool = False) -> float:
     try:
-        return float(tok)
+        v = float(tok)
     except ValueError:
-        raise CascadeFormatError(f"bad real {tok!r}", reader.no) from None
+        v = math.nan  # rejected below, like "nan" itself
+    if math.isnan(v) or (math.isinf(v) and not allow_inf):
+        raise CascadeFormatError(f"bad real {tok!r}", reader.no)
+    return v
 
 
 def deserialize(data: bytes) -> Cascade:
@@ -412,7 +413,7 @@ def deserialize(data: bytes) -> Cascade:
             if vals[1] not in ("+1", "-1"):
                 raise CascadeFormatError("parity must be +1 or -1", r.no)
             parity = 1 if vals[1] == "+1" else -1
-            thresh = _parse_float(vals[2], r)
+            thresh = _parse_float(vals[2], r, allow_inf=True)  # the +-inf stump sentinels
             try:
                 kind = FeatureKind(vals[3])
             except ValueError:

@@ -49,11 +49,12 @@ Evaluation
 ----------
 
 Upright and rotated cells alike are four corner reads in one table
-(``sums`` or ``tilted`` of :class:`~fidpoint.raster.IntegralTables`).
-A feature's cells at a scale are :class:`ScaledCells`, stored as the
-(x, y, w, h, weight) slots that :func:`cells_at`, the one window
-evaluator, reads.  :func:`cells_value` and the cascade's stage loop
-(``cascade.run_stages``, which serves the scanner and bootstrap
+(``sums`` or ``tilted`` of :class:`~fidpoint.raster.IntegralTables`),
+and the tables share one row stride, so one array of window offsets
+serves both.  A feature's cells at a scale are :class:`ScaledCells`,
+stored as the (x, y, w, h, weight) slots that :func:`cells_at`, the one
+window evaluator, reads.  :func:`cells_value` and the cascade's stage
+loop (``cascade.run_stages``, which serves the scanner and bootstrap
 filtering) pass those slots unconverted, and :func:`cells_at` reads
 each corner offset k through the view ``table[k:]``.
 
@@ -372,14 +373,10 @@ def cells_value(
     The N = 1 case of :func:`cells_at`, after checking that every cell
     lies inside the image.
     """
-    table = tables.tilted if cells.rotated else tables.sums
-    if table is None:
-        raise ValueError("tables were built without rotated sums")
     for x, y, w, h, _ in cells.slots:
         require_inside(tables, x + origin_x, y + origin_y, w, h, cells.rotated)
-    stride = table.shape[1]
-    base = np.array([origin_y * stride + origin_x])
-    value = cells_at(table.ravel(), stride, base, cells.slots, cells.rotated)
+    at = np.array([origin_y * tables.stride + origin_x])
+    value = cells_at(tables.flat(cells.rotated), tables.stride, at, cells.slots, cells.rotated)
     return float(value[0]) * inv_sigma
 
 
@@ -426,19 +423,18 @@ def mirror_feature(f: HaarFeature, window_w: int) -> tuple[HaarFeature, bool]:
 _MATRIX_BLOCK = 2048
 
 
-def stack_tables(tables_list: Sequence[IntegralTables], rotations) -> dict:
-    """rotated -> (the samples' tables stacked flat, row stride, sample s's base s * size).
+def stack_tables(tables_list: Sequence[IntegralTables], rotations):
+    """(tables_by_kind, stride, bases): rotated -> the samples' flat tables end to end.
 
+    Every stacked table has row stride ``stride``, and sample s starts at ``bases[s]`` in each.
     Raises ``ValueError`` naming the first sample whose size differs from the first's.
     """
-    w, h = tables_list[0].width, tables_list[0].height
+    t0 = tables_list[0]
     for t in tables_list:
-        if (t.width, t.height) != (w, h):
-            raise ValueError(f"{t.width}x{t.height} sample among {w}x{h} samples")
-    if True in rotations and any(t.tilted is None for t in tables_list):
-        raise ValueError("rotated features require tables built with want_rotated")
-    stacks = {r: np.stack([t.tilted if r else t.sums for t in tables_list]) for r in rotations}
-    return {r: (s.ravel(), s.shape[2], np.arange(len(s)) * s[0].size) for r, s in stacks.items()}
+        if (t.width, t.height) != (t0.width, t0.height):
+            raise ValueError(f"{t.width}x{t.height} sample among {t0.width}x{t0.height} samples")
+    stacks = {r: np.concatenate([t.flat(r) for t in tables_list]) for r in rotations}
+    return stacks, t0.stride, np.arange(len(tables_list)) * t0.flat(False).size
 
 
 def feature_matrix(
@@ -466,11 +462,11 @@ def feature_matrix(
     code = {kind: i for i, kind in enumerate(ALL_KINDS)}
     soa = np.array([(code[f.kind], f.x, f.y, f.w, f.h) for f in features], dtype=np.int64)
     rotated = np.array([kind.rotated for kind in ALL_KINDS])[soa[:, 0]]
-    flat = stack_tables(tables_list, set(rotated.tolist()))
-    stacks = {r: (t.reshape(n, -1).astype(np.float64), s) for r, (t, s, _) in flat.items()}
+    flat, stride, _ = stack_tables(tables_list, set(rotated.tolist()))
+    stacks = {r: t.reshape(n, -1).astype(np.float64) for r, t in flat.items()}
     inv = np.ones(n) if inv_sigmas is None else np.asarray(inv_sigmas, dtype=np.float64)
     for lo in range(0, len(features), _MATRIX_BLOCK):
-        for rot, (table, stride) in stacks.items():
+        for rot, table in stacks.items():
             cols = lo + np.flatnonzero(rotated[lo : lo + _MATRIX_BLOCK] == rot)
             m = len(cols)
             if m == 0:

@@ -56,7 +56,7 @@ class GrayImage:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"expected a non-empty 2-d array, got shape {arr.shape}")
         if arr.dtype != np.uint8:
-            if arr.min() < 0 or arr.max() > 255:
+            if not (arr.min() >= 0 and arr.max() <= 255):  # NaN compares false: fails too
                 raise ValueError("pixel values outside [0, 255]")
             arr = arr.astype(np.uint8)
         arr = np.ascontiguousarray(arr)
@@ -181,7 +181,7 @@ def save_pgm(image: GrayImage) -> bytes:
 
 
 class IntegralTables:
-    """Summed-area tables over one image.
+    """Summed-area tables over one image, all three in one layout.
 
     ``sums`` and ``sq_sums`` have shape (height+1, width+1), zero-padded
     on the top and left, so ``sums[y, x]`` is the sum over all pixels
@@ -195,17 +195,27 @@ class IntegralTables:
     -2 <= ay < height.  That range is exactly what the four corner reads
     of a rotated rect inside the image touch (:func:`cell_corners`), so
     a rotated cell costs the same four plain reads as an upright one.
+    ``sums`` and ``sq_sums`` view zero-padded buffers of that shape, so
+    all three flattened tables put entry [y, x] at y * ``stride`` + x.
     """
 
-    __slots__ = ("width", "height", "sums", "sq_sums", "tilted")
+    __slots__ = ("width", "height", "stride", "sums", "sq_sums", "tilted", "_flat")
 
     def __init__(self, image: GrayImage, want_rotated: bool = False):
         px = image.pixels.astype(np.int64)
         self.width = image.width
         self.height = image.height
-        self.sums = _prefix2d(px)
-        self.sq_sums = _prefix2d(px * px)
+        self.stride = self.width + 2
+        sums, sq_sums = _prefix2d(px), _prefix2d(px * px)
+        self.sums, self.sq_sums = sums[:-1, :-1], sq_sums[:-1, :-1]
         self.tilted = _tilted(px) if want_rotated else None
+        self._flat = (sums.ravel(), sq_sums.ravel(), self.tilted.ravel() if want_rotated else None)
+
+    def flat(self, rotated: bool) -> np.ndarray:
+        """The flattened ``tilted`` table for rotated cells, else the flattened ``sums``."""
+        if rotated and self.tilted is None:
+            raise ValueError("tables were built without rotated sums")
+        return self._flat[2 if rotated else 0]
 
 
 def _tilted(px: np.ndarray) -> np.ndarray:
@@ -227,8 +237,8 @@ def _tilted(px: np.ndarray) -> np.ndarray:
 
 
 def _prefix2d(a: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + 1, a.shape[1] + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(a, axis=0), axis=1, out=out[1:, 1:])
+    out = np.zeros((a.shape[0] + 2, a.shape[1] + 2), dtype=np.int64)
+    np.cumsum(np.cumsum(a, axis=0), axis=1, out=out[1:-1, 1:-1])
     return out
 
 
@@ -251,11 +261,10 @@ def cell_box(x, y, w, h, rotated: bool):
 def cell_corners(x, y, w, h, rotated: bool, stride: int):
     """Flat offsets (a, b, c, d) of a cell: its sum is t[a] - t[b] - t[c] + t[d].
 
-    ``t`` is the flattened ``sums`` table (``stride`` = width + 1) for an
-    upright cell and the flattened ``tilted`` table (``stride`` =
-    width + 2) for a rotated one, whose sum is P(x+w-h, y+w+h-2) -
-    P(x-h, y+h-2) - P(x+w, y+w-2) + P(x, y-2) in pyramid sums P.  Works
-    on ints and on numpy arrays alike.
+    ``t`` is ``IntegralTables.flat(rotated)``, of row stride ``stride``:
+    ``sums`` for an upright cell, ``tilted`` for a rotated one, whose sum
+    is P(x+w-h, y+w+h-2) - P(x-h, y+h-2) - P(x+w, y+w-2) + P(x, y-2) in
+    pyramid sums P.  Works on ints and on numpy arrays alike.
     """
     if rotated:
         return (
@@ -279,10 +288,9 @@ def require_inside(tables: IntegralTables, x, y, w, h, rotated: bool) -> None:
 
 
 def _cell_sum(tables: IntegralTables, r: Rect, rotated: bool) -> int:
+    t = tables.flat(rotated)
     require_inside(tables, r.x, r.y, r.w, r.h, rotated)
-    t = tables.tilted if rotated else tables.sums
-    a, b, c, d = cell_corners(r.x, r.y, r.w, r.h, rotated, t.shape[1])
-    t = t.ravel()
+    a, b, c, d = cell_corners(r.x, r.y, r.w, r.h, rotated, tables.stride)
     return int(t[a] - t[b] - t[c] + t[d])
 
 
@@ -308,8 +316,6 @@ def rotated_rect_sum(tables: IntegralTables, r: Rect) -> int:
 
     Membership rule is the one documented on :func:`rotated_rect_members`.
     """
-    if tables.tilted is None:
-        raise ValueError("tables were built without rotated sums")
     return _cell_sum(tables, r, True)
 
 
@@ -321,10 +327,9 @@ def window_inv_stddevs(tables: IntegralTables, xs, ys, w: int, h: int) -> np.nda
     sums and squared sums of 8-bit pixels stay below 2**53, so they convert to float
     exactly and the result does not depend on how many windows are evaluated at once.
     """
-    n, stride = w * h, tables.width + 1
-    at = ys * stride + xs
-    a, b, c, _ = cell_corners(0, 0, w, h, False, stride)
-    s, sq = tables.sums.ravel(), tables.sq_sums.ravel()
+    n, at = w * h, ys * tables.stride + xs
+    a, b, c, _ = cell_corners(0, 0, w, h, False, tables.stride)
+    s, sq, _ = tables._flat
     s1 = s[a:][at] - s[b:][at] - s[c:][at] + s[at]
     s2 = sq[a:][at] - sq[b:][at] - sq[c:][at] + sq[at]
     mean = s1 / n

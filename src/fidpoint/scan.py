@@ -12,14 +12,16 @@ the ROI (duplicate rounded sizes are scanned once, sizes shorter than
 max(1, round(size / cascade_window)) and the position grid contains the
 multiples of the step from both ends of the feasible range, so the grid
 maps onto itself under horizontal or vertical mirroring about the ROI.
-Each size reads its cells from one cached ``haar.scan_plan``.  Windows
-whose scaled cells would read outside the frame (possible for rotated
-cells at fractional scales) are skipped.  Right-side scans
-(``on_right_side``) reflect the scaled cells about each window, so each
-window's margin is bit for bit that of its mirror image in a left-side
-scan of the mirrored frame; with the mirror-closed grid and the
-mirror-covariant grouping below, a right-side point is exactly the
-mirror image of the left-side point on the mirrored frame.
+Each size reads its cells from one cached ``haar.scan_plan`` at one
+array of window offsets, which serves every table of the frame (they
+share one row stride).  Windows whose scaled cells would read outside
+the frame (possible for rotated cells at fractional scales) are
+skipped.  Right-side scans (``on_right_side``) reflect the scaled cells
+about each window, so each window's margin is bit for bit that of its
+mirror image in a left-side scan of the mirrored frame; with the
+mirror-closed grid and the mirror-covariant grouping below, a
+right-side point is exactly the mirror image of the left-side point on
+the mirrored frame.
 
 Grouping
 --------
@@ -204,7 +206,8 @@ def _scan_sizes(c: Cascade, cfg: DetectorConfig, roi: Rect):
             break
         if h >= cfg.min_h and (not sizes or sizes[-1][0] != (w, h)):
             sizes.append(((w, h), frac))
-        k += 1
+        # jump to one k before min_w * factor^k reaches w + 0.5, where the next width starts
+        k = max(k + 1, math.floor(math.log((w + 0.5) / cfg.min_w, cfg.scale_factor)) - 1)
     return sizes
 
 
@@ -224,13 +227,7 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
         raise BoundsError(f"roi {roi} outside {tables.width}x{tables.height} image")
     found = []  # per size: (xs, ys, w, h, margins) of the accepted windows
     features = tuple(weak.feature for st in c.stages for _, weak in st.strong.rounds)
-    # rotated -> (flattened table, row stride); the cells of one weak
-    # classifier read one of them at the window origins' flat offsets
-    tabs = {False: (tables.sums.ravel(), tables.width + 1)}
-    if tables.tilted is not None:
-        tabs[True] = (tables.tilted.ravel(), tables.width + 2)
-    elif any(f.kind.rotated for f in features):
-        raise ValueError("tables were built without rotated sums")
+    tables_by_kind = {rot: tables.flat(rot) for rot in {f.kind.rotated for f in features}}
     for (w_k, h_k), frac in _scan_sizes(c, cfg, roi):
         scaled, (l, t, rgt, btm) = scan_plan(
             c.window_w, c.window_h, features, frac, cfg.on_right_side
@@ -244,8 +241,8 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
         ys = ys[(ys >= t) & (ys <= tables.height - h_k - btm)]
         oxs, oys = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y-major grid
         inv = window_inv_stddevs(tables, oxs, oys, w_k, h_k)
-        flat = {rot: (table, stride, oys * stride + oxs) for rot, (table, stride) in tabs.items()}
-        alive, margin = run_stages(c, scaled, flat, inv)
+        at = oys * tables.stride + oxs  # one offset array serves every table
+        alive, margin = run_stages(c, scaled, tables_by_kind, tables.stride, at, inv)
         found.append((oxs[alive], oys[alive], w_k, h_k, margin[alive]))
     win = np.empty(sum(len(f[0]) for f in found), RAW_WINDOW)
     if found:

@@ -359,6 +359,33 @@ def test_deserialize_version_and_malformed_lines():
     assert err.value.line == 5
 
 
+def one_weak_file(threshold="0.5", alpha="1", thresh="0") -> bytes:
+    return (
+        "FIDCASCADE 1\nwindow 13 13\nfeatures BASIC\nstages 1\n"
+        f"stage 0 threshold {threshold} nweak 1 hr 1 fa 0.5\n"
+        f"weak alpha {alpha} parity +1 thresh {thresh} kind EDGE_H x 0 y 0 w 2 h 2\n"
+    ).encode()
+
+
+@pytest.mark.parametrize(
+    "field, value, line",
+    [
+        ("threshold", "nan", 5),
+        ("threshold", "inf", 5),
+        ("threshold", "-inf", 5),
+        ("alpha", "nan", 6),
+        ("alpha", "inf", 6),
+        ("alpha", "-inf", 6),
+        ("thresh", "nan", 6),
+    ],
+)
+def test_deserialize_rejects_non_finite_weights(field, value, line):
+    deserialize(one_weak_file())
+    with pytest.raises(CascadeFormatError) as err:
+        deserialize(one_weak_file(**{field: value}))
+    assert err.value.line == line
+
+
 def test_infinite_weak_threshold_roundtrips():
     f = HaarFeature(FeatureKind.EDGE_V, 0, 0, 2, 3)
     sc = StrongClassifier(

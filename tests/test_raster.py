@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fidpoint.haar import stack_tables
 from fidpoint.raster import (
     BoundsError,
     GrayImage,
@@ -132,6 +133,14 @@ def test_pgm_leading_zeros_are_decimal():
     assert img.width == 1 and img.pixels[0, 0] == 7
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_gray_image_rejects_non_finite_pixels(bad):
+    for px in ([[bad, 1.0]], [[1.0, 2.0], [3.0, bad]]):
+        with pytest.raises(ValueError, match=r"pixel values outside \[0, 255\]"):
+            GrayImage(np.array(px))
+    assert GrayImage(np.array([[0.0, 255.0]])).pixels.tolist() == [[0, 255]]
+
+
 # --- integral tables ------------------------------------------------------
 
 def test_tables_single_pixel():
@@ -168,6 +177,45 @@ def test_tables_monotone_nonnegative():
         assert (np.diff(t.sums, axis=0) >= 0).all()
         assert (np.diff(t.sums, axis=1) >= 0).all()
         assert t.sums[-1, -1] == int(img.pixels.astype(np.int64).sum())
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    width=st.integers(1, 24),
+    height=st.integers(1, 24),
+    rotated=st.booleans(),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=1, height=1, rotated=True, n=2, seed=0)
+def test_tables_share_one_flat_layout(width, height, rotated, n, seed):
+    rng = np.random.default_rng(seed)
+    samples = [
+        build_tables(GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8)), rotated)
+        for _ in range(n)
+    ]
+    t = samples[0]
+    assert t.stride == width + 2
+    named = {"sums": (t.sums, t._flat[0]), "sq_sums": (t.sq_sums, t._flat[1])}
+    assert t.flat(False) is t._flat[0]
+    if rotated:
+        named["tilted"] = (t.tilted, t.flat(True))
+    for table, flat in named.values():
+        assert flat.shape == ((height + 2) * t.stride,)
+        rows, cols = table.shape
+        ys, xs = np.mgrid[:rows, :cols]
+        # entry [y, x] of every table at flat offset y * stride + x
+        assert np.array_equal(flat[ys * t.stride + xs], table)
+    for _, flat in (named["sums"], named["sq_sums"]):
+        # the last row and column pad the sums to tilted's shape and read 0
+        padded = flat.reshape(height + 2, t.stride)
+        assert not padded[-1].any() and not padded[:, -1].any()
+    stacks, stride, bases = stack_tables(samples, {False, rotated})
+    assert stride == t.stride and len(bases) == n
+    for rot, stacked in stacks.items():
+        for s, sample in enumerate(samples):
+            part = sample.flat(rot)
+            assert np.array_equal(stacked[bases[s] : bases[s] + len(part)], part)
 
 
 # --- rect_sum ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import fidpoint.scan as scan_module
 
 from fidpoint.boost import StrongClassifier, WeakClassifier
-from fidpoint.cascade import Cascade, Stage, classify_window
+from fidpoint.cascade import Cascade, Stage, _batch_accept, classify_window
 from fidpoint.geom import Point2, TiltMode, TiltState
 from fidpoint.haar import (
     FeatureKind,
@@ -20,15 +20,25 @@ from fidpoint.haar import (
     HaarFeature,
     cells_value,
     enumerate_features,
+    feature_matrix,
     round_half_up,
     scale_feature,
 )
-from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, cell_box, window_inv_stddev
+from fidpoint.raster import (
+    BoundsError,
+    GrayImage,
+    Rect,
+    build_tables,
+    cell_box,
+    rotated_rect_sum,
+    window_inv_stddev,
+)
 from fidpoint.scan import (
     RAW_WINDOW,
     Detection,
     DetectorConfig,
     _grid_positions,
+    _scan_sizes,
     detect_point,
     detect_region,
     group_detections,
@@ -163,6 +173,72 @@ def test_scan_sizes_honour_min_h():
     assert {8, 9, 10} <= set(every["h"].tolist())
     assert tall["h"].min() == 11
     assert tall.tobytes() == every[every["h"] >= 11].tobytes()
+
+
+def unit_step_scan_sizes(c, cfg, roi):
+    """The scan schedule with one step of k at a time: the reference for ``_scan_sizes``."""
+    sizes = []
+    k = 0
+    while True:
+        w = round_half_up(cfg.min_w * cfg.scale_factor**k)
+        frac = Fraction(w, c.window_w)
+        h = round_half_up(c.window_h * frac)
+        if w > roi.w or h > roi.h:
+            return sizes
+        if h >= cfg.min_h and (not sizes or sizes[-1][0] != (w, h)):
+            sizes.append(((w, h), frac))
+        k += 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    # factors down to 1 + 1e-4, where the reference takes ~10^4 steps
+    factor=st.one_of(
+        st.floats(1 + 1e-4, 2.0),
+        st.floats(-4.0, 0.0).map(lambda e: 1.0 + 10.0**e),
+    ),
+    window_w=st.integers(1, 24),
+    window_h=st.integers(1, 24),
+    extra_w=st.integers(0, 12),
+    extra_h=st.integers(0, 12),
+    roi_w=st.integers(1, 200),
+    roi_h=st.integers(1, 200),
+)
+def test_scan_sizes_match_unit_steps(factor, window_w, window_h, extra_w, extra_h, roi_w, roi_h):
+    c = Cascade(window_w, window_h, FeatureSet.BASIC, [])
+    cfg = DetectorConfig(
+        cascade=c, scale_factor=factor, min_w=window_w + extra_w, min_h=window_h + extra_h
+    )
+    roi = Rect(0, 0, roi_w, roi_h)
+    assert _scan_sizes(c, cfg, roi) == unit_step_scan_sizes(c, cfg, roi)
+
+
+def test_scan_sizes_near_one_factor_is_fast():
+    # the unit-step loop takes about 2.9 million steps here, about 18 s on a 2-core x86 box
+    c = zero_stage_cascade(13)
+    cfg = DetectorConfig(cascade=c, scale_factor=1 + 1e-6)
+    t0 = time.perf_counter()
+    sizes = _scan_sizes(c, cfg, Rect(0, 0, 320, 240))
+    assert time.perf_counter() - t0 < 1.0
+    assert [wh for wh, _ in sizes] == [(w, w) for w in range(13, 241)]
+
+
+def test_missing_rotated_sums_raise_one_error():
+    f = HaarFeature(FeatureKind.EDGE_H_45, 4, 0, 2, 2)
+    sc = StrongClassifier(rounds=[(1.0, WeakClassifier(0.0, 1, feature=f))], threshold=0.5)
+    c = Cascade(13, 13, FeatureSet.ALL, [Stage(sc)])
+    rng = np.random.default_rng(5)
+    tables = build_tables(GrayImage(rng.integers(0, 256, (13, 13), dtype=np.uint8)))
+    calls = [
+        lambda: scan_roi(c, tables, DetectorConfig(cascade=c)),
+        lambda: _batch_accept(c, [tables]),
+        lambda: feature_matrix([f], [tables]),
+        lambda: cells_value(scale_feature(f, 1), tables, 0, 0, 1.0),
+        lambda: rotated_rect_sum(tables, Rect(4, 0, 2, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^tables were built without rotated sums$"):
+            call()
 
 
 @pytest.mark.parametrize("scale_factor", [1.0, math.nan, math.inf])
