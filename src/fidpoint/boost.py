@@ -12,12 +12,16 @@ keep their weight before renormalisation).
 the weights is built with it: each feature's stable sort order, stored
 feature-major (one contiguous row per feature; only rows with equal
 values pay for stability), and a mask of the sorted positions tied with
-the next value.  A round is then, per block of features, running sums
-of the class weights in sorted order and one masked minimum over both
-parities.  ``cascade.train_stage`` is the driver that builds the matrix
-and grows a stage from the rounds.  :func:`train_weak` is the scalar
-one-feature stump search that ``Booster.step`` must agree with bit for
-bit.
+the next value, read off the values as ``np.sort`` returns them.  A
+round is then, per block of features, one gather of the weights as
+complex numbers (real part the positive class, imaginary part the
+negative), one running sum of them in sorted order, and one masked
+minimum over both parities.  Complex addition adds the two parts as two
+separate float additions, so the real and imaginary parts of the
+running sum are bit for bit the two per-class running sums.
+``cascade.train_stage`` is the driver that builds the matrix and grows
+a stage from the rounds.  :func:`train_weak` is the scalar one-feature
+stump search that ``Booster.step`` must agree with bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .raster import IntegralTables
 
 EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
 # features per Booster block; bounds the (block x samples) temporaries of
-# __init__ and step
-_STEP_BLOCK = 512
+# __init__ and step (step's running sums are complex128, 16 bytes each)
+_STEP_BLOCK = 256
 
 
 @dataclass
@@ -61,10 +65,15 @@ class StrongClassifier:
 
 
 def init_weights(labels) -> np.ndarray:
-    """Initial weights: 1/(2l) per positive and 1/(2m) per negative."""
+    """Initial weights: 1/(2l) per positive and 1/(2m) per negative.
+
+    Every label must be 1 (positive) or 0 (negative).
+    """
     y = np.asarray(labels)
     l = int(np.count_nonzero(y == 1))
     m = int(np.count_nonzero(y == 0))
+    if l + m != y.size:
+        raise ValueError(f"labels must be 0 or 1; {y.size - l - m} are not")
     if l == 0 or m == 0:
         raise ValueError(f"degenerate training set: {l} positives, {m} negatives")
     return np.where(y == 1, 1.0 / (2 * l), 1.0 / (2 * m))
@@ -166,6 +175,16 @@ class Booster:
     - ``_tied`` (n_features, n_samples, bool) marks sorted positions whose
       value equals the next one: no threshold falls between them, so
       ``step`` skips that candidate.  The last column is always False.
+
+    The sorted values that find the ties come from ``np.sort``, not from
+    gathering each row through its order: the two may place -0.0 and 0.0,
+    or NaNs, differently, but the masks read them only with ``<`` and
+    ``==``, under which such values are equal, so every run of equal
+    values falls on the same positions either way.
+
+    ``step`` keeps the class weights as one complex vector, the weight
+    times is-positive in the real part and times is-negative in the
+    imaginary part, so each block takes one gather and one ``cumsum``.
     """
 
     def __init__(self, values: np.ndarray, labels: np.ndarray, weights: np.ndarray):
@@ -177,9 +196,10 @@ class Booster:
         self._tied = np.zeros((nf, n), dtype=bool)
         for lo in range(0, nf, _STEP_BLOCK):
             hi = min(nf, lo + _STEP_BLOCK)
-            vt = np.ascontiguousarray(values[:, lo:hi].T)
-            order = np.argsort(vt, axis=1)
-            sv = np.take_along_axis(vt, order, axis=1)
+            # a copy, never a view of ``values``: it is sorted in place
+            sv = values[:, lo:hi].T.copy()
+            order = np.argsort(sv, axis=1)
+            sv.sort(axis=1)
             redo = np.flatnonzero(~(sv[:, :-1] < sv[:, 1:]).all(axis=1))
             if len(redo):
                 order[redo] = _stable_within_ties(sv[redo], order[redo])
@@ -191,28 +211,30 @@ class Booster:
     def step(self) -> tuple[float, WeakClassifier, np.ndarray]:
         """One round: normalise, pick the global best stump, reweight.
 
-        Per block, the cumulative class weights along each sorted row give
-        every candidate's error for both parities; their minimum, with
-        tied rows set to inf, is reduced once.  The winner is the first
-        feature with the minimum error, and its stump is the one
+        Per block, the running sum of the complex class weights along each
+        sorted row gives every candidate's error for both parities; their
+        minimum, with tied rows set to inf, is reduced once.  The winner is
+        the first feature with the minimum error, and its stump is the one
         :func:`train_weak` would pick on that column.
         Returns (alpha, weak, predictions over samples).
         """
         self.weights /= self.weights.sum()
         nf = self.values.shape[1]
-        wp = self.weights * self._is_pos
-        wn = self.weights * self._is_neg
+        wc = np.empty(len(self.weights), dtype=np.complex128)
+        wc.real = self.weights * self._is_pos
+        wc.imag = self.weights * self._is_neg
         best_err, best = np.inf, 0
         for lo in range(0, nf, _STEP_BLOCK):
             hi = min(nf, lo + _STEP_BLOCK)
-            c1 = np.take(wp, self._order[lo:hi]).cumsum(axis=1)
-            c0 = np.take(wn, self._order[lo:hi]).cumsum(axis=1)
-            # copies: c0 is overwritten below, and a view of c1 would keep
-            # this block's c1 alive while the next block allocates its own
-            tot1, tot0 = c1[:, -1:].copy(), c0[:, -1:].copy()
+            c = np.take(wc, self._order[lo:hi])
+            np.cumsum(c, axis=1, out=c)
+            c1, c0 = c.real, c.imag
+            # c1 and c0 are strided views: the errors go to fresh contiguous
+            # arrays, which costs less than writing back into the views
+            tot1, tot0 = c1[:, -1:], c0[:, -1:]
             errs = tot1 - c1
             errs += c0  # e_plus = (tot1 - c1) + c0
-            e_minus = np.subtract(tot0, c0, out=c0)
+            e_minus = tot0 - c0
             e_minus += c1  # = c1 + (tot0 - c0)
             np.minimum(errs, e_minus, out=errs)
             np.putmask(errs, self._tied[lo:hi], np.inf)
@@ -220,7 +242,7 @@ class Booster:
             k = int(np.argmin(errs))
             if errs[k] < best_err:
                 best_err, best = errs[k], lo + k
-        weak = self._stump(best, wp, wn)
+        weak = self._stump(best, wc)
         col = self.values[:, weak.feature_index]
         eps = min(max(weak.error, EPS_CLAMP), 0.5 - EPS_CLAMP)
         beta = eps / (1.0 - eps)
@@ -230,14 +252,15 @@ class Booster:
         self.weights[correct] *= beta  # exponent 1 - e, with e = 0 when correct
         return alpha, weak, pred
 
-    def _stump(self, j: int, wp: np.ndarray, wn: np.ndarray) -> WeakClassifier:
+    def _stump(self, j: int, wc: np.ndarray) -> WeakClassifier:
         """Feature ``j``'s stump, from its n + 1 candidate errors per parity.
 
         ``cumsum`` adds in sequence, so these are the errors ``step``
         reduced over, bit for bit.
         """
         order = self._order[j]
-        c1, c0 = np.cumsum(wp[order]), np.cumsum(wn[order])
+        c = np.cumsum(wc[order])
+        c1, c0 = c.real, c.imag
         tot1, tot0 = c1[-1:], c0[-1:]
         e_plus = np.concatenate([tot1, (tot1 - c1) + c0])
         e_minus = np.concatenate([tot0, c1 + (tot0 - c0)])

@@ -447,13 +447,14 @@ def feature_matrix(
     Returns an (n_samples, n_features) float64 array.  A feature's value
     is a linear functional of one table, so each block of features is
     one product ``T @ C`` per table: ``T`` holds the samples' tables as
-    (n_samples, table size) rows, and column j of ``C`` holds feature j's
-    cell weights, +-weight at each cell corner's flat offset (corners
-    shared by adjacent cells merge into one coefficient).  Table entries
-    are integers of at most 255 * W * H and scale-1 weights small
-    integers, so every partial sum is an integer below 2**53 and the
-    product is exact in any summation order; entries are therefore
-    bit-identical to the scalar path at scale 1.
+    rows, cut to the flat offsets from the block's first cell corner to
+    its last, and column j of ``C`` holds feature j's cell weights,
+    +-weight at each cell corner's offset (corners shared by adjacent
+    cells merge into one coefficient).  Table entries are integers of at
+    most 255 * W * H and scale-1 weights small integers, so every partial
+    sum is an integer below 2**53 and the product is exact in any
+    summation order (and with or without zero terms); entries are
+    therefore bit-identical to the scalar path at scale 1.
     """
     n = len(tables_list)
     out = np.empty((n, len(features)))
@@ -471,18 +472,24 @@ def feature_matrix(
             m = len(cols)
             if m == 0:
                 continue
-            at, weights = [], []
+            corners, slots, weights = [], [], []
             for k in np.unique(soa[cols, 0]):
                 j = np.flatnonzero(soa[cols, 0] == k)
                 for x, y, w, h, wt in _unit_cells(ALL_KINDS[k], *soa[cols[j], 1:].T):
                     require_inside(tables_list[0], x, y, w, h, rot)
                     for corner, sign in zip(cell_corners(x, y, w, h, rot, stride), (1, -1, -1, 1)):
-                        at.append(corner * m + j)
+                        corners.append(corner)
+                        slots.append(j)
                         weights.append(np.full(len(j), sign * wt))
-            coef = np.bincount(np.concatenate(at), np.concatenate(weights), table.shape[1] * m)
+            # only the offsets from the block's first to its last corner:
+            # the entries outside would multiply zero rows of C
+            at = np.concatenate(corners)
+            first, last = int(at.min()), int(at.max())
+            at = (at - first) * m + np.concatenate(slots)
+            coef = np.bincount(at, np.concatenate(weights), (last - first + 1) * m)
             if cols[-1] - cols[0] == m - 1:
                 # a run of columns, as in any enumeration: a slice writes
                 # the fresh output several times faster than an index array
                 cols = slice(cols[0], cols[-1] + 1)
-            out[:, cols] = (table @ coef.reshape(-1, m)) * inv[:, None]
+            out[:, cols] = (table[:, first : last + 1] @ coef.reshape(-1, m)) * inv[:, None]
     return out

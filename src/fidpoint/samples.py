@@ -24,6 +24,7 @@ detectors come from mirroring a left-side cascade.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import warnings
@@ -371,29 +372,54 @@ def generate_negatives(
 
 # --- patch extraction ------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _resample_maps(w: int, h: int, target_side: int) -> tuple[np.ndarray, ...]:
+    """Bilinear source maps (x0, x1, fx, y0, y1, fy) from a w x h crop.
+
+    Output column j reads crop columns x0[j] and x1[j] with weights
+    1 - fx[j] and fx[j]; rows likewise.  They depend only on the sizes,
+    so each size is built once; the arrays are read-only because the
+    cache shares them between calls.
+    """
+    js = (np.arange(target_side) + 0.5) * w / target_side - 0.5
+    iis = (np.arange(target_side) + 0.5) * h / target_side - 0.5
+    js = np.clip(js, 0, w - 1)
+    iis = np.clip(iis, 0, h - 1)
+    x0 = np.floor(js).astype(int)
+    y0 = np.floor(iis).astype(int)
+    fx = js - x0
+    fy = iis - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    maps = (x0, x1, fx, y0, y1, fy)
+    for a in maps:
+        a.setflags(write=False)
+    return maps
+
+
 def extract_and_rescale(image: GrayImage, rect: Rect, target_side: int = 13) -> np.ndarray:
     """Crop ``rect`` and bilinearly resample to target_side x target_side.
 
-    A rect already at the target size is copied byte-identically.
+    A rect already at the target size is copied byte-identically.  Else
+    output pixel (i, j) blends crop rows y0[i], y1[i] and columns x0[j],
+    x1[j] of the sample-centre maps of :func:`_resample_maps`, built once
+    per (rect size, target side); each needed crop row is gathered once.
+    ``target_side`` must be an int >= 1.
     """
+    integral = isinstance(target_side, (int, np.integer)) and not isinstance(target_side, bool)
+    if not integral or target_side < 1:
+        raise ValueError(f"target_side must be an int >= 1, got {target_side!r}")
     if rect.x < 0 or rect.y < 0 or rect.x + rect.w > image.width or rect.y + rect.h > image.height:
         raise BoundsError(f"rect {rect} outside image")
     crop = image.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
     if rect.w == target_side and rect.h == target_side:
         return crop.copy()
-    src = crop.astype(np.float64)
-    js = (np.arange(target_side) + 0.5) * rect.w / target_side - 0.5
-    iis = (np.arange(target_side) + 0.5) * rect.h / target_side - 0.5
-    js = np.clip(js, 0, rect.w - 1)
-    iis = np.clip(iis, 0, rect.h - 1)
-    x0 = np.floor(js).astype(int)
-    y0 = np.floor(iis).astype(int)
-    fx = js - x0
-    fy = iis - y0
-    x1 = np.minimum(x0 + 1, rect.w - 1)
-    y1 = np.minimum(y0 + 1, rect.h - 1)
-    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
-    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+    x0, x1, fx, y0, y1, fy = _resample_maps(rect.w, rect.h, target_side)
+    # uint8 samples convert to float64 exactly, so the products and sums
+    # are those of the float crop
+    rows0, rows1 = crop[y0], crop[y1]
+    top = rows0[:, x0] * (1 - fx) + rows0[:, x1] * fx
+    bot = rows1[:, x0] * (1 - fx) + rows1[:, x1] * fx
     out = top * (1 - fy)[:, None] + bot * fy[:, None]
     return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
 

@@ -66,6 +66,19 @@ def test_init_weights_three_one():
     assert list(init_weights([1, 1, 1, 0])) == pytest.approx([1 / 6, 1 / 6, 1 / 6, 1 / 2])
 
 
+def test_init_weights_rejects_labels_other_than_0_and_1():
+    # a label 2 used to count as neither class in the weights (they summed
+    # to 1.25), and a label 0.5 got the weight of both
+    for labels in ([1, 0, 2, 1, 0], [1.0, 0.0, 0.5], [1, 0, -1], [1.0, 0.0, np.nan]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            init_weights(labels)
+
+
+def test_init_weights_accepts_float_and_bool_labels():
+    assert list(init_weights([1.0, 0.0, 0.0])) == list(init_weights([1, 0, 0]))
+    assert list(init_weights(np.array([True, False]))) == [0.5, 0.5]
+
+
 def test_init_weights_degenerate():
     with pytest.raises(ValueError):
         init_weights([1, 1])
@@ -233,6 +246,44 @@ def test_step_matches_brute_force_with_unequal_weights(n, kinds, rounds, block, 
             eps = min(max(ref.error, boost.EPS_CLAMP), 0.5 - boost.EPS_CLAMP)
             w[want == labels] *= eps / (1.0 - eps)
             assert repr(b.weights.tolist()) == repr(w.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    nf=st.integers(1, 8),
+    block=st.sampled_from([1, 3, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_order_and_ties_match_stable_argsort(n, nf, block, seed):
+    # columns mix -0.0 and 0.0, NaN, +-inf and repeated values, which sort
+    # to equal neighbours whose order np.sort and a gather may disagree on
+    rng = np.random.default_rng(seed)
+    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0, 7.0])
+    values = rng.choice(pool, size=(n, nf))
+    mixed = rng.random((n, nf)) < 0.3
+    values[mixed] = rng.integers(-2, 3, int(mixed.sum()))  # more ties
+    labels = np.zeros(n, dtype=int)
+    labels[0] = 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boost, "_STEP_BLOCK", block)
+        b = Booster(values, labels, np.full(n, 1.0 / n))
+    assert b._order.shape == b._tied.shape == (nf, n)
+    for j in range(nf):
+        want = np.argsort(values[:, j], kind="stable")
+        assert b._order[j].tolist() == want.tolist()
+        sv = values[want, j]
+        assert b._tied[j].tolist() == (sv[:-1] == sv[1:]).tolist() + [False]
+
+
+def test_booster_leaves_values_unchanged():
+    # a one-column block, or any block of an F-ordered matrix, transposes
+    # to a contiguous view; sorting that in place would reorder the values
+    rng = np.random.default_rng(3)
+    for values in (rng.normal(size=(9, 1)), np.asfortranarray(rng.normal(size=(9, 5)))):
+        before = values.copy()
+        Booster(values, np.arange(9) % 2, np.full(9, 1 / 9))
+        assert np.array_equal(values, before)
 
 
 def test_booster_memory_below_value_matrix():

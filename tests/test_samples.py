@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fidpoint import samples
 from fidpoint.geom import Point2
 from fidpoint.raster import BoundsError, GrayImage, Rect
 from fidpoint.samples import (
@@ -353,6 +354,70 @@ def test_extract_downscale_keeps_center_peak():
     px[14:19, 14:19] = 255  # centered bright blob
     patch = extract_and_rescale(GrayImage(px), Rect(0, 0, 33, 33), 13)
     assert patch[6, 6] == patch.max()
+
+
+def extract_and_rescale_per_call(image: GrayImage, rect: Rect, target_side: int = 13) -> np.ndarray:
+    """Oracle: the resampler as it was before its maps were cached, verbatim."""
+    if rect.x < 0 or rect.y < 0 or rect.x + rect.w > image.width or rect.y + rect.h > image.height:
+        raise BoundsError(f"rect {rect} outside image")
+    crop = image.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
+    if rect.w == target_side and rect.h == target_side:
+        return crop.copy()
+    src = crop.astype(np.float64)
+    js = (np.arange(target_side) + 0.5) * rect.w / target_side - 0.5
+    iis = (np.arange(target_side) + 0.5) * rect.h / target_side - 0.5
+    js = np.clip(js, 0, rect.w - 1)
+    iis = np.clip(iis, 0, rect.h - 1)
+    x0 = np.floor(js).astype(int)
+    y0 = np.floor(iis).astype(int)
+    fx = js - x0
+    fy = iis - y0
+    x1 = np.minimum(x0 + 1, rect.w - 1)
+    y1 = np.minimum(y0 + 1, rect.h - 1)
+    top = src[y0][:, x0] * (1 - fx) + src[y0][:, x1] * fx
+    bot = src[y1][:, x0] * (1 - fx) + src[y1][:, x1] * fx
+    out = top * (1 - fy)[:, None] + bot * fy[:, None]
+    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+
+
+def test_extract_matches_per_call_maps_bytewise():
+    # random rects scaled up and down, square and not, each size twice so
+    # the second call reads the cached maps
+    rng = np.random.default_rng(29)
+    img = GrayImage(rng.integers(0, 256, (90, 90), dtype=np.uint8))
+    for _ in range(300):
+        side = int(rng.integers(1, 30))
+        w, h = (int(v) for v in rng.integers(1, 60, 2))
+        for _ in range(2):
+            r = Rect(int(rng.integers(0, 91 - w)), int(rng.integers(0, 91 - h)), w, h)
+            got = extract_and_rescale(img, r, side)
+            want = extract_and_rescale_per_call(img, r, side)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (r, side)
+
+
+def test_extract_cached_maps_are_read_only():
+    img = GrayImage(np.arange(400, dtype=np.uint8).reshape(20, 20))
+    extract_and_rescale(img, Rect(0, 0, 17, 11), 5)
+    maps = samples._resample_maps(17, 11, 5)
+    assert len(maps) == 6
+    for a in maps:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("side", [0, -3, 2.5, True, "13", None])
+def test_extract_rejects_bad_target_side(side):
+    img = GrayImage(np.zeros((20, 20), dtype=np.uint8))
+    with pytest.raises(ValueError, match="target_side"):
+        extract_and_rescale(img, Rect(0, 0, 10, 10), side)
+
+
+def test_extract_accepts_numpy_int_target_side():
+    img = GrayImage(np.arange(400, dtype=np.uint8).reshape(20, 20))
+    r = Rect(1, 2, 15, 9)
+    want = extract_and_rescale(img, r, 7)
+    assert extract_and_rescale(img, r, np.int64(7)).tobytes() == want.tobytes()
 
 
 # --- patch archive ------------------------------------------------------------------------
