@@ -20,8 +20,10 @@ minimum over both parities.  Complex addition adds the two parts as two
 separate float additions, so the real and imaginary parts of the
 running sum are bit for bit the two per-class running sums.
 ``cascade.train_stage`` is the driver that builds the matrix and grows
-a stage from the rounds.  :func:`train_weak` is the scalar one-feature
-stump search that ``Booster.step`` must agree with bit for bit.
+a stage from the rounds.  :func:`train_weak` is the one stump search
+over a single feature: ``Booster.step`` reduces every feature's errors
+to find the winning column, then takes that column's stump from
+:func:`train_weak`, whose running sums are the block's bit for bit.
 """
 
 from __future__ import annotations
@@ -120,24 +122,6 @@ def train_weak(values, labels, weights) -> WeakClassifier:
     return WeakClassifier(threshold=float(t), parity=parity, error=float(err))
 
 
-def _column_stump(e_plus, e_minus, sv) -> tuple[float, float, int]:
-    """(error, threshold, parity) of one scanned column, in train_weak's order.
-
-    ``e_plus``/``e_minus`` are the column's n + 1 candidate errors (inf on
-    rows between tied values) and ``sv`` its sorted values.  Candidate
-    thresholds rise with the row, so each parity's first argmin row is
-    its smallest-threshold minimum; ties then go to parity +1.
-    """
-    n = len(sv)
-    keys = []
-    for rank, errs in enumerate((e_plus, e_minus)):
-        r = int(np.argmin(errs))
-        t = -np.inf if r == 0 else np.inf if r == n else (sv[r - 1] + sv[r]) / 2.0
-        keys.append((float(errs[r]), float(t), rank))
-    err, t, rank = min(keys)
-    return err, t, 1 - 2 * rank
-
-
 def _stable_within_ties(sv, order) -> np.ndarray:
     """The stable sort order of rows already sorted by ``order``.
 
@@ -214,8 +198,8 @@ class Booster:
         Per block, the running sum of the complex class weights along each
         sorted row gives every candidate's error for both parities; their
         minimum, with tied rows set to inf, is reduced once.  The winner is
-        the first feature with the minimum error, and its stump is the one
-        :func:`train_weak` would pick on that column.
+        the first feature with the minimum error, and :func:`train_weak` on
+        that column gives its stump.
         Returns (alpha, weak, predictions over samples).
         """
         self.weights /= self.weights.sum()
@@ -242,8 +226,9 @@ class Booster:
             k = int(np.argmin(errs))
             if errs[k] < best_err:
                 best_err, best = errs[k], lo + k
-        weak = self._stump(best, wc)
-        col = self.values[:, weak.feature_index]
+        col = self.values[:, best]
+        weak = train_weak(col, self.labels, self.weights)
+        weak.feature_index = best
         eps = min(max(weak.error, EPS_CLAMP), 0.5 - EPS_CLAMP)
         beta = eps / (1.0 - eps)
         alpha = math.log(1.0 / beta)
@@ -251,23 +236,6 @@ class Booster:
         correct = pred == self.labels
         self.weights[correct] *= beta  # exponent 1 - e, with e = 0 when correct
         return alpha, weak, pred
-
-    def _stump(self, j: int, wc: np.ndarray) -> WeakClassifier:
-        """Feature ``j``'s stump, from its n + 1 candidate errors per parity.
-
-        ``cumsum`` adds in sequence, so these are the errors ``step``
-        reduced over, bit for bit.
-        """
-        order = self._order[j]
-        c = np.cumsum(wc[order])
-        c1, c0 = c.real, c.imag
-        tot1, tot0 = c1[-1:], c0[-1:]
-        e_plus = np.concatenate([tot1, (tot1 - c1) + c0])
-        e_minus = np.concatenate([tot0, c1 + (tot0 - c0)])
-        e_plus[1:][self._tied[j]] = np.inf
-        e_minus[1:][self._tied[j]] = np.inf
-        err, t, parity = _column_stump(e_plus, e_minus, self.values[order, j])
-        return WeakClassifier(t, parity, err, feature_index=j)
 
 
 def eval_strong(

@@ -2,8 +2,8 @@
 
 A cascade is an ordered list of strong classifiers sharing one
 enumeration window.  :func:`train_stage` is the one boosting driver: it
-adds ``Booster`` rounds (whose stump search must match the scalar
-reference ``boost.train_weak``) until the stage's false-alarm rate on
+adds ``Booster`` rounds (each the stump ``boost.train_weak`` fits on the
+feature of least error) until the stage's false-alarm rate on
 its own negatives drops to ``maxfalsealarm``, adapting the stage
 threshold downward from the boosting default after each round so the
 stage keeps at least ``minhitrate`` of its training positives.
@@ -16,7 +16,8 @@ rates compound multiplicatively across stages.
 scale over a frame's windows, and bootstrap filtering runs it over the
 stacked negative patches.  It keeps the survivors compact, with one
 running margin per window summed stump by stump in cascade order.
-:func:`classify_window` is its scalar oracle.
+:func:`classify_window` is its scalar oracle, scoring each stage with
+``boost.eval_strong``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boost import Booster, StrongClassifier, WeakClassifier, init_weights
+from .boost import Booster, StrongClassifier, WeakClassifier, eval_strong, init_weights
 from .haar import (
     FeatureSet,
     HaarFeature,
@@ -39,9 +40,7 @@ from .haar import (
     fits_window,
     mirror_feature,
     cells_at,
-    cells_value,
     round_half_up,
-    scale_feature,
     scan_plan,
     stack_tables,
 )
@@ -186,22 +185,15 @@ def classify_window(
     width round(window_w * scale) to the base window width, so windows
     produced by the scanner evaluate identically here.  A zero-stage
     cascade accepts every window by convention (the recursion base for
-    bootstrapping).
+    bootstrapping).  Raises ``BoundsError`` if the window leaves the tables.
     """
-    ox, oy = origin
     frac = Fraction(round_half_up(c.window_w * scale), c.window_w)
     win_w = round_half_up(c.window_w * frac)
     win_h = round_half_up(c.window_h * frac)
-    if ox < 0 or oy < 0 or ox + win_w > tables.width or oy + win_h > tables.height:
-        raise BoundsError(f"window {win_w}x{win_h} at ({ox},{oy}) outside image")
-    inv_sigma = window_inv_stddev(tables, Rect(ox, oy, win_w, win_h))
+    inv_sigma = window_inv_stddev(tables, Rect(*origin, win_w, win_h))
     for i, stage in enumerate(c.stages):
-        score = 0.0
-        for alpha, weak in stage.strong.rounds:
-            cells = scale_feature(weak.feature, frac)
-            v = cells_value(cells, tables, ox, oy, inv_sigma)
-            score += alpha * weak.predict_value(v)
-        if score < stage.strong.threshold:
+        score, _ = eval_strong(stage.strong, tables, origin, frac, inv_sigma)
+        if score < stage.strong.threshold:  # not eval_strong's >=: a NaN threshold keeps all
             return False, i
     return True, None
 
@@ -270,9 +262,6 @@ def train_cascade(
         raise ValueError("no positive samples")
     positives = positives[: params.npos]
     w, h = positives[0].width, positives[0].height
-    for t in positives:
-        if (t.width, t.height) != (w, h):
-            raise ValueError("positive patches disagree on window size")
     features = enumerate_features(w, h, params.mode)
     cascade = Cascade(w, h, params.mode, [])
     source: Iterator[IntegralTables] = iter(negative_source)

@@ -276,8 +276,8 @@ def cell_corners(x, y, w, h, rotated: bool, stride: int):
     return (y + h) * stride + x + w, y * stride + x + w, (y + h) * stride + x, y * stride + x
 
 
-def require_inside(tables: IntegralTables, x, y, w, h, rotated: bool) -> None:
-    """Raise :class:`BoundsError` unless every given cell lies inside the image."""
+def require_inside(tables: IntegralTables | GrayImage, x, y, w, h, rotated: bool) -> None:
+    """Raise :class:`BoundsError` unless every cell lies inside the image (or its tables)."""
     x0, y0, x1, y1 = cell_box(x, y, w, h, rotated)
     outside = (x0 < 0) | (y0 < 0) | (x1 >= tables.width) | (y1 >= tables.height)
     # a plain bool for int geometry, which np.any would take microseconds to wrap
@@ -319,15 +319,16 @@ def rotated_rect_sum(tables: IntegralTables, r: Rect) -> int:
     return _cell_sum(tables, r, True)
 
 
-def window_inv_stddevs(tables: IntegralTables, xs, ys, w: int, h: int) -> np.ndarray:
-    """1/sigma of the w x h windows at origins (xs, ys), 1 where sigma < 1.
+def window_inv_stddevs(tables: IntegralTables, at, w: int, h: int) -> np.ndarray:
+    """1/sigma of the w x h windows at flat origin offsets ``at``, 1 where sigma < 1.
 
-    Origins are ints or arrays; corners are read at their flat offsets through views of
-    the flattened tables, so every window must lie inside the image (unchecked).  Window
+    ``at`` is an int or an array of y * ``tables.stride`` + x, the offsets a scan already
+    reads its cells at; corners are read at their flat offsets through views of the
+    flattened tables, so every window must lie inside the image (unchecked).  Window
     sums and squared sums of 8-bit pixels stay below 2**53, so they convert to float
     exactly and the result does not depend on how many windows are evaluated at once.
     """
-    n, at = w * h, ys * tables.stride + xs
+    n = w * h
     a, b, c, _ = cell_corners(0, 0, w, h, False, tables.stride)
     s, sq, _ = tables._flat
     s1 = s[a:][at] - s[b:][at] - s[c:][at] + s[at]

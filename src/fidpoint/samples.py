@@ -34,7 +34,7 @@ import numpy as np
 
 from .geom import Point2, estimate_tilt, rotate_image, rotate_point, VerticalLineError
 from .haar import round_half_up
-from .raster import BoundsError, GrayImage, Rect
+from .raster import BoundsError, GrayImage, Rect, require_inside
 
 
 class PointsFormatError(ValueError):
@@ -409,8 +409,7 @@ def extract_and_rescale(image: GrayImage, rect: Rect, target_side: int = 13) -> 
     integral = isinstance(target_side, (int, np.integer)) and not isinstance(target_side, bool)
     if not integral or target_side < 1:
         raise ValueError(f"target_side must be an int >= 1, got {target_side!r}")
-    if rect.x < 0 or rect.y < 0 or rect.x + rect.w > image.width or rect.y + rect.h > image.height:
-        raise BoundsError(f"rect {rect} outside image")
+    require_inside(image, rect.x, rect.y, rect.w, rect.h, False)
     crop = image.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
     if rect.w == target_side and rect.h == target_side:
         return crop.copy()

@@ -78,7 +78,7 @@ from .geom import (
     rotate_point,
 )
 from .haar import FeatureSet, round_half_up, scan_plan
-from .raster import BoundsError, GrayImage, IntegralTables, Rect, build_tables, window_inv_stddevs
+from .raster import GrayImage, IntegralTables, Rect, build_tables, require_inside, window_inv_stddevs
 
 # the fourteen detectable points, grouped by their parent facial feature
 POINT_PARENTS = {
@@ -223,8 +223,7 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
     else:
         tables = build_tables(image, want_rotated=c.feature_set is FeatureSet.ALL)
     roi = cfg.roi or Rect(0, 0, tables.width, tables.height)
-    if roi.x < 0 or roi.y < 0 or roi.x + roi.w > tables.width or roi.y + roi.h > tables.height:
-        raise BoundsError(f"roi {roi} outside {tables.width}x{tables.height} image")
+    require_inside(tables, roi.x, roi.y, roi.w, roi.h, False)
     found = []  # per size: (xs, ys, w, h, margins) of the accepted windows
     features = tuple(weak.feature for st in c.stages for _, weak in st.strong.rounds)
     tables_by_kind = {rot: tables.flat(rot) for rot in {f.kind.rotated for f in features}}
@@ -240,8 +239,8 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
         xs = xs[(xs >= l) & (xs <= tables.width - w_k - rgt)]
         ys = ys[(ys >= t) & (ys <= tables.height - h_k - btm)]
         oxs, oys = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y-major grid
-        inv = window_inv_stddevs(tables, oxs, oys, w_k, h_k)
         at = oys * tables.stride + oxs  # one offset array serves every table
+        inv = window_inv_stddevs(tables, at, w_k, h_k)
         alive, margin = run_stages(c, scaled, tables_by_kind, tables.stride, at, inv)
         found.append((oxs[alive], oys[alive], w_k, h_k, margin[alive]))
     win = np.empty(sum(len(f[0]) for f in found), RAW_WINDOW)

@@ -149,6 +149,14 @@ def test_train_stage_rejects_mixed_sample_sizes():
         train_stage(pos, neg, feats, TrainParams(nstages=1, npos=4, nneg=4))
 
 
+def test_train_cascade_rejects_mixed_positive_sizes():
+    rng = np.random.default_rng(13)
+    pos, neg = separable_patches(rng, 4, 8)
+    pos[2] = make_tables(rng, side=7)
+    with pytest.raises(ValueError, match="7x7 sample among 6x6 samples"):
+        train_cascade(pos, iter(neg), TrainParams(nstages=1, npos=4, nneg=4))
+
+
 def test_train_stage_postconditions_replay():
     rng = np.random.default_rng(9)
     pos, neg = separable_patches(rng, 10, 30)
@@ -306,6 +314,21 @@ def test_batch_accept_bounds_error():
     _batch_accept(one_feature(HaarFeature(FeatureKind.EDGE_H, 9, 0, 2, 3)), patches)
     with pytest.raises(BoundsError):  # footprint 4 wide at x=12 in 13
         _batch_accept(one_feature(HaarFeature(FeatureKind.EDGE_H, 12, 0, 2, 3)), patches)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+@pytest.mark.parametrize("n_stages", [0, 2])
+def test_classify_window_bounds_error(scale, n_stages):
+    # the 8x8 window, scaled to side x side, must lie inside the 13x13 tables
+    rng = np.random.default_rng(53)
+    c = random_cascade(rng, n_stages=n_stages)
+    t = make_tables(rng, 13)
+    side = round(8 * scale)
+    for origin in [(0, 0), (13 - side, 13 - side)]:
+        classify_window(c, t, origin, scale)
+    for origin in [(-1, 0), (0, -1), (14 - side, 0), (0, 14 - side)]:
+        with pytest.raises(BoundsError):
+            classify_window(c, t, origin, scale)
 
 
 # --- serialization -----------------------------------------------------------------

@@ -409,7 +409,7 @@ def test_window_inv_stddev_matches_window_inv_stddevs(width, height, fill, seed)
     for x, y, w, h in windows:
         got = window_inv_stddev(t, Rect(x, y, w, h))
         assert type(got) is float
-        assert got == window_inv_stddevs(t, x, y, w, h)
+        assert got == window_inv_stddevs(t, y * t.stride + x, w, h)
 
 
 def inv_stddevs_2d(tables, xs, ys, w, h):
@@ -444,9 +444,9 @@ def test_window_inv_stddevs_bit_exact(width, height, seed, spread, data):
         w, h = data.draw(st.integers(1, width)), data.draw(st.integers(1, height))
     # every origin, so windows touch the first and the last row and column
     ys, xs = (g.ravel() for g in np.mgrid[: height - h + 1, : width - w + 1])
-    got = window_inv_stddevs(t, xs, ys, w, h)
+    got = window_inv_stddevs(t, ys * t.stride + xs, w, h)
     want = inv_stddevs_2d(t, xs, ys, w, h)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     for x in (0, width - w):
         for y in (0, height - h):
-            assert window_inv_stddevs(t, x, y, w, h) == inv_stddevs_2d(t, x, y, w, h)
+            assert window_inv_stddevs(t, y * t.stride + x, w, h) == inv_stddevs_2d(t, x, y, w, h)

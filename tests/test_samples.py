@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fidpoint import samples
 from fidpoint.geom import Point2
@@ -418,6 +420,23 @@ def test_extract_accepts_numpy_int_target_side():
     r = Rect(1, 2, 15, 9)
     want = extract_and_rescale(img, r, 7)
     assert extract_and_rescale(img, r, np.int64(7)).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(-3, 12), y=st.integers(-3, 11), w=st.integers(1, 12), h=st.integers(1, 11))
+@example(x=-1, y=0, w=5, h=5)  # straddles the left edge
+@example(x=0, y=-1, w=5, h=5)  # the top edge
+@example(x=6, y=0, w=5, h=5)  # the right edge
+@example(x=0, y=5, w=5, h=5)  # the bottom edge
+@example(x=0, y=0, w=10, h=9)  # the whole image
+def test_extract_raises_exactly_when_rect_leaves_image(x, y, w, h):
+    img = GrayImage(np.arange(90, dtype=np.uint8).reshape(9, 10))  # 10 wide, 9 tall
+    r = Rect(x, y, w, h)
+    if x < 0 or y < 0 or x + w > 10 or y + h > 9:
+        with pytest.raises(BoundsError):
+            extract_and_rescale(img, r, 5)
+    else:
+        assert extract_and_rescale(img, r, 5).shape == (5, 5)
 
 
 # --- patch archive ------------------------------------------------------------------------
