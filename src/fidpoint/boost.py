@@ -24,6 +24,9 @@ a stage from the rounds.  :func:`train_weak` is the one stump search
 over a single feature: ``Booster.step`` reduces every feature's errors
 to find the winning column, then takes that column's stump from
 :func:`train_weak`, whose running sums are the block's bit for bit.
+Its ties break toward the smaller threshold, then parity +1; thresholds
+rise with the sorted position, so each parity's first minimum is its
+smallest-threshold minimum.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ def train_weak(values, labels, weights) -> WeakClassifier:
 
     Candidate thresholds are midpoints between consecutive distinct
     sorted values plus -inf/+inf sentinels; ties break toward the
-    smaller threshold, then parity +1.
+    smaller threshold, then parity +1.  Thresholds rise with the sorted
+    position, so each parity's first ``argmin`` is that minimum.
     """
     v = np.asarray(values, dtype=np.float64)
     y = np.asarray(labels)
@@ -95,30 +99,16 @@ def train_weak(values, labels, weights) -> WeakClassifier:
     sv = v[order]
     w1 = np.where(y == 1, w, 0.0)[order]
     w0 = np.where(y == 0, w, 0.0)[order]
-    c1 = np.cumsum(w1)
-    c0 = np.cumsum(w0)
+    # row r is the threshold below sorted position r; c1[r], c0[r] weigh the samples under it
+    c1 = np.concatenate(([0.0], np.cumsum(w1)))
+    c0 = np.concatenate(([0.0], np.cumsum(w0)))
     tot1, tot0 = c1[-1], c0[-1]
-    n = len(v)
-    # Row r is the candidate after sorted position r-1; row 0 is -inf.
-    thr = np.empty(n + 1)
-    thr[0] = -np.inf
-    thr[1:n] = (sv[:-1] + sv[1:]) / 2.0
-    thr[n] = np.inf
-    valid = np.ones(n + 1, dtype=bool)
-    valid[1:n] = sv[:-1] != sv[1:]
-    e_plus = np.empty(n + 1)
-    e_plus[0] = tot1
-    e_plus[1:] = (tot1 - c1) + c0
-    e_minus = np.empty(n + 1)
-    e_minus[0] = tot0
-    e_minus[1:] = c1 + (tot0 - c0)
-    best = None
-    for parity, errs in ((1, e_plus), (-1, e_minus)):
-        for r in np.nonzero(valid)[0]:
-            key = (errs[r], thr[r], 0 if parity == 1 else 1)
-            if best is None or key < best[0]:
-                best = (key, parity)
-    (err, t, _), parity = best
+    thr = np.concatenate(([-np.inf], (sv[:-1] + sv[1:]) / 2.0, [np.inf]))
+    rows = np.flatnonzero(np.concatenate(([True], sv[:-1] != sv[1:], [True])))
+    e_plus = (tot1 - c1) + c0
+    e_minus = c1 + (tot0 - c0)
+    p, m = (rows[np.argmin(errs[rows])] for errs in (e_plus, e_minus))
+    err, t, parity = min((e_plus[p], thr[p], 1), (e_minus[m], thr[m], -1), key=lambda c: c[:2])
     return WeakClassifier(threshold=float(t), parity=parity, error=float(err))
 
 

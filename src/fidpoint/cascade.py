@@ -261,6 +261,7 @@ def train_cascade(
     if not positives:
         raise ValueError("no positive samples")
     positives = positives[: params.npos]
+    stack_tables(positives, ())  # raises on mixed sizes even if no stage trains
     w, h = positives[0].width, positives[0].height
     features = enumerate_features(w, h, params.mode)
     cascade = Cascade(w, h, params.mode, [])

@@ -74,7 +74,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -174,19 +174,18 @@ class FeatureSet(enum.Enum):
         return BASIC_KINDS if self is FeatureSet.BASIC else ALL_KINDS
 
 
-@dataclass(frozen=True)
-class HaarFeature:
-    """Five-dimensional feature: layout kind, window position, base-cell scale."""
+class HaarFeature(NamedTuple):
+    """Five-dimensional feature: layout kind, window position, base-cell scale.
+
+    A plain tuple that checks nothing: enumeration and mirroring build only fitting
+    features, and ``cascade.deserialize`` rejects a cell below 1x1 before building one.
+    """
 
     kind: FeatureKind
     x: int
     y: int
     w: int
     h: int
-
-    def __post_init__(self):
-        if self.w < 1 or self.h < 1:
-            raise ValueError("base cell must be at least 1x1")
 
 
 def _fits(kind: FeatureKind, x, y, w, h, window_w: int, window_h: int):

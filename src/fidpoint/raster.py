@@ -7,7 +7,6 @@ are 64-bit, so sums over any window of 8-bit pixels are exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,12 +338,6 @@ def window_inv_stddevs(tables: IntegralTables, at, w: int, h: int) -> np.ndarray
 
 
 def window_inv_stddev(tables: IntegralTables, r: Rect) -> float:
-    """1/sigma of one window inside the image: :func:`window_inv_stddevs` at N = 1, bit for bit."""
+    """1/sigma of one window inside the image: the N = 1 case of :func:`window_inv_stddevs`."""
     require_inside(tables, r.x, r.y, r.w, r.h, False)
-    n, x1, y1 = r.w * r.h, r.x + r.w, r.y + r.h
-    s, sq = tables.sums, tables.sq_sums
-    s1 = s.item(y1, x1) - s.item(r.y, x1) - s.item(y1, r.x) + s.item(r.y, r.x)
-    s2 = sq.item(y1, x1) - sq.item(r.y, x1) - sq.item(y1, r.x) + sq.item(r.y, r.x)
-    mean = s1 / n
-    sigma = math.sqrt(max(s2 / n - mean * mean, 0.0))
-    return 1.0 / max(sigma, 1.0)
+    return float(window_inv_stddevs(tables, r.y * tables.stride + r.x, r.w, r.h))

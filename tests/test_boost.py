@@ -100,12 +100,26 @@ def test_train_weak_all_positive_sentinel():
 
 
 def test_train_weak_matches_exhaustive():
+    columns = [
+        # all values equal: only the -inf and +inf sentinel rows are valid
+        ([5.0, 5.0, 5.0], [1, 0, 1], [0.25, 0.25, 0.5]),
+        ([5.0, 5.0], [1, 0], [0.5, 0.5]),  # both parities' best is (0.5, -inf)
+        # two distinct values
+        ([3.0, 7.0, 3.0, 7.0, 7.0], [1, 1, 0, 0, 1], [0.125, 0.25, 0.25, 0.125, 0.25]),
+        # both parities' best errors are 0.25: parity -1 has the smaller
+        # threshold in the first column, parity +1 in the second
+        ([1.0, 2.0, 3.0, 4.0], [0, 1, 1, 0], [0.25] * 4),
+        ([1.0, 2.0, 3.0, 4.0], [1, 0, 0, 1], [0.25] * 4),
+    ]
+    columns = [tuple(map(np.array, column)) for column in columns]
     rng = np.random.default_rng(77)
     for _ in range(100):
         n = int(rng.integers(2, 51))
         v = rng.integers(-40, 40, n).astype(float)
         y = rng.integers(0, 2, n)
         w = dyadic_weights(rng, n)
+        columns.append((v, y, w))
+    for v, y, w in columns:
         wk = train_weak(v, y, w)
         err, t, prank = exhaustive_stump(v, y, w)
         assert wk.error == err

@@ -149,12 +149,15 @@ def test_train_stage_rejects_mixed_sample_sizes():
         train_stage(pos, neg, feats, TrainParams(nstages=1, npos=4, nneg=4))
 
 
-def test_train_cascade_rejects_mixed_positive_sizes():
+@pytest.mark.parametrize("with_negatives", [True, False], ids=["negatives", "empty"])
+def test_train_cascade_rejects_mixed_positive_sizes(with_negatives):
+    # with no negatives no stage trains, so the check must not wait for one
     rng = np.random.default_rng(13)
     pos, neg = separable_patches(rng, 4, 8)
     pos[2] = make_tables(rng, side=7)
+    source = iter(neg if with_negatives else [])
     with pytest.raises(ValueError, match="7x7 sample among 6x6 samples"):
-        train_cascade(pos, iter(neg), TrainParams(nstages=1, npos=4, nneg=4))
+        train_cascade(pos, source, TrainParams(nstages=1, npos=4, nneg=4))
 
 
 def test_train_stage_postconditions_replay():
@@ -382,11 +385,11 @@ def test_deserialize_version_and_malformed_lines():
     assert err.value.line == 5
 
 
-def one_weak_file(threshold="0.5", alpha="1", thresh="0") -> bytes:
+def one_weak_file(threshold="0.5", alpha="1", thresh="0", w="2", h="2") -> bytes:
     return (
         "FIDCASCADE 1\nwindow 13 13\nfeatures BASIC\nstages 1\n"
         f"stage 0 threshold {threshold} nweak 1 hr 1 fa 0.5\n"
-        f"weak alpha {alpha} parity +1 thresh {thresh} kind EDGE_H x 0 y 0 w 2 h 2\n"
+        f"weak alpha {alpha} parity +1 thresh {thresh} kind EDGE_H x 0 y 0 w {w} h {h}\n"
     ).encode()
 
 
@@ -407,6 +410,15 @@ def test_deserialize_rejects_non_finite_weights(field, value, line):
     with pytest.raises(CascadeFormatError) as err:
         deserialize(one_weak_file(**{field: value}))
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("field, value", [("w", "0"), ("h", "0"), ("w", "-1")])
+def test_deserialize_rejects_cell_below_1x1(field, value):
+    # the file is the one place features arrive from outside, and
+    # HaarFeature itself checks nothing
+    with pytest.raises(CascadeFormatError, match="cell extent must be >= 1") as err:
+        deserialize(one_weak_file(**{field: value}))
+    assert err.value.line == 6
 
 
 def test_infinite_weak_threshold_roundtrips():
