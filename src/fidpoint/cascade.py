@@ -17,7 +17,8 @@ scale over a frame's windows, and bootstrap filtering runs it over the
 stacked negative patches.  It keeps the survivors compact, with one
 running margin per window summed stump by stump in cascade order.
 :func:`classify_window` is its scalar oracle, scoring each stage with
-``boost.eval_strong``.
+``boost.eval_strong``.  Training and filtering take the 1/sigma of a
+batch of patches in one ``raster.sample_inv_stddevs`` pass.
 """
 
 from __future__ import annotations
@@ -42,9 +43,15 @@ from .haar import (
     cells_at,
     round_half_up,
     scan_plan,
-    stack_tables,
 )
-from .raster import BoundsError, IntegralTables, Rect, window_inv_stddev
+from .raster import (
+    BoundsError,
+    IntegralTables,
+    Rect,
+    sample_inv_stddevs,
+    stack_tables,
+    window_inv_stddev,
+)
 
 FORMAT_MAGIC = "FIDCASCADE"
 FORMAT_VERSION = 1
@@ -152,8 +159,7 @@ def train_stage(
     npos = len(positives)
     tables = [*positives, *negatives]
     labels = np.repeat([1, 0], [npos, len(negatives)])
-    inv = np.array([window_inv_stddev(t, Rect(0, 0, t.width, t.height)) for t in tables])
-    values = feature_matrix(features, tables, inv)
+    values = feature_matrix(features, tables, sample_inv_stddevs(tables))
     booster = Booster(values, labels, init_weights(labels))
     pos_scores = np.zeros(npos)
     neg_scores = np.zeros(len(negatives))
@@ -238,7 +244,7 @@ def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:
     cells, overhang = scan_plan(c.window_w, c.window_h, features, Fraction(1), False)
     if any(overhang):
         raise BoundsError(f"cells overhang the {c.window_w}x{c.window_h} window by {overhang}")
-    inv = np.array([window_inv_stddev(t, Rect(0, 0, t.width, t.height)) for t in tables_list])
+    inv = sample_inv_stddevs(tables_list)
     return run_stages(c, cells, *stack_tables(tables_list, {sc.rotated for sc in cells}), inv)[0]
 
 

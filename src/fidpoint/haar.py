@@ -78,7 +78,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .raster import IntegralTables, Rect, cell_box, cell_corners, require_inside
+from .raster import IntegralTables, Rect, cell_box, cell_corners, require_inside, stack_tables
 
 
 def round_half_up(v) -> int:
@@ -420,20 +420,6 @@ def mirror_feature(f: HaarFeature, window_w: int) -> tuple[HaarFeature, bool]:
 # features per feature_matrix block; bounds its (table size x block)
 # coefficients and (samples x block) products
 _MATRIX_BLOCK = 2048
-
-
-def stack_tables(tables_list: Sequence[IntegralTables], rotations):
-    """(tables_by_kind, stride, bases): rotated -> the samples' flat tables end to end.
-
-    Every stacked table has row stride ``stride``, and sample s starts at ``bases[s]`` in each.
-    Raises ``ValueError`` naming the first sample whose size differs from the first's.
-    """
-    t0 = tables_list[0]
-    for t in tables_list:
-        if (t.width, t.height) != (t0.width, t0.height):
-            raise ValueError(f"{t.width}x{t.height} sample among {t0.width}x{t0.height} samples")
-    stacks = {r: np.concatenate([t.flat(r) for t in tables_list]) for r in rotations}
-    return stacks, t0.stride, np.arange(len(tables_list)) * t0.flat(False).size
 
 
 def feature_matrix(

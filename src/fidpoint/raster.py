@@ -8,6 +8,7 @@ are 64-bit, so sums over any window of 8-bit pixels are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -194,21 +195,23 @@ class IntegralTables:
     -2 <= ay < height.  That range is exactly what the four corner reads
     of a rotated rect inside the image touch (:func:`cell_corners`), so
     a rotated cell costs the same four plain reads as an upright one.
-    ``sums`` and ``sq_sums`` view zero-padded buffers of that shape, so
-    all three flattened tables put entry [y, x] at y * ``stride`` + x.
+    ``sums`` and ``sq_sums`` view one zero-padded buffer of two such planes,
+    so all three flattened tables put entry [y, x] at y * ``stride`` + x.
     """
 
     __slots__ = ("width", "height", "stride", "sums", "sq_sums", "tilted", "_flat")
 
     def __init__(self, image: GrayImage, want_rotated: bool = False):
-        px = image.pixels.astype(np.int64)
-        self.width = image.width
-        self.height = image.height
-        self.stride = self.width + 2
-        sums, sq_sums = _prefix2d(px), _prefix2d(px * px)
-        self.sums, self.sq_sums = sums[:-1, :-1], sq_sums[:-1, :-1]
-        self.tilted = _tilted(px) if want_rotated else None
-        self._flat = (sums.ravel(), sq_sums.ravel(), self.tilted.ravel() if want_rotated else None)
+        h, w = image.pixels.shape
+        self.width, self.height, self.stride = w, h, w + 2
+        buf = np.zeros((2, h + 2, w + 2), dtype=np.int64)
+        both = buf[:, 1:-1, 1:-1]  # the pixels, then their squares, summed in place
+        both[0] = image.pixels
+        np.multiply(both[0], both[0], out=both[1])
+        self.tilted = _tilted(both[0]) if want_rotated else None
+        np.add.accumulate(np.add.accumulate(both, axis=1, out=both), axis=2, out=both)
+        self.sums, self.sq_sums = buf[0, :-1, :-1], buf[1, :-1, :-1]
+        self._flat = (buf[0].ravel(), buf[1].ravel(), self.tilted.ravel() if want_rotated else None)
 
     def flat(self, rotated: bool) -> np.ndarray:
         """The flattened ``tilted`` table for rotated cells, else the flattened ``sums``."""
@@ -233,12 +236,6 @@ def _tilted(px: np.ndarray) -> np.ndarray:
         t[r, 0] = t[r - 1, 1]
         t[r, w + 1] = t[r - 1, w]
     return t
-
-
-def _prefix2d(a: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + 2, a.shape[1] + 2), dtype=np.int64)
-    np.cumsum(np.cumsum(a, axis=0), axis=1, out=out[1:-1, 1:-1])
-    return out
 
 
 def build_tables(image: GrayImage, want_rotated: bool = False) -> IntegralTables:
@@ -327,9 +324,35 @@ def window_inv_stddevs(tables: IntegralTables, at, w: int, h: int) -> np.ndarray
     sums and squared sums of 8-bit pixels stay below 2**53, so they convert to float
     exactly and the result does not depend on how many windows are evaluated at once.
     """
+    return _inv_stddevs(*tables._flat[:2], tables.stride, at, w, h)
+
+
+def stack_tables(tables_list: Sequence[IntegralTables], rotations):
+    """(tables_by_kind, stride, bases): rotated -> the samples' flat tables end to end.
+
+    Every stacked table has row stride ``stride``, and sample s starts at ``bases[s]`` in each.
+    Raises ``ValueError`` naming the first sample whose size differs from the first's.
+    """
+    t0 = tables_list[0]
+    for t in tables_list:
+        if (t.width, t.height) != (t0.width, t0.height):
+            raise ValueError(f"{t.width}x{t.height} sample among {t0.width}x{t0.height} samples")
+    stacks = {r: np.concatenate([t.flat(r) for t in tables_list]) for r in rotations}
+    return stacks, t0.stride, np.arange(len(tables_list)) * t0.flat(False).size
+
+
+def sample_inv_stddevs(tables_list: Sequence[IntegralTables]) -> np.ndarray:
+    """:func:`window_inv_stddev` of each whole sample of same-size tables, bit for bit, in
+    one pass over their sums (see :func:`stack_tables`) and squared sums, stacked alike."""
+    stacks, stride, bases = stack_tables(tables_list, (False,))
+    t = tables_list[0]
+    sq = np.concatenate([u._flat[1] for u in tables_list])
+    return _inv_stddevs(stacks[False], sq, stride, bases, t.width, t.height)
+
+
+def _inv_stddevs(s: np.ndarray, sq: np.ndarray, stride: int, at, w: int, h: int) -> np.ndarray:
     n = w * h
-    a, b, c, _ = cell_corners(0, 0, w, h, False, tables.stride)
-    s, sq, _ = tables._flat
+    a, b, c, _ = cell_corners(0, 0, w, h, False, stride)
     s1 = s[a:][at] - s[b:][at] - s[c:][at] + s[at]
     s2 = sq[a:][at] - sq[b:][at] - sq[c:][at] + sq[at]
     mean = s1 / n

@@ -374,24 +374,21 @@ def generate_negatives(
 
 @functools.lru_cache(maxsize=256)
 def _resample_maps(w: int, h: int, target_side: int) -> tuple[np.ndarray, ...]:
-    """Bilinear source maps (x0, x1, fx, y0, y1, fy) from a w x h crop.
+    """Bilinear source maps (rows, cols, 1 - fx, fx, 1 - fy, fy) from a w x h crop.
 
-    Output column j reads crop columns x0[j] and x1[j] with weights
-    1 - fx[j] and fx[j]; rows likewise.  They depend only on the sizes,
-    so each size is built once; the arrays are read-only because the
-    cache shares them between calls.
+    Output column j reads crop columns x0[j] and x1[j], held in ``cols``
+    as x0 then x1, with weights 1 - fx[j] and fx[j]; rows and their
+    weights likewise, as column vectors.  Each size is built once, and
+    read-only because the cache shares the arrays between calls.
     """
-    js = (np.arange(target_side) + 0.5) * w / target_side - 0.5
-    iis = (np.arange(target_side) + 0.5) * h / target_side - 0.5
-    js = np.clip(js, 0, w - 1)
-    iis = np.clip(iis, 0, h - 1)
-    x0 = np.floor(js).astype(int)
-    y0 = np.floor(iis).astype(int)
-    fx = js - x0
-    fy = iis - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    maps = (x0, x1, fx, y0, y1, fy)
+
+    def axis(n: int):  # (i0 then i1, f) along a side of n pixels
+        pos = np.clip((np.arange(target_side) + 0.5) * n / target_side - 0.5, 0, n - 1)
+        i0 = np.floor(pos).astype(int)
+        return np.concatenate([i0, np.minimum(i0 + 1, n - 1)]), pos - i0
+
+    (cols, fx), (rows, fy) = axis(w), axis(h)
+    maps = (rows[:, None], cols, 1 - fx, fx, (1 - fy)[:, None], fy[:, None])
     for a in maps:
         a.setflags(write=False)
     return maps
@@ -403,8 +400,9 @@ def extract_and_rescale(image: GrayImage, rect: Rect, target_side: int = 13) -> 
     A rect already at the target size is copied byte-identically.  Else
     output pixel (i, j) blends crop rows y0[i], y1[i] and columns x0[j],
     x1[j] of the sample-centre maps of :func:`_resample_maps`, built once
-    per (rect size, target side); each needed crop row is gathered once.
-    ``target_side`` must be an int >= 1.
+    per (rect size, target side).  One fancy index gathers those rows and
+    columns; the top and bottom rows blend across columns in one pass,
+    then across rows.  ``target_side`` must be an int >= 1.
     """
     integral = isinstance(target_side, (int, np.integer)) and not isinstance(target_side, bool)
     if not integral or target_side < 1:
@@ -413,14 +411,14 @@ def extract_and_rescale(image: GrayImage, rect: Rect, target_side: int = 13) -> 
     crop = image.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
     if rect.w == target_side and rect.h == target_side:
         return crop.copy()
-    x0, x1, fx, y0, y1, fy = _resample_maps(rect.w, rect.h, target_side)
+    rows, cols, wx0, wx1, wy0, wy1 = _resample_maps(rect.w, rect.h, target_side)
     # uint8 samples convert to float64 exactly, so the products and sums
     # are those of the float crop
-    rows0, rows1 = crop[y0], crop[y1]
-    top = rows0[:, x0] * (1 - fx) + rows0[:, x1] * fx
-    bot = rows1[:, x0] * (1 - fx) + rows1[:, x1] * fx
-    out = top * (1 - fy)[:, None] + bot * fy[:, None]
-    return np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8)
+    g = crop[rows, cols]  # (y0 then y1) x (x0 then x1)
+    across = g[:, :target_side] * wx0 + g[:, target_side:] * wx1  # top rows, then bottom
+    out = across[:target_side] * wy0 + across[target_side:] * wy1
+    # blends of 0..255 lie in [0, 255.5), so truncating out + 0.5 rounds half up
+    return (out + 0.5).astype(np.uint8)
 
 
 # --- patch archive -----------------------------------------------------------------------

@@ -290,6 +290,15 @@ def test_batch_accept_matches_classify_window(seed, feature_set, n_stages, n_sam
     c = Cascade(8, 8, feature_set, stages)
     rotated = feature_set is FeatureSet.ALL
     tables = [make_tables(rng, 8, rotated) for _ in range(n_samples)]
+    if tables:
+        # a flat patch (sigma 0) and one off by a single grey level (sigma
+        # about 0.12): 1/sigma clamps to 1 for both
+        flat = np.full((8, 8), int(rng.integers(0, 256)), dtype=np.uint8)
+        nearly = flat.copy()
+        nearly[int(rng.integers(8)), int(rng.integers(8))] ^= 1
+        at = sorted(int(i) for i in rng.integers(0, len(tables) + 1, 2))
+        tables.insert(at[0], build_tables(GrayImage(flat), rotated))
+        tables.insert(at[1] + 1, build_tables(GrayImage(nearly), rotated))
     got = _batch_accept(c, tables)
     assert got.dtype == bool
     assert got.tolist() == [classify_window(c, t)[0] for t in tables]

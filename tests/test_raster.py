@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fidpoint.haar import stack_tables
 from fidpoint.raster import (
     BoundsError,
     GrayImage,
@@ -15,6 +14,7 @@ from fidpoint.raster import (
     rotated_rect_members,
     rotated_rect_sum,
     save_pgm,
+    stack_tables,
     window_inv_stddev,
     window_inv_stddevs,
 )
@@ -166,6 +166,32 @@ def test_tables_match_brute_force():
         px = img.pixels.astype(np.int64)
         expect[1:, 1:] = np.cumsum(np.cumsum(px * px, 0), 1)
         assert np.array_equal(t.sq_sums, expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.integers(1, 30),
+    height=st.integers(1, 30),
+    rotated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=1, height=1, rotated=False, seed=0)
+@example(width=1, height=1, rotated=True, seed=0)
+@example(width=17, height=1, rotated=False, seed=1)
+@example(width=17, height=1, rotated=True, seed=1)
+@example(width=1, height=17, rotated=False, seed=2)
+@example(width=1, height=17, rotated=True, seed=2)
+def test_tables_match_brute_force_any_shape(width, height, rotated, seed):
+    # the sums and squared sums come out of one buffer, whether or not the
+    # rotated table is built alongside them
+    px = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+    t = build_tables(GrayImage(px), want_rotated=rotated)
+    expect = np.zeros((height + 1, width + 1), dtype=np.int64)
+    expect[1:, 1:] = np.cumsum(np.cumsum(px.astype(np.int64), 0), 1)
+    assert np.array_equal(t.sums, expect)
+    expect[1:, 1:] = np.cumsum(np.cumsum(px.astype(np.int64) ** 2, 0), 1)
+    assert np.array_equal(t.sq_sums, expect)
+    assert (t.tilted is not None) == rotated
 
 
 def test_tables_monotone_nonnegative():

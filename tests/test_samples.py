@@ -397,6 +397,37 @@ def test_extract_matches_per_call_maps_bytewise():
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (r, side)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    img_w=st.integers(1, 40),
+    img_h=st.integers(1, 40),
+    w=st.integers(1, 40),
+    h=st.integers(1, 40),
+    x=st.integers(0, 40),
+    y=st.integers(0, 40),
+    side=st.integers(1, 48),
+    saturated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(img_w=9, img_h=30, w=1, h=23, x=4, y=3, side=7, saturated=False, seed=1)  # a 1xN crop
+@example(img_w=30, img_h=9, w=23, h=1, x=3, y=4, side=7, saturated=False, seed=2)  # an Nx1 crop
+@example(img_w=12, img_h=10, w=9, h=7, x=1, y=2, side=1, saturated=False, seed=3)  # one pixel
+@example(img_w=12, img_h=10, w=5, h=4, x=2, y=2, side=31, saturated=True, seed=4)  # upsampling
+@example(img_w=12, img_h=10, w=5, h=6, x=7, y=4, side=9, saturated=True, seed=5)  # a corner
+def test_extract_matches_per_call_maps_property(img_w, img_h, w, h, x, y, side, saturated, seed):
+    # clamping the rect into the image puts many rects on its border; each
+    # rect is resampled twice, the second time from the cached maps.
+    # Saturated images (0 and 255 only) blend right up to the ends of 0..255.
+    w, h = min(w, img_w), min(h, img_h)
+    r = Rect(min(x, img_w - w), min(y, img_h - h), w, h)
+    px = np.random.default_rng(seed).integers(0, 256, (img_h, img_w))
+    img = GrayImage(np.where(px < 128, 0, 255) if saturated else px)
+    want = extract_and_rescale_per_call(img, r, side)
+    for _ in range(2):
+        got = extract_and_rescale(img, r, side)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (r, side)
+
+
 def test_extract_cached_maps_are_read_only():
     img = GrayImage(np.arange(400, dtype=np.uint8).reshape(20, 20))
     extract_and_rescale(img, Rect(0, 0, 17, 11), 5)
