@@ -17,8 +17,9 @@ scale over a frame's windows, and bootstrap filtering runs it over the
 stacked negative patches.  It keeps the survivors compact, with one
 running margin per window summed stump by stump in cascade order.
 :func:`classify_window` is its scalar oracle, scoring each stage with
-``boost.eval_strong``.  Training and filtering take the 1/sigma of a
-batch of patches in one ``raster.sample_inv_stddevs`` pass.
+``boost.eval_strong``.  Training and filtering stack each batch of
+patches once, with ``raster.stack_tables``, which also returns every
+patch's 1/sigma.
 """
 
 from __future__ import annotations
@@ -44,14 +45,7 @@ from .haar import (
     round_half_up,
     scan_plan,
 )
-from .raster import (
-    BoundsError,
-    IntegralTables,
-    Rect,
-    sample_inv_stddevs,
-    stack_tables,
-    window_inv_stddev,
-)
+from .raster import BoundsError, IntegralTables, Rect, stack_tables, window_inv_stddev
 
 FORMAT_MAGIC = "FIDCASCADE"
 FORMAT_VERSION = 1
@@ -157,23 +151,20 @@ def train_stage(
     if not features:
         raise ValueError(f"no feature fits the {positives[0].width}x{positives[0].height} window")
     npos = len(positives)
-    tables = [*positives, *negatives]
     labels = np.repeat([1, 0], [npos, len(negatives)])
-    values = feature_matrix(features, tables, sample_inv_stddevs(tables))
+    values = feature_matrix(features, [*positives, *negatives])
     booster = Booster(values, labels, init_weights(labels))
-    pos_scores = np.zeros(npos)
-    neg_scores = np.zeros(len(negatives))
+    scores = np.zeros(len(labels))
     sc = StrongClassifier()
     hr = fa = 1.0
     for _ in range(params.max_weak_per_stage):
         alpha, weak, pred = booster.step()
         weak.feature = features[weak.feature_index]
         sc.rounds.append((alpha, weak))
-        pos_scores += alpha * pred[:npos]
-        neg_scores += alpha * pred[npos:]
-        sc.threshold = adapt_threshold(sc, pos_scores, params.minhitrate)
-        hr = float(np.mean(pos_scores >= sc.threshold))
-        fa = float(np.mean(neg_scores >= sc.threshold))
+        scores += alpha * pred
+        sc.threshold = adapt_threshold(sc, scores[:npos], params.minhitrate)
+        hr = float(np.mean(scores[:npos] >= sc.threshold))
+        fa = float(np.mean(scores[npos:] >= sc.threshold))
         if fa <= params.maxfalsealarm:
             return Stage(sc, train_hit_rate=hr, train_false_alarm=fa)
     raise StageStuckError(-1, hr, fa, params.max_weak_per_stage)
@@ -233,19 +224,20 @@ def run_stages(c: Cascade, cells: list, tables_by_kind: dict, stride: int, at, i
 def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:
     """Cascade verdicts for window-sized patches: one :func:`run_stages` pass.
 
-    Bit-identical to :func:`classify_window` at scale 1.
+    Bit-identical to :func:`classify_window` at scale 1.  Only the first
+    patch is checked against the window: ``stack_tables`` rejects any
+    patch whose size differs from the first's.
     """
-    for t in tables_list:
-        if (t.width, t.height) != (c.window_w, c.window_h):
-            raise ValueError(f"{t.width}x{t.height} patch for a {c.window_w}x{c.window_h} cascade")
-    if not c.stages or not tables_list:
-        return np.ones(len(tables_list), dtype=bool)
+    if not tables_list:
+        return np.ones(0, dtype=bool)
+    t = tables_list[0]
+    if (t.width, t.height) != (c.window_w, c.window_h):
+        raise ValueError(f"{t.width}x{t.height} patch for a {c.window_w}x{c.window_h} cascade")
     features = tuple(wk.feature for st in c.stages for _, wk in st.strong.rounds)
     cells, overhang = scan_plan(c.window_w, c.window_h, features, Fraction(1), False)
     if any(overhang):
         raise BoundsError(f"cells overhang the {c.window_w}x{c.window_h} window by {overhang}")
-    inv = sample_inv_stddevs(tables_list)
-    return run_stages(c, cells, *stack_tables(tables_list, {sc.rotated for sc in cells}), inv)[0]
+    return run_stages(c, cells, *stack_tables(tables_list, {sc.rotated for sc in cells}))[0]
 
 
 def train_cascade(

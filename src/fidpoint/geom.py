@@ -115,8 +115,11 @@ def rotate_image(img: GrayImage, center: Point2, alpha: float) -> GrayImage:
     A source point q appears at rotate_point(q, center, alpha) in the
     output; destination pixels are bilinearly sampled from the inverse
     mapping, with out-of-image samples black.  Output size equals input
-    size, so corner data may be discarded.
+    size, so corner data may be discarded.  Raises ``ValueError`` for a
+    non-finite angle or centre.
     """
+    if not all(map(math.isfinite, (alpha, center.x, center.y))):
+        raise ValueError(f"cannot rotate by {alpha} about ({center.x}, {center.y})")
     h, w = img.pixels.shape
     ca, sa = math.cos(-alpha), math.sin(-alpha)
     # a row of x offsets and a column of y offsets broadcast to the full maps
@@ -161,17 +164,11 @@ def infer_fourth_corner(known: dict[EyeCorner, Point2], missing: EyeCorner) -> P
     eye's viewer-left corner to its viewer-right corner, identically
     for both eyes.
     """
-    if missing in known or len(known) != 3:
+    if missing in known or len(known) != 3:  # so the other eye is complete
         raise ValueError("exactly the three other corners must be supplied")
-    left_complete = EyeCorner.LEFT_OUTER in known and EyeCorner.LEFT_INNER in known
-    right_complete = EyeCorner.RIGHT_INNER in known and EyeCorner.RIGHT_OUTER in known
     if missing in (EyeCorner.RIGHT_INNER, EyeCorner.RIGHT_OUTER):
-        if not left_complete:
-            raise ValueError("inferring a right corner needs the complete left eye")
         a, b = known[EyeCorner.LEFT_OUTER], known[EyeCorner.LEFT_INNER]
     else:
-        if not right_complete:
-            raise ValueError("inferring a left corner needs the complete right eye")
         a, b = known[EyeCorner.RIGHT_INNER], known[EyeCorner.RIGHT_OUTER]
     dx, dy = b.x - a.x, b.y - a.y  # viewer-left corner -> viewer-right corner
     if missing is EyeCorner.RIGHT_OUTER:

@@ -425,21 +425,23 @@ _MATRIX_BLOCK = 2048
 def feature_matrix(
     features: Sequence[HaarFeature],
     tables_list: Sequence[IntegralTables],
-    inv_sigmas: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Values of every feature on every window-sized sample patch.
+    """1/sigma-normalised values of every feature on every window-sized sample patch.
 
-    Returns an (n_samples, n_features) float64 array.  A feature's value
-    is a linear functional of one table, so each block of features is
-    one product ``T @ C`` per table: ``T`` holds the samples' tables as
-    rows, cut to the flat offsets from the block's first cell corner to
-    its last, and column j of ``C`` holds feature j's cell weights,
-    +-weight at each cell corner's offset (corners shared by adjacent
-    cells merge into one coefficient).  Table entries are integers of at
-    most 255 * W * H and scale-1 weights small integers, so every partial
-    sum is an integer below 2**53 and the product is exact in any
-    summation order (and with or without zero terms); entries are
-    therefore bit-identical to the scalar path at scale 1.
+    Returns an (n_samples, n_features) float64 array; row s is scaled by
+    sample s's whole-window 1/sigma, which the samples' one
+    :func:`~fidpoint.raster.stack_tables` call returns with their tables.
+    A feature's value is a linear functional of one table, so each block
+    of features is one product ``T @ C`` per table: ``T`` holds the
+    samples' tables as rows, cut to the flat offsets from the block's
+    first cell corner to its last, and column j of ``C`` holds feature
+    j's cell weights, +-weight at each cell corner's offset (corners
+    shared by adjacent cells merge into one coefficient).  Table entries
+    are integers of at most 255 * W * H and scale-1 weights small
+    integers, so every partial sum is an integer below 2**53 and the
+    product is exact in any summation order (and with or without zero
+    terms); entries are therefore bit-identical to the scalar path at
+    scale 1.
     """
     n = len(tables_list)
     out = np.empty((n, len(features)))
@@ -448,9 +450,9 @@ def feature_matrix(
     code = {kind: i for i, kind in enumerate(ALL_KINDS)}
     soa = np.array([(code[f.kind], f.x, f.y, f.w, f.h) for f in features], dtype=np.int64)
     rotated = np.array([kind.rotated for kind in ALL_KINDS])[soa[:, 0]]
-    flat, stride, _ = stack_tables(tables_list, set(rotated.tolist()))
-    stacks = {r: t.reshape(n, -1).astype(np.float64) for r, t in flat.items()}
-    inv = np.ones(n) if inv_sigmas is None else np.asarray(inv_sigmas, dtype=np.float64)
+    kinds = set(rotated.tolist())
+    flat, stride, _, inv = stack_tables(tables_list, kinds)
+    stacks = {r: flat[r].reshape(n, -1).astype(np.float64) for r in kinds}
     for lo in range(0, len(features), _MATRIX_BLOCK):
         for rot, table in stacks.items():
             cols = lo + np.flatnonzero(rotated[lo : lo + _MATRIX_BLOCK] == rot)

@@ -328,26 +328,23 @@ def window_inv_stddevs(tables: IntegralTables, at, w: int, h: int) -> np.ndarray
 
 
 def stack_tables(tables_list: Sequence[IntegralTables], rotations):
-    """(tables_by_kind, stride, bases): rotated -> the samples' flat tables end to end.
+    """(tables_by_kind, stride, bases, inv): one stacking of same-size sample tables.
 
-    Every stacked table has row stride ``stride``, and sample s starts at ``bases[s]`` in each.
+    ``tables_by_kind`` maps rotated -> the samples' flat tables end to end, for each of
+    ``rotations`` and always the sums; every stacked table has row stride ``stride``, and
+    sample s starts at ``bases[s]`` in each.  ``inv`` is each whole sample's
+    :func:`window_inv_stddev`, bit for bit, from the stacked sums and squared sums.
     Raises ``ValueError`` naming the first sample whose size differs from the first's.
     """
     t0 = tables_list[0]
     for t in tables_list:
         if (t.width, t.height) != (t0.width, t0.height):
             raise ValueError(f"{t.width}x{t.height} sample among {t0.width}x{t0.height} samples")
-    stacks = {r: np.concatenate([t.flat(r) for t in tables_list]) for r in rotations}
-    return stacks, t0.stride, np.arange(len(tables_list)) * t0.flat(False).size
-
-
-def sample_inv_stddevs(tables_list: Sequence[IntegralTables]) -> np.ndarray:
-    """:func:`window_inv_stddev` of each whole sample of same-size tables, bit for bit, in
-    one pass over their sums (see :func:`stack_tables`) and squared sums, stacked alike."""
-    stacks, stride, bases = stack_tables(tables_list, (False,))
-    t = tables_list[0]
-    sq = np.concatenate([u._flat[1] for u in tables_list])
-    return _inv_stddevs(stacks[False], sq, stride, bases, t.width, t.height)
+    stacks = {r: np.concatenate([t.flat(r) for t in tables_list]) for r in {False, *rotations}}
+    sq = np.concatenate([t._flat[1] for t in tables_list])
+    bases = np.arange(len(tables_list)) * t0.flat(False).size
+    inv = _inv_stddevs(stacks[False], sq, t0.stride, bases, t0.width, t0.height)
+    return stacks, t0.stride, bases, inv
 
 
 def _inv_stddevs(s: np.ndarray, sq: np.ndarray, stride: int, at, w: int, h: int) -> np.ndarray:

@@ -532,14 +532,10 @@ def detect_hierarchy(
     }
     if len(corners) == 3:
         missing = next(c for c in EyeCorner if c not in corners)
-        try:
-            inferred = infer_fourth_corner(corners, missing)
-        except ValueError:
-            inferred = None
-        if inferred is not None:
-            name = next(n for n, c in EYE_CORNER_POINTS.items() if c is missing)
-            result.points[name] = inferred
-            corners[missing] = inferred
+        inferred = infer_fourth_corner(corners, missing)  # the other eye is complete
+        name = next(n for n, c in EYE_CORNER_POINTS.items() if c is missing)
+        result.points[name] = inferred
+        corners[missing] = inferred
 
     if len(corners) >= 2:
         try:

@@ -312,6 +312,9 @@ def test_batch_accept_rejects_patches_off_the_window(side, n_stages):
     c = random_cascade(rng, n_stages=n_stages)
     with pytest.raises(ValueError, match=f"{side}x{side}"):
         _batch_accept(c, [make_tables(rng, side) for _ in range(3)])
+    # the first patch fits the window, a later one does not
+    with pytest.raises(ValueError, match=f"{side}x{side}"):
+        _batch_accept(c, [make_tables(rng, 8), make_tables(rng, 8), make_tables(rng, side)])
 
 
 def test_batch_accept_bounds_error():

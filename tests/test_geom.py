@@ -176,6 +176,22 @@ def test_rotate_image_zero_angle_identity():
     assert out == img
 
 
+@pytest.mark.parametrize(
+    "center, alpha, bad",
+    [
+        (Point2(3.5, 2.5), math.nan, "nan"),
+        (Point2(3.5, 2.5), math.inf, "inf"),
+        (Point2(3.5, 2.5), -math.inf, "-inf"),
+        (Point2(math.nan, 2.5), 0.3, "nan"),
+    ],
+)
+def test_rotate_image_rejects_non_finite(center, alpha, bad):
+    # a typed error naming the value, not an IndexError from a NaN index
+    img = GrayImage(np.zeros((6, 8), dtype=np.uint8))
+    with pytest.raises(ValueError, match=bad):
+        rotate_image(img, center, alpha)
+
+
 def test_rotate_image_uniform_stays_uniform_inside():
     img = GrayImage(np.full((31, 31), 200, dtype=np.uint8))
     out = rotate_image(img, Point2(15.0, 15.0), 0.4)

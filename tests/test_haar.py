@@ -30,6 +30,7 @@ from fidpoint.raster import (
     cell_corners,
     rect_sum,
     rotated_rect_members,
+    window_inv_stddev,
 )
 
 
@@ -251,11 +252,11 @@ def test_feature_matrix_matches_scalar():
         for _ in range(7)
     ]
     feats = enumerate_features(9, 9, FeatureSet.ALL)[:: 17]
-    inv = rng.uniform(0.2, 2.0, len(tables))
-    mat = feature_matrix(feats, tables, inv)
+    mat = feature_matrix(feats, tables)
     for si in range(len(tables)):
+        inv = window_inv_stddev(tables[si], Rect(0, 0, 9, 9))
         for fi in range(0, len(feats), 13):
-            scalar = feature_value(feats[fi], tables[si], inv_sigma=float(inv[si]))
+            scalar = feature_value(feats[fi], tables[si], inv_sigma=inv)
             assert mat[si, fi] == scalar
 
 
@@ -274,11 +275,11 @@ def test_feature_matrix_shuffled_mixed_kinds(block, monkeypatch):
     feats = [pool[int(i)] for i in rng.integers(0, len(pool), 300)]
     feats += feats[:60]
     rng.shuffle(feats)
-    inv = rng.uniform(0.2, 2.0, len(tables))
-    mat = feature_matrix(feats, tables, inv)
+    mat = feature_matrix(feats, tables)
     for si, t in enumerate(tables):
+        inv = window_inv_stddev(t, Rect(0, 0, 11, 11))
         for fi, f in enumerate(feats):
-            assert mat[si, fi] == feature_value(f, t, inv_sigma=float(inv[si]))
+            assert mat[si, fi] == feature_value(f, t, inv_sigma=inv)
 
 
 def test_feature_matrix_rejects_feature_outside_window():
@@ -324,14 +325,14 @@ def test_feature_matrix_bit_exact(width, height, fill, block, seed):
         else:
             px = np.full((height, width), fill, dtype=np.uint8)
         tables.append(build_tables(GrayImage(px), want_rotated=True))
-    inv = rng.uniform(0.01, 2.0, len(tables))
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(haar, "_MATRIX_BLOCK", block)
-        mat = feature_matrix(feats, tables, inv)
+        mat = feature_matrix(feats, tables)
     for si, t in enumerate(tables):
+        inv = window_inv_stddev(t, Rect(0, 0, width, height))
         for fi, f in enumerate(feats):
-            want = feature_value(f, t, inv_sigma=float(inv[si]))
+            want = feature_value(f, t, inv_sigma=inv)
             assert mat[si, fi] == want and np.signbit(mat[si, fi]) == np.signbit(want)
 
 

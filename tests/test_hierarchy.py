@@ -90,6 +90,13 @@ def test_half_mode_applies_half_correction(hierarchy_configs):
     assert result.tilt_applied == pytest.approx(0.1)
 
 
+def test_nan_tilt_raises_value_error(hierarchy_configs):
+    face_cfg, feature_cfgs, point_cfgs = hierarchy_configs
+    state = TiltState(alpha=math.nan, mode=TiltMode.FULL)
+    with pytest.raises(ValueError, match="nan"):
+        detect_hierarchy(build_face_image(41), face_cfg, feature_cfgs, point_cfgs, state)
+
+
 def test_fourth_corner_inferred_when_one_missing(hierarchy_configs):
     face_cfg, feature_cfgs, point_cfgs = hierarchy_configs
     img = build_face_image(61)

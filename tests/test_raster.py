@@ -236,12 +236,14 @@ def test_tables_share_one_flat_layout(width, height, rotated, n, seed):
         # the last row and column pad the sums to tilted's shape and read 0
         padded = flat.reshape(height + 2, t.stride)
         assert not padded[-1].any() and not padded[:, -1].any()
-    stacks, stride, bases = stack_tables(samples, {False, rotated})
+    stacks, stride, bases, inv = stack_tables(samples, {False, rotated})
     assert stride == t.stride and len(bases) == n
     for rot, stacked in stacks.items():
         for s, sample in enumerate(samples):
             part = sample.flat(rot)
             assert np.array_equal(stacked[bases[s] : bases[s] + len(part)], part)
+    # the stack's 1/sigma is each whole sample's, bit for bit
+    assert inv.tolist() == [window_inv_stddev(u, Rect(0, 0, width, height)) for u in samples]
 
 
 # --- rect_sum ---------------------------------------------------------------
