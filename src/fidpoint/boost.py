@@ -7,25 +7,28 @@ then reweights samples by ``beta ** (1 - e)`` where ``e`` is 0 for
 correctly classified samples (so correct samples shrink and mistakes
 keep their weight before renormalisation).
 
-:class:`Booster` runs the rounds over a value matrix computed once
-(feature values are weight-independent).  What else does not depend on
-the weights is built with it: each feature's stable sort order, stored
-feature-major (one contiguous row per feature; only rows with equal
-values pay for stability), and a mask of the sorted positions tied with
-the next value, read off the values as ``np.sort`` returns them.  A
-round is then, per block of features, one gather of the weights as
-complex numbers (real part the positive class, imaginary part the
-negative), one running sum of them in sorted order, and one masked
-minimum over both parities.  Complex addition adds the two parts as two
-separate float additions, so the real and imaginary parts of the
-running sum are bit for bit the two per-class running sums.
-``cascade.train_stage`` is the driver that builds the matrix and grows
-a stage from the rounds.  :func:`train_weak` is the one stump search
-over a single feature: ``Booster.step`` reduces every feature's errors
-to find the winning column, then takes that column's stump from
-:func:`train_weak`, whose running sums are the block's bit for bit.
-Its ties break toward the smaller threshold, then parity +1; thresholds
-rise with the sorted position, so each parity's first minimum is its
+:class:`Booster` runs the rounds over a value source read block by
+block: a value matrix, or a ``haar.FeatureValues`` that computes each
+block of feature values when it is read, as ``cascade.train_stage``
+passes it.  Feature values do not depend on the weights, and neither
+does what ``Booster`` keeps of them: each feature's stable sort order
+(int32, one contiguous row per feature; only rows with equal values pay
+for stability) and a mask of the sorted positions tied with the next
+value, 5 bytes per (sample, feature) pair.  The values themselves are
+not kept; the winning column of a round is read again from the source.
+
+A round screens every feature with one real running sum of the signed
+weights in its sorted order, which bounds its least stump error to
+within a proven rounding tolerance (``Booster.step``), then re-scores
+only the features within that tolerance of the least screened error
+with the per-class running sums of :func:`_stump_errors`, taken as one
+complex running sum.  ``cascade.train_stage`` builds the source and
+grows a stage from the rounds.  :func:`train_weak` is the one stump
+search over a single feature: ``Booster.step`` finds the winning
+column, then takes that column's stump from :func:`train_weak`, whose
+running sums are :func:`_stump_errors`' bit for bit.  Its ties break
+toward the smaller threshold, then parity +1; thresholds rise with the
+sorted position, so each parity's first minimum is its
 smallest-threshold minimum.
 """
 
@@ -36,12 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import HaarFeature, feature_value
+from .haar import FeatureValues, HaarFeature, feature_value
 from .raster import IntegralTables
 
 EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
-# features per Booster block; bounds the (block x samples) temporaries of
-# __init__ and step (step's running sums are complex128, 16 bytes each)
+# features per Booster block, and per read of the value source; bounds the
+# (block x samples) temporaries of __init__ and step.  At 188 samples x
+# 14,140 features, 256 gave the fastest init and step; 128 a slower init,
+# 512 and 1024 larger peaks.
 _STEP_BLOCK = 256
 
 
@@ -132,12 +137,58 @@ def _stable_within_ties(sv, order) -> np.ndarray:
     return key
 
 
-class Booster:
-    """Incremental boosting over a fixed value matrix.
+def _stump_errors(wc: np.ndarray, order: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """Each row's least stump error over both parities, as :func:`train_weak` computes it.
 
-    ``values`` has shape (n_samples, n_features).  Everything that does
-    not depend on the weights is built once, block by block over
-    ``_STEP_BLOCK`` features:
+    ``wc`` holds the class weights as complex numbers, the weight times
+    is-positive in the real part and times is-negative in the imaginary
+    part; ``order`` and ``tied`` are rows of ``Booster._order`` and
+    ``Booster._tied``.  One gather and one ``cumsum`` give both per-class
+    running sums: complex addition adds the two parts as two separate
+    float additions, so they are bit for bit ``train_weak``'s.  Tied rows
+    are set to inf before the minimum.
+    """
+    c = np.take(wc, order)
+    np.cumsum(c, axis=1, out=c)
+    c1, c0 = c.real, c.imag
+    # c1 and c0 are strided views: the errors go to fresh contiguous
+    # arrays, which costs less than writing back into the views
+    tot1, tot0 = c1[:, -1:], c0[:, -1:]
+    errs = tot1 - c1
+    errs += c0  # e_plus = (tot1 - c1) + c0
+    e_minus = tot0 - c0
+    e_minus += c1  # = c1 + (tot0 - c0)
+    np.minimum(errs, e_minus, out=errs)
+    np.putmask(errs, tied, np.inf)
+    return np.minimum(errs.min(axis=1), np.minimum(tot1[:, 0], tot0[:, 0]))
+
+
+def _untied_extremes(d: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's max and min of ``d`` over the positions ``tied`` leaves out.
+
+    A row's plain argmax and argmin seldom fall on a tied position, so
+    only the rows where one does are reduced again with the ties masked.
+    """
+    rows = np.arange(len(d))
+    top, bottom = d.argmax(axis=1), d.argmin(axis=1)
+    redo = np.flatnonzero(tied[rows, top] | tied[rows, bottom])
+    top, bottom = d[rows, top], d[rows, bottom]
+    if len(redo):
+        sub, t = d[redo], tied[redo]
+        top[redo] = np.where(t, -np.inf, sub).max(axis=1)
+        bottom[redo] = np.where(t, np.inf, sub).min(axis=1)
+    return top, bottom
+
+
+class Booster:
+    """Incremental boosting over a fixed value source.
+
+    ``values`` has shape (n_samples, n_features) and is read only through
+    ``values[:, lo:hi]`` and ``values[:, j]``: a numpy array, or a
+    :class:`~fidpoint.haar.FeatureValues` that computes each block when
+    it is read, so the whole matrix never exists at once.  What does not
+    depend on the weights is built once, reading ``_STEP_BLOCK`` features
+    at a time, and the values themselves are not kept:
 
     - ``_order`` (n_features, n_samples, int32) is each feature's stable
       sort order, one contiguous row per feature.  Rows are sorted with
@@ -150,18 +201,21 @@ class Booster:
       value equals the next one: no threshold falls between them, so
       ``step`` skips that candidate.  The last column is always False.
 
-    The sorted values that find the ties come from ``np.sort``, not from
-    gathering each row through its order: the two may place -0.0 and 0.0,
-    or NaNs, differently, but the masks read them only with ``<`` and
-    ``==``, under which such values are equal, so every run of equal
-    values falls on the same positions either way.
+    That is 5 bytes per (sample, feature) pair.  The sorted values that
+    find the ties come from ``np.sort``, not from gathering each row
+    through its order: the two may place -0.0 and 0.0, or NaNs,
+    differently, but the masks read them only with ``<`` and ``==``,
+    under which such values are equal, so every run of equal values falls
+    on the same positions either way.
 
-    ``step`` keeps the class weights as one complex vector, the weight
-    times is-positive in the real part and times is-negative in the
-    imaginary part, so each block takes one gather and one ``cumsum``.
+    ``step`` screens every feature with one real running sum of the
+    signed weights and re-scores only the features the screen cannot rule
+    out with :func:`_stump_errors`, the arithmetic of :func:`train_weak`;
+    its docstring bounds the screen.  It reads the winning column again
+    from ``values``.
     """
 
-    def __init__(self, values: np.ndarray, labels: np.ndarray, weights: np.ndarray):
+    def __init__(self, values: np.ndarray | FeatureValues, labels: np.ndarray, weights: np.ndarray):
         self.values = values
         self.labels = np.asarray(labels)
         self.weights = np.asarray(weights, dtype=np.float64).copy()
@@ -185,37 +239,58 @@ class Booster:
     def step(self) -> tuple[float, WeakClassifier, np.ndarray]:
         """One round: normalise, pick the global best stump, reweight.
 
-        Per block, the running sum of the complex class weights along each
-        sorted row gives every candidate's error for both parities; their
-        minimum, with tied rows set to inf, is reduced once.  The winner is
-        the first feature with the minimum error, and :func:`train_weak` on
-        that column gives its stump.
+        The winner is the first feature whose :func:`_stump_errors` error is
+        least, and :func:`train_weak` on its column gives the stump.  Only
+        features that a screen cannot rule out are scored that way.
+
+        The screen.  With signed weights s = w * (is_pos - is_neg), T1 the
+        positives' weight and T0 the negatives', the running sum d_r of s
+        over a feature's first r + 1 sorted samples is C1_r - C0_r, the
+        difference of the class sums below the threshold after sorted
+        position r.  Its two parities err by (T1 - C1_r) + C0_r = T1 - d_r
+        and C1_r + (T0 - C0_r) = T0 + d_r, and the thresholds -inf and +inf
+        by T1 and T0 either way, so the feature's least error is
+        min(T1 - max d, T0 + min d, T1, T0), max and min over untied r.
+        One real ``cumsum`` per block gives every d.
+
+        The bound.  With u = eps / 2 and gamma_n = n u / (1 - n u), a
+        running sum of at most n terms is within gamma_n times the sum of
+        their absolute values, here at most S = T1 + T0.  The exact path
+        takes three such sums (c1, c0 and a total) and two more roundings,
+        so each error it returns is within about (3n + 2) u S of the true
+        error; the screen takes two (d and a total) and one rounding, so
+        it is within about (2n + 2) u S, and a max or min of values moves
+        by at most their largest error.  If the exact path's winner j has
+        screened error s_j and the screen's least is s_k, then
+        s_j - s_k <= 2 ((3n + 2) + (2n + 2)) u S = (10n + 8) u S, up to
+        terms of relative size n u.  The tolerance 8 (n + 2) eps S =
+        (16n + 32) u S covers that and the rounding of the comparison, so
+        every feature within it of the least screened error is re-scored,
+        the winner among them, and the first minimum over those features
+        is the first minimum over all.
         Returns (alpha, weak, predictions over samples).
         """
         self.weights /= self.weights.sum()
-        nf = self.values.shape[1]
-        wc = np.empty(len(self.weights), dtype=np.complex128)
-        wc.real = self.weights * self._is_pos
-        wc.imag = self.weights * self._is_neg
-        best_err, best = np.inf, 0
+        n, nf = self.values.shape
+        s = self.weights * (self._is_pos - self._is_neg)
+        t1 = float(self.weights @ self._is_pos)
+        t0 = float(self.weights @ self._is_neg)
+        screened = np.empty(nf)
         for lo in range(0, nf, _STEP_BLOCK):
             hi = min(nf, lo + _STEP_BLOCK)
-            c = np.take(wc, self._order[lo:hi])
-            np.cumsum(c, axis=1, out=c)
-            c1, c0 = c.real, c.imag
-            # c1 and c0 are strided views: the errors go to fresh contiguous
-            # arrays, which costs less than writing back into the views
-            tot1, tot0 = c1[:, -1:], c0[:, -1:]
-            errs = tot1 - c1
-            errs += c0  # e_plus = (tot1 - c1) + c0
-            e_minus = tot0 - c0
-            e_minus += c1  # = c1 + (tot0 - c0)
-            np.minimum(errs, e_minus, out=errs)
-            np.putmask(errs, self._tied[lo:hi], np.inf)
-            errs = np.minimum(errs.min(axis=1), np.minimum(tot1[:, 0], tot0[:, 0]))
-            k = int(np.argmin(errs))
-            if errs[k] < best_err:
-                best_err, best = errs[k], lo + k
+            d = np.take(s, self._order[lo:hi])
+            np.cumsum(d, axis=1, out=d)
+            top, bottom = _untied_extremes(d, self._tied[lo:hi])
+            np.minimum(t1 - top, t0 + bottom, out=screened[lo:hi])
+        np.minimum(screened, min(t1, t0), out=screened)
+        tol = 8 * (n + 2) * np.finfo(np.float64).eps * (t1 + t0)
+        near = np.flatnonzero(screened <= screened.min() + tol)
+        wc = np.empty(n, dtype=np.complex128)
+        wc.real = self.weights * self._is_pos
+        wc.imag = self.weights * self._is_neg
+        blocks = (near[i : i + _STEP_BLOCK] for i in range(0, len(near), _STEP_BLOCK))
+        errs = np.concatenate([_stump_errors(wc, self._order[b], self._tied[b]) for b in blocks])
+        best = int(near[np.argmin(errs)])
         col = self.values[:, best]
         weak = train_weak(col, self.labels, self.weights)
         weak.feature_index = best

@@ -19,7 +19,9 @@ running margin per window summed stump by stump in cascade order.
 :func:`classify_window` is its scalar oracle, scoring each stage with
 ``boost.eval_strong``.  Training and filtering stack each batch of
 patches once, with ``raster.stack_tables``, which also returns every
-patch's 1/sigma.
+patch's 1/sigma.  Stages read their feature values from a
+``haar.FeatureValues`` block by block; ``feature_matrix`` stays imported
+here because ``perfbench/layers.py`` rebinds it by this module's name.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .haar import (
     FeatureSet,
     HaarFeature,
     FeatureKind,
+    FeatureValues,
     enumerate_features,
     feature_matrix,
     fits_window,
@@ -45,7 +48,14 @@ from .haar import (
     round_half_up,
     scan_plan,
 )
-from .raster import BoundsError, IntegralTables, Rect, stack_tables, window_inv_stddev
+from .raster import (
+    BoundsError,
+    IntegralTables,
+    Rect,
+    require_same_size,
+    stack_tables,
+    window_inv_stddev,
+)
 
 FORMAT_MAGIC = "FIDCASCADE"
 FORMAT_VERSION = 1
@@ -140,9 +150,10 @@ def train_stage(
 ) -> Stage:
     """Grow one boosted stage until its false alarm rate is acceptable.
 
-    This is the one boosting driver: it computes the 1/sigma-corrected
-    value matrix of every feature on every sample once, then takes
-    :class:`Booster` rounds and adapts the stage threshold after each.
+    This is the one boosting loop: it hands :class:`Booster` the
+    1/sigma-corrected values of every feature on every sample as a
+    ``haar.FeatureValues``, which computes them block by block, then takes
+    rounds and adapts the stage threshold after each.
     Raises :class:`StageStuckError` carrying the final (HR, FA, T)
     plateau when ``max_weak_per_stage`` rounds cannot reach the target.
     """
@@ -152,7 +163,7 @@ def train_stage(
         raise ValueError(f"no feature fits the {positives[0].width}x{positives[0].height} window")
     npos = len(positives)
     labels = np.repeat([1, 0], [npos, len(negatives)])
-    values = feature_matrix(features, [*positives, *negatives])
+    values = FeatureValues(features, [*positives, *negatives])
     booster = Booster(values, labels, init_weights(labels))
     scores = np.zeros(len(labels))
     sc = StrongClassifier()
@@ -259,7 +270,7 @@ def train_cascade(
     if not positives:
         raise ValueError("no positive samples")
     positives = positives[: params.npos]
-    stack_tables(positives, ())  # raises on mixed sizes even if no stage trains
+    require_same_size(positives)  # even if no stage trains
     w, h = positives[0].width, positives[0].height
     features = enumerate_features(w, h, params.mode)
     cascade = Cascade(w, h, params.mode, [])

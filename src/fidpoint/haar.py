@@ -58,12 +58,14 @@ loop (``cascade.run_stages``, which serves the scanner and bootstrap
 filtering) pass those slots unconverted, and :func:`cells_at` reads
 each corner offset k through the view ``table[k:]``.
 
-:func:`feature_matrix` serves stage training (every feature on every
-sample).  A feature's value is a linear functional of one table, so
-per block of features it is one matrix product ``T @ C`` per table:
-``T`` holds the samples' tables as rows, and ``C`` each feature's
-cell weights at its corner offsets.  The product is exact integer
-arithmetic in float64, hence bit-identical to :func:`cells_at`.
+:class:`FeatureValues` serves stage training (every feature on every
+sample), one block of features at a time, and :func:`feature_matrix`
+reads it whole.  A feature's value is a linear functional of one
+table, so per block of features it is one matrix product ``T @ C`` per
+table: ``T`` holds the samples' tables as rows, and ``C`` each
+feature's cell weights at its corner offsets.  The product is exact
+integer arithmetic in float64, hence bit-identical to :func:`cells_at`
+whatever the block.
 """
 
 from __future__ import annotations
@@ -78,7 +80,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .raster import IntegralTables, Rect, cell_box, cell_corners, require_inside, stack_tables
+from .raster import (
+    IntegralTables,
+    Rect,
+    cell_box,
+    cell_corners,
+    is_inside,
+    require_inside,
+    stack_tables,
+)
 
 
 def round_half_up(v) -> int:
@@ -194,8 +204,7 @@ def _fits(kind: FeatureKind, x, y, w, h, window_w: int, window_h: int):
     Works on ints and on numpy arrays alike.
     """
     na, nb = _GRID[kind]
-    x0, y0, x1, y1 = cell_box(x, y, na * w, nb * h, kind.rotated)
-    return (x0 >= 0) & (y0 >= 0) & (x1 < window_w) & (y1 < window_h)
+    return is_inside(window_w, window_h, x, y, na * w, nb * h, kind.rotated)
 
 
 def footprint(f: HaarFeature) -> Rect:
@@ -417,53 +426,91 @@ def mirror_feature(f: HaarFeature, window_w: int) -> tuple[HaarFeature, bool]:
 
 # --- batch evaluation (training path) --------------------------------------
 
-# features per feature_matrix block; bounds its (table size x block)
-# coefficients and (samples x block) products
+# features per product block; bounds the (table size x block) coefficients
+# and (samples x block) products of one FeatureValues read
 _MATRIX_BLOCK = 2048
 
 
-def feature_matrix(
-    features: Sequence[HaarFeature],
-    tables_list: Sequence[IntegralTables],
-) -> np.ndarray:
-    """1/sigma-normalised values of every feature on every window-sized sample patch.
+class FeatureValues:
+    """The value matrix of :func:`feature_matrix`, computed a block of columns at a time.
 
-    Returns an (n_samples, n_features) float64 array; row s is scaled by
-    sample s's whole-window 1/sigma, which the samples' one
-    :func:`~fidpoint.raster.stack_tables` call returns with their tables.
+    ``values.shape`` is (n_samples, n_features); ``values[:, lo:hi]``
+    returns a fresh (n_samples, hi - lo) float64 array in Fortran order,
+    so each feature's values are contiguous, and ``values[:, j]`` a fresh
+    (n_samples,) one.  The samples are stacked once, with their
+    1/sigma, by :func:`~fidpoint.raster.stack_tables`, and the features
+    become one (kind, x, y, w, h) int array once; a read builds only the
+    coefficients of the columns it asks for, so it holds no more than
+    ``_MATRIX_BLOCK`` features' temporaries at a time.
+
+    Row s of column j is sample s's 1/sigma times feature j's value on it.
     A feature's value is a linear functional of one table, so each block
     of features is one product ``T @ C`` per table: ``T`` holds the
     samples' tables as rows, cut to the flat offsets from the block's
     first cell corner to its last, and column j of ``C`` holds feature
     j's cell weights, +-weight at each cell corner's offset (corners
-    shared by adjacent cells merge into one coefficient).  Table entries
-    are integers of at most 255 * W * H and scale-1 weights small
-    integers, so every partial sum is an integer below 2**53 and the
-    product is exact in any summation order (and with or without zero
-    terms); entries are therefore bit-identical to the scalar path at
-    scale 1.
+    shared by adjacent cells merge into one coefficient).  It is computed
+    transposed, ``C.T @ T.T``, which writes the Fortran-order output
+    contiguously.
+
+    Every block is exact, so a column does not depend on the block it is
+    read in.  Table entries are integers of at most 255 * W * H, and the
+    scale-1 weights are integers whose absolute values sum to at most 40
+    per feature (CENTER_SURROUND: 4 corners of weight 1, 4 of weight 9),
+    so every term of a column's dot product is an integer, and so is
+    every partial sum of them in any order, fused or not, with or without
+    the zero terms of other features' offsets: all are bounded by
+    40 * 255 * W * H < 2**53, so no addition rounds.  The dot product is
+    therefore the same float whatever the block, its cut and the BLAS
+    summation order, and the one rounding left, the product with 1/sigma,
+    takes the same two operands.  Entries are thus bit-identical to the
+    scalar path at scale 1, which reads the same integer cell sums.
     """
-    n = len(tables_list)
-    out = np.empty((n, len(features)))
-    if n == 0 or not features:
+
+    def __init__(self, features: Sequence[HaarFeature], tables_list: Sequence[IntegralTables]):
+        n = len(tables_list)
+        self.shape = (n, len(features))
+        code = {kind: i for i, kind in enumerate(ALL_KINDS)}
+        soa = [(code[f.kind], f.x, f.y, f.w, f.h) for f in features]
+        self._soa = np.array(soa, dtype=np.int64).reshape(-1, 5)
+        self._rotated = np.array([kind.rotated for kind in ALL_KINDS])[self._soa[:, 0]]
+        self._stacks = {}
+        if n and len(features):
+            kinds = set(self._rotated.tolist())
+            flat, self._stride, _, self._inv = stack_tables(tables_list, kinds)
+            self._stacks = {r: flat[r].reshape(n, -1).astype(np.float64) for r in kinds}
+            self._sample = tables_list[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        if not (isinstance(rows, slice) and rows == slice(None)):
+            raise IndexError("FeatureValues reads whole columns: values[:, lo:hi] or values[:, j]")
+        if not isinstance(cols, slice):
+            j = range(self.shape[1])[cols]  # IndexError when out of range
+            return self[:, j : j + 1][:, 0]
+        lo, hi, step = cols.indices(self.shape[1])
+        if step != 1:
+            raise IndexError("FeatureValues reads a run of columns")
+        out = np.empty((max(0, hi - lo), self.shape[0])).T
+        if self._stacks:
+            for b in range(lo, hi, _MATRIX_BLOCK):
+                self._block(b, min(hi, b + _MATRIX_BLOCK), out[:, b - lo :])
         return out
-    code = {kind: i for i, kind in enumerate(ALL_KINDS)}
-    soa = np.array([(code[f.kind], f.x, f.y, f.w, f.h) for f in features], dtype=np.int64)
-    rotated = np.array([kind.rotated for kind in ALL_KINDS])[soa[:, 0]]
-    kinds = set(rotated.tolist())
-    flat, stride, _, inv = stack_tables(tables_list, kinds)
-    stacks = {r: flat[r].reshape(n, -1).astype(np.float64) for r in kinds}
-    for lo in range(0, len(features), _MATRIX_BLOCK):
-        for rot, table in stacks.items():
-            cols = lo + np.flatnonzero(rotated[lo : lo + _MATRIX_BLOCK] == rot)
+
+    def _block(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write columns lo..hi-1 to the first hi - lo columns of ``out``."""
+        stride = self._stride
+        for rot, table in self._stacks.items():
+            cols = np.flatnonzero(self._rotated[lo:hi] == rot)
             m = len(cols)
             if m == 0:
                 continue
+            soa = self._soa[lo + cols]
             corners, slots, weights = [], [], []
-            for k in np.unique(soa[cols, 0]):
-                j = np.flatnonzero(soa[cols, 0] == k)
-                for x, y, w, h, wt in _unit_cells(ALL_KINDS[k], *soa[cols[j], 1:].T):
-                    require_inside(tables_list[0], x, y, w, h, rot)
+            for k in np.unique(soa[:, 0]):
+                j = np.flatnonzero(soa[:, 0] == k)
+                for x, y, w, h, wt in _unit_cells(ALL_KINDS[k], *soa[j, 1:].T):
+                    require_inside(self._sample, x, y, w, h, rot)
                     for corner, sign in zip(cell_corners(x, y, w, h, rot, stride), (1, -1, -1, 1)):
                         corners.append(corner)
                         slots.append(j)
@@ -478,5 +525,18 @@ def feature_matrix(
                 # a run of columns, as in any enumeration: a slice writes
                 # the fresh output several times faster than an index array
                 cols = slice(cols[0], cols[-1] + 1)
-            out[:, cols] = (table[:, first : last + 1] @ coef.reshape(-1, m)) * inv[:, None]
-    return out
+            prod = coef.reshape(-1, m).T @ table[:, first : last + 1].T
+            prod *= self._inv
+            out[:, cols] = prod.T
+
+
+def feature_matrix(
+    features: Sequence[HaarFeature],
+    tables_list: Sequence[IntegralTables],
+) -> np.ndarray:
+    """1/sigma-normalised values of every feature on every window-sized sample patch.
+
+    Returns the (n_samples, n_features) float64 array :class:`FeatureValues`
+    reads whole; row s is scaled by sample s's whole-window 1/sigma.
+    """
+    return FeatureValues(features, tables_list)[:, :]

@@ -272,12 +272,20 @@ def cell_corners(x, y, w, h, rotated: bool, stride: int):
     return (y + h) * stride + x + w, y * stride + x + w, (y + h) * stride + x, y * stride + x
 
 
+def is_inside(width: int, height: int, x, y, w, h, rotated: bool):
+    """Whether the cell lies inside a width x height image.
+
+    The one inside rule.  Works on ints (a bool) and on numpy arrays (a mask) alike.
+    """
+    x0, y0, x1, y1 = cell_box(x, y, w, h, rotated)
+    return (x0 >= 0) & (y0 >= 0) & (x1 < width) & (y1 < height)
+
+
 def require_inside(tables: IntegralTables | GrayImage, x, y, w, h, rotated: bool) -> None:
     """Raise :class:`BoundsError` unless every cell lies inside the image (or its tables)."""
-    x0, y0, x1, y1 = cell_box(x, y, w, h, rotated)
-    outside = (x0 < 0) | (y0 < 0) | (x1 >= tables.width) | (y1 >= tables.height)
-    # a plain bool for int geometry, which np.any would take microseconds to wrap
-    if outside.any() if isinstance(outside, np.ndarray) else outside:
+    inside = is_inside(tables.width, tables.height, x, y, w, h, rotated)
+    # a plain bool for int geometry, which np.all would take microseconds to wrap
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
         kind = "rotated rect" if rotated else "rect"
         where = f"({x}, {y}, {w}, {h}) outside {tables.width}x{tables.height} image"
         raise BoundsError(f"{kind} {where}")
@@ -327,6 +335,14 @@ def window_inv_stddevs(tables: IntegralTables, at, w: int, h: int) -> np.ndarray
     return _inv_stddevs(*tables._flat[:2], tables.stride, at, w, h)
 
 
+def require_same_size(tables_list: Sequence[IntegralTables]) -> None:
+    """Raise ``ValueError`` naming the first sample whose size differs from the first's."""
+    t0 = tables_list[0]
+    for t in tables_list:
+        if (t.width, t.height) != (t0.width, t0.height):
+            raise ValueError(f"{t.width}x{t.height} sample among {t0.width}x{t0.height} samples")
+
+
 def stack_tables(tables_list: Sequence[IntegralTables], rotations):
     """(tables_by_kind, stride, bases, inv): one stacking of same-size sample tables.
 
@@ -334,12 +350,10 @@ def stack_tables(tables_list: Sequence[IntegralTables], rotations):
     ``rotations`` and always the sums; every stacked table has row stride ``stride``, and
     sample s starts at ``bases[s]`` in each.  ``inv`` is each whole sample's
     :func:`window_inv_stddev`, bit for bit, from the stacked sums and squared sums.
-    Raises ``ValueError`` naming the first sample whose size differs from the first's.
+    Raises ``ValueError`` from :func:`require_same_size`.
     """
+    require_same_size(tables_list)
     t0 = tables_list[0]
-    for t in tables_list:
-        if (t.width, t.height) != (t0.width, t0.height):
-            raise ValueError(f"{t.width}x{t.height} sample among {t0.width}x{t0.height} samples")
     stacks = {r: np.concatenate([t.flat(r) for t in tables_list]) for r in {False, *rotations}}
     sq = np.concatenate([t._flat[1] for t in tables_list])
     bases = np.arange(len(tables_list)) * t0.flat(False).size

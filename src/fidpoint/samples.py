@@ -34,7 +34,7 @@ import numpy as np
 
 from .geom import Point2, estimate_tilt, rotate_image, rotate_point, VerticalLineError
 from .haar import round_half_up
-from .raster import BoundsError, GrayImage, Rect, require_inside
+from .raster import BoundsError, GrayImage, Rect, is_inside, require_inside
 
 
 class PointsFormatError(ValueError):
@@ -241,7 +241,7 @@ def positive_descriptions(
     for side in (s + 2, s, s - 2):
         half = (side - 1) // 2
         r = Rect(cx - half, cy - half, side, side)
-        if r.x < 0 or r.y < 0 or r.x + r.w > image_w or r.y + r.h > image_h:
+        if not is_inside(image_w, image_h, r.x, r.y, r.w, r.h, False):
             raise BoundsError(
                 f"{markup.image_path}: {side}x{side} sample at point {point_id} leaves the image"
             )
@@ -327,9 +327,7 @@ def generate_negatives(
 
     def patch_at(px: int, py: int) -> Rect | None:
         r = Rect(px - half_patch, py - half_patch, patch_side, patch_side)
-        if r.x < 0 or r.y < 0 or r.x + r.w > image.width or r.y + r.h > image.height:
-            return None
-        return r
+        return r if is_inside(image.width, image.height, r.x, r.y, r.w, r.h, False) else None
 
     def ring_cell(d: int, k: int) -> tuple[int, int]:
         """k-th cell (0 <= k < 8d) walking the Chebyshev ring of radius d."""

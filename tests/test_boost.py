@@ -15,8 +15,17 @@ from fidpoint.boost import (
     init_weights,
     train_weak,
 )
+from fidpoint import haar
 from fidpoint.cascade import TrainParams, serialize, train_cascade, train_stage
-from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature, enumerate_features, feature_value
+from fidpoint.haar import (
+    FeatureKind,
+    FeatureSet,
+    FeatureValues,
+    HaarFeature,
+    enumerate_features,
+    feature_matrix,
+    feature_value,
+)
 from fidpoint.raster import GrayImage, Rect, build_tables, window_inv_stddev
 
 
@@ -318,6 +327,83 @@ def test_booster_memory_below_value_matrix():
     finally:
         tracemalloc.stop()
     assert peak < values.nbytes
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    nbase=st.integers(1, 3),
+    rounds=st.integers(1, 4),
+    block=st.sampled_from([1, 3, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_picks_first_minimum_among_near_ties(n, nbase, rounds, block, seed):
+    # each small-integer column comes back as an exact copy (an exact tie:
+    # the first feature wins) and twice with its tie groups split in a
+    # random order; a split column's error at a group edge is the same sum
+    # taken in another order, so errors differ by a few ulps, and weights
+    # spanning 1e-9 to 1 make every order round differently
+    rng = np.random.default_rng(seed)
+    base = rng.integers(-2, 3, size=(n, nbase)).astype(float)
+    splits = [base + rng.permutation(n)[:, None] / (2.0 * n) for _ in range(2)]
+    values = np.concatenate([base, base, *splits], axis=1)
+    values = values[:, rng.permutation(values.shape[1])]
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boost, "_STEP_BLOCK", block)
+        b = Booster(values, labels, 10.0 ** rng.uniform(-9, 0, n))
+        for _ in range(rounds):
+            w = b.weights / b.weights.sum()
+            _, weak, _ = b.step()
+            per_feature = [train_weak(values[:, j], labels, w) for j in range(values.shape[1])]
+            errors = [wk.error for wk in per_feature]
+            j = errors.index(min(errors))
+            ref = per_feature[j]
+            assert repr((weak.feature_index, weak.threshold, weak.parity, weak.error)) == repr(
+                (j, ref.threshold, ref.parity, ref.error))
+
+
+@pytest.mark.parametrize("step_block, matrix_block", [(256, 2048), (256, 100), (7, 2048)])
+def test_booster_over_feature_values_matches_value_matrix(step_block, matrix_block):
+    # reads of 256 columns cross product blocks of 100, and reads of 7
+    # cut the kinds of an ALL enumeration at other places
+    rng = np.random.default_rng(43)
+    pixels = [rng.integers(0, 256, (8, 8), dtype=np.uint8) for _ in range(36)]
+    pixels[5] = np.full((8, 8), 9, dtype=np.uint8)  # flat: every value 0, ties
+    pixels[7] = pixels[3]  # a duplicate sample ties on every feature
+    tables = [build_tables(GrayImage(px), want_rotated=True) for px in pixels]
+    features = enumerate_features(8, 8, FeatureSet.ALL)
+    labels = np.arange(36) % 3 == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boost, "_STEP_BLOCK", step_block)
+        mp.setattr(haar, "_MATRIX_BLOCK", matrix_block)
+        lazy = Booster(FeatureValues(features, tables), labels, init_weights(labels))
+        full = Booster(feature_matrix(features, tables), labels, init_weights(labels))
+        assert np.array_equal(lazy._order, full._order)
+        assert np.array_equal(lazy._tied, full._tied)
+        for _ in range(6):
+            got, want = lazy.step(), full.step()
+            assert repr(got[:2]) == repr(want[:2]) and np.array_equal(got[2], want[2])
+            assert repr(lazy.weights.tolist()) == repr(full.weights.tolist())
+
+
+def test_train_stage_memory_below_value_matrix():
+    # the stage reads its values block by block and Booster keeps 5 bytes
+    # per (sample, feature) pair, so the stage never holds the 8-byte
+    # value matrix
+    rng = np.random.default_rng(47)
+    pos, neg = half_bright_patches(rng, 94, 94, side=13)
+    features = enumerate_features(13, 13, FeatureSet.BASIC)
+    params = TrainParams(nstages=1, npos=94, nneg=94, max_weak_per_stage=3)
+    tracemalloc.start()
+    try:
+        train_stage(pos, neg, features, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(features) == 14_140
+    assert peak < 188 * len(features) * 8
 
 
 def test_alpha_always_positive():

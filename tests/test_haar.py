@@ -12,6 +12,7 @@ from fidpoint.haar import (
     BASIC_KINDS,
     FeatureKind,
     FeatureSet,
+    FeatureValues,
     HaarFeature,
     _GRID,
     enumerate_features,
@@ -280,6 +281,33 @@ def test_feature_matrix_shuffled_mixed_kinds(block, monkeypatch):
         inv = window_inv_stddev(t, Rect(0, 0, 11, 11))
         for fi, f in enumerate(feats):
             assert mat[si, fi] == feature_value(f, t, inv_sigma=inv)
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_feature_values_columns_equal_the_full_matrix(block, monkeypatch):
+    # any run of columns, read in any product blocks, is the full matrix's bit for bit
+    rng = np.random.default_rng(37)
+    tables = [
+        build_tables(GrayImage(rng.integers(0, 256, (9, 9), dtype=np.uint8)), want_rotated=True)
+        for _ in range(6)
+    ]
+    tables.append(build_tables(GrayImage(np.full((9, 9), 4, dtype=np.uint8)), want_rotated=True))
+    feats = enumerate_features(9, 9, FeatureSet.ALL)
+    nf = len(feats)
+    full = feature_matrix(feats, tables)
+    if block is not None:
+        monkeypatch.setattr(haar, "_MATRIX_BLOCK", block)
+    values = FeatureValues(feats, tables)
+    assert values.shape == full.shape == (7, nf)
+    for lo, hi in [(0, 1), (3, 40), (nf - 7, nf), (10, 10), (0, nf), (-5, None)]:
+        assert values[:, lo:hi].tobytes() == full[:, lo:hi].tobytes()
+    for j in (0, 17, nf - 1, -1):
+        assert values[:, j].tobytes() == full[:, j].tobytes()
+    for key in ((slice(None), nf), (0, slice(None)), (slice(None), slice(0, 9, 2))):
+        with pytest.raises(IndexError):
+            values[key]
+    empty = FeatureValues(feats, [])
+    assert empty.shape == (0, nf) and empty[:, 2:5].shape == (0, 3)
 
 
 def test_feature_matrix_rejects_feature_outside_window():

@@ -9,6 +9,7 @@ from fidpoint.raster import (
     PgmFormatError,
     Rect,
     build_tables,
+    is_inside,
     load_pgm,
     rect_sum,
     rotated_rect_members,
@@ -294,6 +295,28 @@ def test_rect_sum_partition_additive():
         left = rect_sum(t, Rect(x, y, cut, h))
         right = rect_sum(t, Rect(x + cut, y, w - cut, h))
         assert whole == left + right
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 6),
+    height=st.integers(1, 6),
+    x=st.integers(-4, 8),
+    y=st.integers(-4, 8),
+    w=st.integers(1, 5),
+    h=st.integers(1, 5),
+    rotated=st.booleans(),
+)
+def test_is_inside_matches_member_pixels(width, height, x, y, w, h, rotated):
+    # the one inside rule: every member pixel lies in the image, for int and array geometry
+    r = Rect(x, y, w, h)
+    members = rotated_rect_members(r) if rotated else (
+        (px, py) for py in range(y, y + h) for px in range(x, x + w))
+    want = all(0 <= px < width and 0 <= py < height for px, py in members)
+    assert bool(is_inside(width, height, x, y, w, h, rotated)) == want
+    mask = is_inside(width, height, np.array([x, 0]), np.array([y, 0]), np.array([w, 1]),
+                     np.array([h, 1]), rotated)
+    assert mask.tolist() == [want, True]  # a 1x1 cell at the origin lies in any image
 
 
 def test_rect_sum_out_of_bounds():
