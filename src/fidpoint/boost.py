@@ -22,14 +22,12 @@ weights in its sorted order, which bounds its least stump error to
 within a proven rounding tolerance (``Booster.step``), then re-scores
 only the features within that tolerance of the least screened error
 with the per-class running sums of :func:`_stump_errors`, taken as one
-complex running sum.  ``cascade.train_stage`` builds the source and
-grows a stage from the rounds.  :func:`train_weak` is the one stump
-search over a single feature: ``Booster.step`` finds the winning
-column, then takes that column's stump from :func:`train_weak`, whose
-running sums are :func:`_stump_errors`' bit for bit.  Its ties break
-toward the smaller threshold, then parity +1; thresholds rise with the
-sorted position, so each parity's first minimum is its
-smallest-threshold minimum.
+complex running sum.  The winning feature's stump comes from the same
+running sums, its sort order and its values (``Booster._stump``); ties
+break toward the smaller threshold, then parity +1.
+``cascade.train_stage`` builds the source and grows a stage from the
+rounds.  :func:`train_weak`, the stump over a single feature, is a
+one-column ``Booster``, so there is one stump search.
 """
 
 from __future__ import annotations
@@ -58,8 +56,9 @@ class WeakClassifier:
     feature_index: int = -1
     feature: HaarFeature | None = None
 
-    def predict_value(self, value: float) -> int:
-        return 1 if self.parity * value < self.parity * self.threshold else 0
+    def predict_value(self, value):
+        """True where ``parity * value < parity * threshold``; ``value`` is a scalar or an array."""
+        return self.parity * value < self.parity * self.threshold
 
 
 @dataclass
@@ -92,29 +91,12 @@ def init_weights(labels) -> np.ndarray:
 def train_weak(values, labels, weights) -> WeakClassifier:
     """Minimum weighted-error stump over one feature's values.
 
-    Candidate thresholds are midpoints between consecutive distinct
-    sorted values plus -inf/+inf sentinels; ties break toward the
-    smaller threshold, then parity +1.  Thresholds rise with the sorted
-    position, so each parity's first ``argmin`` is that minimum.
+    The N = 1 case of :class:`Booster`: candidate thresholds are midpoints
+    between consecutive distinct sorted values plus -inf/+inf sentinels,
+    and ties break as in ``Booster.step``.
     """
     v = np.asarray(values, dtype=np.float64)
-    y = np.asarray(labels)
-    w = np.asarray(weights, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    w1 = np.where(y == 1, w, 0.0)[order]
-    w0 = np.where(y == 0, w, 0.0)[order]
-    # row r is the threshold below sorted position r; c1[r], c0[r] weigh the samples under it
-    c1 = np.concatenate(([0.0], np.cumsum(w1)))
-    c0 = np.concatenate(([0.0], np.cumsum(w0)))
-    tot1, tot0 = c1[-1], c0[-1]
-    thr = np.concatenate(([-np.inf], (sv[:-1] + sv[1:]) / 2.0, [np.inf]))
-    rows = np.flatnonzero(np.concatenate(([True], sv[:-1] != sv[1:], [True])))
-    e_plus = (tot1 - c1) + c0
-    e_minus = c1 + (tot0 - c0)
-    p, m = (rows[np.argmin(errs[rows])] for errs in (e_plus, e_minus))
-    err, t, parity = min((e_plus[p], thr[p], 1), (e_minus[m], thr[m], -1), key=lambda c: c[:2])
-    return WeakClassifier(threshold=float(t), parity=parity, error=float(err))
+    return Booster(v[:, None], labels, weights)._stump(0, v)
 
 
 def _stable_within_ties(sv, order) -> np.ndarray:
@@ -137,30 +119,30 @@ def _stable_within_ties(sv, order) -> np.ndarray:
     return key
 
 
-def _stump_errors(wc: np.ndarray, order: np.ndarray, tied: np.ndarray) -> np.ndarray:
-    """Each row's least stump error over both parities, as :func:`train_weak` computes it.
+def _stump_errors(wc: np.ndarray, order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's stump errors for parity +1 and for parity -1.
 
     ``wc`` holds the class weights as complex numbers, the weight times
     is-positive in the real part and times is-negative in the imaginary
     part; ``order`` and ``tied`` are rows of ``Booster._order`` and
-    ``Booster._tied``.  One gather and one ``cumsum`` give both per-class
-    running sums: complex addition adds the two parts as two separate
-    float additions, so they are bit for bit ``train_weak``'s.  Tied rows
-    are set to inf before the minimum.
+    ``Booster._tied``.  Column 0 is the threshold -inf and column r + 1 the
+    threshold above sorted position r; tied columns are inf.  One gather
+    and one ``cumsum`` give both per-class running sums c1 and c0, as
+    complex addition adds the two parts as two separate float additions.
     """
-    c = np.take(wc, order)
-    np.cumsum(c, axis=1, out=c)
+    c = np.zeros((len(order), order.shape[1] + 1), dtype=np.complex128)
+    np.cumsum(np.take(wc, order), axis=1, out=c[:, 1:])
     c1, c0 = c.real, c.imag
     # c1 and c0 are strided views: the errors go to fresh contiguous
     # arrays, which costs less than writing back into the views
     tot1, tot0 = c1[:, -1:], c0[:, -1:]
-    errs = tot1 - c1
-    errs += c0  # e_plus = (tot1 - c1) + c0
+    e_plus = tot1 - c1
+    e_plus += c0  # (tot1 - c1) + c0
     e_minus = tot0 - c0
-    e_minus += c1  # = c1 + (tot0 - c0)
-    np.minimum(errs, e_minus, out=errs)
-    np.putmask(errs, tied, np.inf)
-    return np.minimum(errs.min(axis=1), np.minimum(tot1[:, 0], tot0[:, 0]))
+    e_minus += c1  # c1 + (tot0 - c0)
+    for errs in (e_plus, e_minus):
+        np.copyto(errs[:, 1:], np.inf, where=tied)
+    return e_plus, e_minus
 
 
 def _untied_extremes(d: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,9 +192,9 @@ class Booster:
 
     ``step`` screens every feature with one real running sum of the
     signed weights and re-scores only the features the screen cannot rule
-    out with :func:`_stump_errors`, the arithmetic of :func:`train_weak`;
-    its docstring bounds the screen.  It reads the winning column again
-    from ``values``.
+    out with :func:`_stump_errors`; its docstring bounds the screen.  It
+    reads the winning column again from ``values`` and fits its stump
+    with ``_stump``, from the order and ties kept here.
     """
 
     def __init__(self, values: np.ndarray | FeatureValues, labels: np.ndarray, weights: np.ndarray):
@@ -235,12 +217,15 @@ class Booster:
             self._tied[lo:hi, :-1] = sv[:, :-1] == sv[:, 1:]
         self._is_pos = (self.labels == 1).astype(np.float64)
         self._is_neg = 1.0 - self._is_pos
+        # 1 for a positive, 1j for a negative: times the weights (exact
+        # products by 1 and 0), each class's weights fill their own part
+        self._classes = self._is_pos + 1j * self._is_neg
 
     def step(self) -> tuple[float, WeakClassifier, np.ndarray]:
         """One round: normalise, pick the global best stump, reweight.
 
         The winner is the first feature whose :func:`_stump_errors` error is
-        least, and :func:`train_weak` on its column gives the stump.  Only
+        least, and ``_stump`` fits its stump from the same errors.  Only
         features that a screen cannot rule out are scored that way.
 
         The screen.  With signed weights s = w * (is_pos - is_neg), T1 the
@@ -285,22 +270,38 @@ class Booster:
         np.minimum(screened, min(t1, t0), out=screened)
         tol = 8 * (n + 2) * np.finfo(np.float64).eps * (t1 + t0)
         near = np.flatnonzero(screened <= screened.min() + tol)
-        wc = np.empty(n, dtype=np.complex128)
-        wc.real = self.weights * self._is_pos
-        wc.imag = self.weights * self._is_neg
+        wc = self.weights * self._classes
         blocks = (near[i : i + _STEP_BLOCK] for i in range(0, len(near), _STEP_BLOCK))
-        errs = np.concatenate([_stump_errors(wc, self._order[b], self._tied[b]) for b in blocks])
+        errs = np.concatenate(
+            [np.minimum(*_stump_errors(wc, self._order[b], self._tied[b])).min(axis=1)
+             for b in blocks]
+        )
         best = int(near[np.argmin(errs)])
         col = self.values[:, best]
-        weak = train_weak(col, self.labels, self.weights)
+        weak = self._stump(best, col)
         weak.feature_index = best
         eps = min(max(weak.error, EPS_CLAMP), 0.5 - EPS_CLAMP)
         beta = eps / (1.0 - eps)
         alpha = math.log(1.0 / beta)
-        pred = (weak.parity * col < weak.parity * weak.threshold).astype(np.int8)
+        pred = weak.predict_value(col).astype(np.int8)
         correct = pred == self.labels
         self.weights[correct] *= beta  # exponent 1 - e, with e = 0 when correct
         return alpha, weak, pred
+
+    def _stump(self, j: int, col: np.ndarray) -> WeakClassifier:
+        """Feature j's least-error stump under the current weights; ``col`` is its values.
+
+        Ties break toward the smaller threshold, then parity +1.
+        Thresholds rise with the sorted position, so each parity's first
+        ``argmin`` is its smallest-threshold minimum.
+        """
+        rows = slice(j, j + 1)
+        (e_plus,), (e_minus,) = _stump_errors(self.weights * self._classes, self._order[rows], self._tied[rows])
+        sv = np.asarray(col, dtype=np.float64)[self._order[j]]
+        thr = np.concatenate(([-np.inf], (sv[:-1] + sv[1:]) / 2.0, [np.inf]))
+        p, m = np.argmin(e_plus), np.argmin(e_minus)
+        err, t, parity = min((e_plus[p], thr[p], 1), (e_minus[m], thr[m], -1), key=lambda c: c[:2])
+        return WeakClassifier(threshold=float(t), parity=parity, error=float(err))
 
 
 def eval_strong(
@@ -314,5 +315,6 @@ def eval_strong(
     score = 0.0
     for alpha, weak in sc.rounds:
         v = feature_value(weak.feature, tables, origin, scale, inv_sigma)
-        score += alpha * weak.predict_value(v)
+        if weak.predict_value(v):
+            score += alpha
     return score, score >= sc.threshold

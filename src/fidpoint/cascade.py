@@ -2,8 +2,8 @@
 
 A cascade is an ordered list of strong classifiers sharing one
 enumeration window.  :func:`train_stage` is the one boosting driver: it
-adds ``Booster`` rounds (each the stump ``boost.train_weak`` fits on the
-feature of least error) until the stage's false-alarm rate on
+adds ``Booster`` rounds (each the least-error stump over all features)
+until the stage's false-alarm rate on
 its own negatives drops to ``maxfalsealarm``, adapting the stage
 threshold downward from the boosting default after each round so the
 stage keeps at least ``minhitrate`` of its training positives.

@@ -194,6 +194,9 @@ def nearest_odd(v: float) -> int:
     return 2 * round_half_up((v - 1.0) / 2.0) + 1
 
 
+MIN_SAMPLE_SIDE = 7  # smallest sample side s; the smallest of its three squares is s - 2 = 5
+
+
 def compute_scales(
     markups: list[Markup],
     point_id: int,
@@ -202,7 +205,7 @@ def compute_scales(
     """Per-image odd sample size normalising the mean local eye width to ``base``.
 
     Images with zero eye width get None (with a warning) and do not
-    contribute to the mean.  Sizes are clamped to at least 5.
+    contribute to the mean.  Sizes are clamped to at least MIN_SAMPLE_SIDE.
     """
     widths = []
     for m in markups:
@@ -216,7 +219,7 @@ def compute_scales(
     if not usable:
         raise GenerationError("no image has a usable eye width")
     factor = base / (sum(usable) / len(usable))
-    return [None if w is None else max(5, nearest_odd(w * factor)) for w in widths]
+    return [None if w is None else max(MIN_SAMPLE_SIDE, nearest_odd(w * factor)) for w in widths]
 
 
 # --- positive descriptions --------------------------------------------------------
@@ -233,8 +236,8 @@ def positive_descriptions(
     Emitted largest first.  Raises BoundsError when any square leaves
     the image (callers skip the image with a warning).
     """
-    if s % 2 == 0 or s < 7:
-        raise ValueError(f"sample size must be odd and >= 7, got {s}")
+    if s % 2 == 0 or s < MIN_SAMPLE_SIDE:
+        raise ValueError(f"sample size must be odd and >= {MIN_SAMPLE_SIDE}, got {s}")
     p = markup.points[point_id]
     cx, cy = round_half_up(p.x), round_half_up(p.y)
     entries = []

@@ -321,11 +321,10 @@ def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
     for s, k, (sx2, sy2, sw, sh) in zip(starts.tolist(), sizes.tolist(), sums.tolist()):
         if k < min_neighbors:
             continue
-        # centre means in half-pixel units, rounded half-to-even; the
+        # centre means in half-pixel units, rounded half-to-even exactly; the
         # doubled axis keeps the rounding reflection-equivariant, so a
         # mirrored cluster rounds to exactly the mirrored centre
-        px2 = _round_half_even_frac(sx2, k)
-        py2 = _round_half_even_frac(sy2, k)
+        px2, py2 = round(Fraction(sx2, k)), round(Fraction(sy2, k))
         w_c = max(1, round_half_up(sw / k))
         h_c = max(1, round_half_up(sh / k))
         rect = Rect((px2 - w_c + 1) // 2, (py2 - h_c + 1) // 2, w_c, h_c)
@@ -356,15 +355,6 @@ def _union_edges(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             if np.array_equal(jumped, parent):
                 break
             parent[:] = jumped
-
-
-def _round_half_even_frac(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if 2 * r < den:
-        return q
-    if 2 * r > den:
-        return q + 1
-    return q if q % 2 == 0 else q + 1
 
 
 def rects_similar(a: Rect, b: Rect) -> bool:

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,74 @@ def test_train_weak_matches_exhaustive():
         parity = 1 if prank == 0 else -1
         want = (parity * v < parity * t).astype(int)
         assert (got == want).all()
+
+
+def special_columns():
+    """Seeded (values, labels, weights) columns that integer columns never reach.
+
+    Values mix NaN, +-inf, -0.0 next to 0.0 and long runs of equal values;
+    weights are thirds over odd totals, so no partial sum is exact.
+    """
+    rnd = random.Random(22)
+    pool = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5, -2.0, 1 / 3]
+    columns = [
+        [0.0] * 9 + [-0.0] * 9 + [1.0] * 6,
+        [math.nan] * 7 + [2.0] * 7 + [-math.inf] * 4 + [math.inf] * 4,
+        [-0.0, 0.0] * 8,
+        [math.inf, -math.inf],
+        [math.nan],
+    ]
+    for n in (2, 3, 5, 8, 13, 21, 34):
+        for _ in range(3):
+            columns.append([rnd.choice(pool) if rnd.random() < 0.5 else float(rnd.randint(-2, 2))
+                            for _ in range(n)])
+    out = []
+    for values in columns:
+        n = len(values)
+        labels = [rnd.randint(0, 1) for _ in range(n)]
+        ints = [rnd.randint(1, 60) for _ in range(n)]
+        out.append((values, labels, [k / 3.0 / sum(ints) for k in ints]))
+    return out
+
+
+# repr of train_weak's (threshold, parity, error) for each of special_columns()
+SPECIAL_STUMPS = [
+    '(0.5, -1, 0.14250854075158614)',
+    '(-inf, -1, 0.10550887021475258)',
+    '(-inf, -1, 0.07813378302417089)',
+    '(nan, -1, 0.0)',
+    '(-inf, -1, 0.0)',
+    '(-0.33333333333333337, 1, 0.0)',
+    '(-inf, 1, 0.0)',
+    '(nan, -1, 0.0)',
+    '(-inf, 1, 0.0)',
+    '(-inf, 1, 0.0)',
+    '(-inf, -1, 0.1056910569105691)',
+    '(-inf, 1, 0.0)',
+    '(0.5, 1, 0.06613756613756616)',
+    '(1.75, 1, 0.0423728813559322)',
+    '(0.16666666666666666, -1, 0.03265765765765766)',
+    '(-1.5, -1, 0.05501618122977345)',
+    '(-1.0, -1, 0.10650069156293222)',
+    '(-1.5, 1, 0.1035923141186299)',
+    '(1.25, 1, 0.08277404921700225)',
+    '(nan, -1, 0.13506815365551422)',
+    '(-1.5, -1, 0.12589413447782546)',
+    '(1.25, -1, 0.1165674603174603)',
+    '(-inf, 1, 0.08083832335329341)',
+    '(-0.5, 1, 0.09183006535947713)',
+    '(inf, -1, 0.09992372234935164)',
+    '(1.75, -1, 0.09063745019920319)',
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # midpoint of -inf and inf
+def test_train_weak_special_values_golden():
+    got = []
+    for v, y, w in special_columns():
+        wk = train_weak(v, y, w)
+        got.append(repr((wk.threshold, wk.parity, wk.error)))
+    assert got == SPECIAL_STUMPS
 
 
 # --- boosting rounds ---------------------------------------------------------

@@ -163,6 +163,24 @@ def test_compute_scales_zero_width_skipped():
     assert sizes == [13, None]
 
 
+@settings(max_examples=100, deadline=None)
+@given(widths=st.lists(st.floats(0.5, 80.0), min_size=1, max_size=8))
+@example(widths=[40.0, 40.0, 40.0, 6.0])  # gave sides [17, 17, 17, 5]
+def test_compute_scales_sides_are_accepted_by_positive_descriptions(widths):
+    lo, li = DEFAULT_SCHEME.eye_corners[0], DEFAULT_SCHEME.eye_corners[1]
+    lid = DEFAULT_SCHEME.id_of("left_eye_outer")
+    ms = []
+    for k, w in enumerate(widths):
+        m = level_markup(f"i{k}.pgm")
+        m.points[lo] = Point2(200.0, 200.0)
+        m.points[li] = Point2(200.0 + w, 200.0)
+        ms.append(m)
+    for m, s in zip(ms, compute_scales(ms, lid)):
+        assert s % 2 == 1 and s >= samples.MIN_SAMPLE_SIDE
+        d = positive_descriptions(m, lid, s, 401, 401)
+        assert [r.w for r in d.entries] == [s + 2, s, s - 2]
+
+
 # --- positive descriptions ----------------------------------------------------------
 
 def test_positive_descriptions_paper_fixture():
