@@ -73,19 +73,23 @@ class StrongClassifier:
         return sum(a for a, _ in self.rounds)
 
 
-def init_weights(labels) -> np.ndarray:
-    """Initial weights: 1/(2l) per positive and 1/(2m) per negative.
-
-    Every label must be 1 (positive) or 0 (negative).
-    """
+def _label_masks(labels) -> tuple[np.ndarray, np.ndarray]:
+    """(is_pos, is_neg) masks; every label must be 1 or 0 (``True`` or ``False``)."""
     y = np.asarray(labels)
-    l = int(np.count_nonzero(y == 1))
-    m = int(np.count_nonzero(y == 0))
-    if l + m != y.size:
-        raise ValueError(f"labels must be 0 or 1; {y.size - l - m} are not")
+    is_pos, is_neg = y == 1, y == 0
+    bad = y.size - int(np.count_nonzero(is_pos | is_neg))
+    if bad:
+        raise ValueError(f"labels must be 0 or 1; {bad} are not")
+    return is_pos, is_neg
+
+
+def init_weights(labels) -> np.ndarray:
+    """Initial weights: 1/(2l) per positive (label 1) and 1/(2m) per negative (label 0)."""
+    is_pos, is_neg = _label_masks(labels)
+    l, m = int(np.count_nonzero(is_pos)), int(np.count_nonzero(is_neg))
     if l == 0 or m == 0:
         raise ValueError(f"degenerate training set: {l} positives, {m} negatives")
-    return np.where(y == 1, 1.0 / (2 * l), 1.0 / (2 * m))
+    return np.where(is_pos, 1.0 / (2 * l), 1.0 / (2 * m))
 
 
 def train_weak(values, labels, weights) -> WeakClassifier:
@@ -200,6 +204,7 @@ class Booster:
     def __init__(self, values: np.ndarray | FeatureValues, labels: np.ndarray, weights: np.ndarray):
         self.values = values
         self.labels = np.asarray(labels)
+        self._is_pos, self._is_neg = (m.astype(np.float64) for m in _label_masks(self.labels))
         self.weights = np.asarray(weights, dtype=np.float64).copy()
         n, nf = values.shape
         self._order = np.empty((nf, n), dtype=np.int32)
@@ -215,8 +220,6 @@ class Booster:
                 order[redo] = _stable_within_ties(sv[redo], order[redo])
             self._order[lo:hi] = order
             self._tied[lo:hi, :-1] = sv[:, :-1] == sv[:, 1:]
-        self._is_pos = (self.labels == 1).astype(np.float64)
-        self._is_neg = 1.0 - self._is_pos
         # 1 for a positive, 1j for a negative: times the weights (exact
         # products by 1 and 0), each class's weights fill their own part
         self._classes = self._is_pos + 1j * self._is_neg

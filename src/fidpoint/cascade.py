@@ -19,9 +19,10 @@ running margin per window summed stump by stump in cascade order.
 :func:`classify_window` is its scalar oracle, scoring each stage with
 ``boost.eval_strong``.  Training and filtering stack each batch of
 patches once, with ``raster.stack_tables``, which also returns every
-patch's 1/sigma.  Stages read their feature values from a
-``haar.FeatureValues`` block by block; ``feature_matrix`` stays imported
-here because ``perfbench/layers.py`` rebinds it by this module's name.
+patch's 1/sigma.  Each stage reads its own ``haar.feature_table`` through
+a ``haar.FeatureValues``, block by block; ``enumerate_features`` and
+``feature_matrix`` stay imported here only for ``perfbench/layers.py``,
+which rebinds them by this module's name.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .haar import (
     FeatureValues,
     enumerate_features,
     feature_matrix,
+    feature_table,
     fits_window,
     mirror_feature,
     cells_at,
@@ -145,32 +147,34 @@ def adapt_threshold(sc: StrongClassifier, positive_scores, minhitrate: float) ->
 def train_stage(
     positives: list[IntegralTables],
     negatives: list[IntegralTables],
-    features: list[HaarFeature],
     params: TrainParams,
 ) -> Stage:
     """Grow one boosted stage until its false alarm rate is acceptable.
 
     This is the one boosting loop: it hands :class:`Booster` the
-    1/sigma-corrected values of every feature on every sample as a
-    ``haar.FeatureValues``, which computes them block by block, then takes
-    rounds and adapts the stage threshold after each.
+    1/sigma-corrected values of the samples' ``haar.feature_table`` in
+    ``params.mode`` as a ``haar.FeatureValues``, which computes them block
+    by block, then takes rounds and adapts the stage threshold after each.
+    Only the rows that weak classifiers keep become ``HaarFeature`` values.
     Raises :class:`StageStuckError` carrying the final (HR, FA, T)
     plateau when ``max_weak_per_stage`` rounds cannot reach the target.
     """
     if not positives or not negatives:
         raise ValueError("both sample sets must be non-empty")
-    if not features:
+    table = feature_table(positives[0].width, positives[0].height, params.mode)
+    if not len(table):
         raise ValueError(f"no feature fits the {positives[0].width}x{positives[0].height} window")
     npos = len(positives)
     labels = np.repeat([1, 0], [npos, len(negatives)])
-    values = FeatureValues(features, [*positives, *negatives])
+    values = FeatureValues(table, [*positives, *negatives])
     booster = Booster(values, labels, init_weights(labels))
     scores = np.zeros(len(labels))
     sc = StrongClassifier()
     hr = fa = 1.0
     for _ in range(params.max_weak_per_stage):
         alpha, weak, pred = booster.step()
-        weak.feature = features[weak.feature_index]
+        kind, *xywh = table[weak.feature_index].tolist()
+        weak.feature = HaarFeature(FeatureKind(kind), *xywh)
         sc.rounds.append((alpha, weak))
         scores += alpha * pred
         sc.threshold = adapt_threshold(sc, scores[:npos], params.minhitrate)
@@ -271,9 +275,7 @@ def train_cascade(
         raise ValueError("no positive samples")
     positives = positives[: params.npos]
     require_same_size(positives)  # even if no stage trains
-    w, h = positives[0].width, positives[0].height
-    features = enumerate_features(w, h, params.mode)
-    cascade = Cascade(w, h, params.mode, [])
+    cascade = Cascade(positives[0].width, positives[0].height, params.mode, [])
     source: Iterator[IntegralTables] = iter(negative_source)
     pool: list[IntegralTables] = []
     exhausted = False
@@ -293,7 +295,7 @@ def train_cascade(
         if not pool:
             break  # cascade already rejects every available negative
         try:
-            stage = train_stage(positives, pool, features, params)
+            stage = train_stage(positives, pool, params)
         except StageStuckError as err:
             raise StageStuckError(stage_index, err.hit_rate, err.false_alarm, err.n_weak) from None
         cascade.stages.append(stage)
@@ -323,7 +325,7 @@ def serialize(c: Cascade) -> bytes:
             f = weak.feature
             lines.append(
                 f"weak alpha {_fmt(alpha)} parity {'+1' if weak.parity > 0 else '-1'} "
-                f"thresh {_fmt(weak.threshold)} kind {f.kind.value} "
+                f"thresh {_fmt(weak.threshold)} kind {f.kind.name} "
                 f"x {f.x} y {f.y} w {f.w} h {f.h}"
             )
     return ("\n".join(lines) + "\n").encode("ascii")
@@ -414,8 +416,8 @@ def deserialize(data: bytes) -> Cascade:
             parity = 1 if vals[1] == "+1" else -1
             thresh = _parse_float(vals[2], r, allow_inf=True)  # the +-inf stump sentinels
             try:
-                kind = FeatureKind(vals[3])
-            except ValueError:
+                kind = FeatureKind[vals[3]]
+            except KeyError:
                 raise CascadeFormatError(f"unknown kind {vals[3]!r}", r.no) from None
             x, y = _parse_int(vals[4], r), _parse_int(vals[5], r)
             w, h = _parse_int(vals[6], r), _parse_int(vals[7], r)
@@ -424,7 +426,7 @@ def deserialize(data: bytes) -> Cascade:
             feature = HaarFeature(kind, x, y, w, h)
             if not fits_window(feature, window_w, window_h):
                 raise CascadeFormatError(
-                    f"feature {kind.value} at ({x},{y}) size {w}x{h} exceeds window", r.no
+                    f"feature {kind.name} at ({x},{y}) size {w}x{h} exceeds window", r.no
                 )
             sc.rounds.append((alpha, WeakClassifier(thresh, parity, feature=feature)))
         cascade.stages.append(Stage(sc, hr, fa))

@@ -35,9 +35,11 @@ exact after rounding.
 Enumeration convention
 ----------------------
 
-:func:`enumerate_features` is exhaustive with unit steps in position
-and base-cell size: every feature whose footprint fits the window
-appears exactly once, ordered by (kind, y, x, h, w) ascending.  One
+:func:`feature_table` is exhaustive with unit steps in position and
+base-cell size: every feature whose footprint fits the window appears
+exactly once, as an int (kind, x, y, w, h) row (kind is the
+:class:`FeatureKind` number) ordered by (kind, y, x, h, w) ascending;
+:func:`enumerate_features` gives the rows as :class:`HaarFeature`.  One
 fit rule serves both orientations: a feature whose kind has footprint
 multiples (n_a, n_b) fits iff the one cell (x, y, n_a*w, n_b*h),
 upright or rotated like the kind, lies inside the window.  Under this
@@ -72,7 +74,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,21 +103,21 @@ def round_half_up(v) -> int:
     return int(math.floor(v + 0.5))
 
 
-class FeatureKind(enum.Enum):
-    EDGE_H = "EDGE_H"
-    EDGE_V = "EDGE_V"
-    LINE_H = "LINE_H"
-    LINE_V = "LINE_V"
-    DIAG = "DIAG"
-    CENTER_SURROUND = "CENTER_SURROUND"
-    EDGE_H_45 = "EDGE_H_45"
-    EDGE_V_45 = "EDGE_V_45"
-    LINE_H_45 = "LINE_H_45"
-    LINE_V_45 = "LINE_V_45"
+class FeatureKind(enum.IntEnum):
+    EDGE_H = 0
+    EDGE_V = 1
+    LINE_H = 2
+    LINE_V = 3
+    DIAG = 4
+    CENTER_SURROUND = 5
+    EDGE_H_45 = 6
+    EDGE_V_45 = 7
+    LINE_H_45 = 8
+    LINE_V_45 = 9
 
     @property
     def rotated(self) -> bool:
-        return self.value.endswith("_45")
+        return self.name.endswith("_45")
 
 
 # Upright layouts: (cx, cy, cw, ch, weight) in base-cell units.
@@ -159,20 +160,8 @@ _GRID = {
     FeatureKind.LINE_V_45: (1, 3),
 }
 
-BASIC_KINDS = (
-    FeatureKind.EDGE_H,
-    FeatureKind.EDGE_V,
-    FeatureKind.LINE_H,
-    FeatureKind.LINE_V,
-    FeatureKind.DIAG,
-)
-ALL_KINDS = BASIC_KINDS + (
-    FeatureKind.CENTER_SURROUND,
-    FeatureKind.EDGE_H_45,
-    FeatureKind.EDGE_V_45,
-    FeatureKind.LINE_H_45,
-    FeatureKind.LINE_V_45,
-)
+ALL_KINDS = tuple(FeatureKind)
+BASIC_KINDS = ALL_KINDS[:5]
 
 
 class FeatureSet(enum.Enum):
@@ -189,6 +178,7 @@ class HaarFeature(NamedTuple):
 
     A plain tuple that checks nothing: enumeration and mirroring build only fitting
     features, and ``cascade.deserialize`` rejects a cell below 1x1 before building one.
+    As ``kind`` is an int, a feature is also a (kind, x, y, w, h) row of :func:`feature_table`.
     """
 
     kind: FeatureKind
@@ -198,15 +188,6 @@ class HaarFeature(NamedTuple):
     h: int
 
 
-def _fits(kind: FeatureKind, x, y, w, h, window_w: int, window_h: int):
-    """Whether the footprint, one n_a*w x n_b*h cell, lies inside the window.
-
-    Works on ints and on numpy arrays alike.
-    """
-    na, nb = _GRID[kind]
-    return is_inside(window_w, window_h, x, y, na * w, nb * h, kind.rotated)
-
-
 def footprint(f: HaarFeature) -> Rect:
     """Window-relative bounding box of all member pixels."""
     na, nb = _GRID[f.kind]
@@ -214,30 +195,44 @@ def footprint(f: HaarFeature) -> Rect:
     return Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
-def fits_window(f: HaarFeature, window_w: int, window_h: int) -> bool:
-    return _fits(f.kind, f.x, f.y, f.w, f.h, window_w, window_h)
+def fits_window(f: HaarFeature, window_w: int, window_h: int):
+    """Whether the footprint of f, one n_a*w x n_b*h cell, lies inside the window.
+
+    f is a (kind, x, y, w, h) row whose x, y, w and h may be ints or numpy arrays.
+    """
+    kind, x, y, w, h = f
+    na, nb = _GRID[kind]
+    return is_inside(window_w, window_h, x, y, na * w, nb * h, kind.rotated)
 
 
-def enumerate_features(
+def feature_table(
     window_w: int, window_h: int, feature_set: FeatureSet = FeatureSet.BASIC
-) -> list[HaarFeature]:
-    """Every fitting feature exactly once, ordered by (kind, y, x, h, w)."""
+) -> np.ndarray:
+    """Every fitting feature once: (n, 5) int64 rows (kind, x, y, w, h), by (kind, y, x, h, w)."""
     if window_w < 1 or window_h < 1:
         raise ValueError("window must be at least 1x1")
-    out: list[HaarFeature] = []
+    out = []
     for kind in feature_set.kinds:
         na, nb = _GRID[kind]
         # every (x, h, w) a fitting footprint can take, x-major; a feature
         # that fits at some row also fits at row 0, so keep only those
         grid = np.mgrid[:window_w, 1 : window_h // nb + 1, 1 : window_w // na + 1]
         x, h, w = grid.reshape(3, -1)
-        top = _fits(kind, x, 0, w, h, window_w, window_h)
+        top = fits_window((kind, x, 0, w, h), window_w, window_h)
         x, h, w = x[top], h[top], w[top]
-        rows = _fits(kind, x, np.arange(window_h)[:, None], w, h, window_w, window_h)
-        for y, keep in enumerate(rows):
-            xywh = x[keep].tolist(), itertools.repeat(y), w[keep].tolist(), h[keep].tolist()
-            out += map(HaarFeature, itertools.repeat(kind), *xywh)
-    return out
+        rows = fits_window((kind, x, np.arange(window_h)[:, None], w, h), window_w, window_h)
+        y, i = np.nonzero(rows)  # row-major: y, then the x-major candidates
+        out.append(np.stack([np.full_like(y, kind), x[i], y, w[i], h[i]], axis=1))
+    return np.concatenate(out)
+
+
+def enumerate_features(
+    window_w: int, window_h: int, feature_set: FeatureSet = FeatureSet.BASIC
+) -> list[HaarFeature]:
+    """The rows of :func:`feature_table` as :class:`HaarFeature` values, in the same order."""
+    k, *cols = feature_table(window_w, window_h, feature_set).T.tolist()
+    # column lists zipped into rows: cheaper than unpacking each table row
+    return list(map(HaarFeature._make, zip(map(ALL_KINDS.__getitem__, k), *cols)))
 
 
 @dataclass(frozen=True)
@@ -437,11 +432,12 @@ class FeatureValues:
     ``values.shape`` is (n_samples, n_features); ``values[:, lo:hi]``
     returns a fresh (n_samples, hi - lo) float64 array in Fortran order,
     so each feature's values are contiguous, and ``values[:, j]`` a fresh
-    (n_samples,) one.  The samples are stacked once, with their
-    1/sigma, by :func:`~fidpoint.raster.stack_tables`, and the features
-    become one (kind, x, y, w, h) int array once; a read builds only the
-    coefficients of the columns it asks for, so it holds no more than
-    ``_MATRIX_BLOCK`` features' temporaries at a time.
+    (n_samples,) one.  ``features`` is any sequence of (kind, x, y, w, h)
+    int rows: a :func:`feature_table` or a list of :class:`HaarFeature`,
+    which are such rows already.  The samples are stacked once, with
+    their 1/sigma, by :func:`~fidpoint.raster.stack_tables`; a read builds
+    only the coefficients of the columns it asks for, so it holds no more
+    than ``_MATRIX_BLOCK`` features' temporaries at a time.
 
     Row s of column j is sample s's 1/sigma times feature j's value on it.
     A feature's value is a linear functional of one table, so each block
@@ -467,15 +463,13 @@ class FeatureValues:
     scalar path at scale 1, which reads the same integer cell sums.
     """
 
-    def __init__(self, features: Sequence[HaarFeature], tables_list: Sequence[IntegralTables]):
+    def __init__(self, features: np.ndarray | Sequence, tables_list: Sequence[IntegralTables]):
         n = len(tables_list)
-        self.shape = (n, len(features))
-        code = {kind: i for i, kind in enumerate(ALL_KINDS)}
-        soa = [(code[f.kind], f.x, f.y, f.w, f.h) for f in features]
-        self._soa = np.array(soa, dtype=np.int64).reshape(-1, 5)
+        self._soa = np.asarray(features, dtype=np.int64).reshape(-1, 5)
+        self.shape = (n, len(self._soa))
         self._rotated = np.array([kind.rotated for kind in ALL_KINDS])[self._soa[:, 0]]
         self._stacks = {}
-        if n and len(features):
+        if n and len(self._soa):
             kinds = set(self._rotated.tolist())
             flat, self._stride, _, self._inv = stack_tables(tables_list, kinds)
             self._stacks = {r: flat[r].reshape(n, -1).astype(np.float64) for r in kinds}

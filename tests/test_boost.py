@@ -89,6 +89,15 @@ def test_init_weights_accepts_float_and_bool_labels():
     assert list(init_weights(np.array([True, False]))) == [0.5, 0.5]
 
 
+def test_booster_rejects_labels_other_than_0_and_1():
+    # a label 2 used to count as a negative in the errors but never as
+    # correct in the reweighting: error 0.0, yet its weights stayed at 0.25
+    with pytest.raises(ValueError, match="0 or 1"):
+        Booster(np.array([[1.0], [2.0], [3.0], [4.0]]), [1, 1, 2, 2], [0.25] * 4)
+    with pytest.raises(ValueError, match="0 or 1"):
+        train_weak([1, 2, 3, 4], [1, 1, 2, 2], [0.25] * 4)
+
+
 def test_init_weights_degenerate():
     with pytest.raises(ValueError):
         init_weights([1, 1])
@@ -467,7 +476,7 @@ def test_train_stage_memory_below_value_matrix():
     params = TrainParams(nstages=1, npos=94, nneg=94, max_weak_per_stage=3)
     tracemalloc.start()
     try:
-        train_stage(pos, neg, features, params)
+        train_stage(pos, neg, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -505,10 +514,9 @@ def half_bright_patches(rng, n_pos, n_neg, side=6):
 def test_train_stage_separable_reaches_zero_error():
     rng = np.random.default_rng(17)
     pos, neg = half_bright_patches(rng, 20, 20)
-    features = enumerate_features(6, 6, FeatureSet.BASIC)
     params = TrainParams(nstages=1, npos=20, nneg=20, maxfalsealarm=0.01,
                          max_weak_per_stage=20)
-    sc = train_stage(pos, neg, features, params).strong
+    sc = train_stage(pos, neg, params).strong
     errors = 0
     for tables, label in [(t, 1) for t in pos] + [(t, 0) for t in neg]:
         inv = window_inv_stddev(tables, Rect(0, 0, tables.width, tables.height))
@@ -521,11 +529,10 @@ def test_train_stage_separable_reaches_zero_error():
 def test_train_stage_deterministic():
     rng = np.random.default_rng(19)
     pos, neg = half_bright_patches(rng, 8, 8)
-    features = enumerate_features(6, 6, FeatureSet.BASIC)
     params = TrainParams(nstages=1, npos=8, nneg=8, maxfalsealarm=0.01,
                          max_weak_per_stage=5)
-    a = train_stage(pos, neg, features, params).strong
-    b = train_stage(pos, neg, features, params).strong
+    a = train_stage(pos, neg, params).strong
+    b = train_stage(pos, neg, params).strong
     assert [(al, w.feature_index, w.threshold, w.parity) for al, w in a.rounds] == [
         (al, w.feature_index, w.threshold, w.parity) for al, w in b.rounds
     ]

@@ -107,9 +107,8 @@ def test_adapt_threshold_caps_at_half_alpha_sum():
 def test_train_stage_trivially_separable():
     rng = np.random.default_rng(5)
     pos, neg = separable_patches(rng, 12, 12)
-    feats = enumerate_features(6, 6, FeatureSet.BASIC)
     params = TrainParams(nstages=1, npos=12, nneg=12, max_weak_per_stage=10)
-    stage = train_stage(pos, neg, feats, params)
+    stage = train_stage(pos, neg, params)
     assert len(stage.strong.rounds) == 1
     assert stage.train_hit_rate >= params.minhitrate
     assert stage.train_false_alarm <= params.maxfalsealarm
@@ -119,13 +118,12 @@ def test_train_stage_unlearnable_sticks():
     rng = np.random.default_rng(7)
     pos = [make_tables(rng) for _ in range(15)]
     neg = [make_tables(rng) for _ in range(15)]  # same distribution: unlearnable
-    feats = enumerate_features(6, 6, FeatureSet.BASIC)
     params = TrainParams(
         nstages=1, npos=15, nneg=15, minhitrate=0.999, maxfalsealarm=0.01,
         max_weak_per_stage=3,
     )
     with pytest.raises(StageStuckError) as err:
-        train_stage(pos, neg, feats, params)
+        train_stage(pos, neg, params)
     assert err.value.n_weak == 3
     assert 0.0 <= err.value.false_alarm <= 1.0
 
@@ -144,9 +142,8 @@ def test_train_stage_rejects_mixed_sample_sizes():
     rng = np.random.default_rng(13)
     pos, neg = separable_patches(rng, 4, 4)
     neg[2] = make_tables(rng, side=7)
-    feats = enumerate_features(6, 6, FeatureSet.BASIC)
     with pytest.raises(ValueError, match="7x7 sample among 6x6 samples"):
-        train_stage(pos, neg, feats, TrainParams(nstages=1, npos=4, nneg=4))
+        train_stage(pos, neg, TrainParams(nstages=1, npos=4, nneg=4))
 
 
 @pytest.mark.parametrize("with_negatives", [True, False], ids=["negatives", "empty"])
@@ -163,9 +160,8 @@ def test_train_cascade_rejects_mixed_positive_sizes(with_negatives):
 def test_train_stage_postconditions_replay():
     rng = np.random.default_rng(9)
     pos, neg = separable_patches(rng, 10, 30)
-    feats = enumerate_features(6, 6, FeatureSet.BASIC)
     params = TrainParams(nstages=1, npos=10, nneg=30, max_weak_per_stage=20)
-    stage = train_stage(pos, neg, feats, params)
+    stage = train_stage(pos, neg, params)
     hits = sum(
         eval_strong(stage.strong, t, inv_sigma=window_inv_stddev(t, Rect(0, 0, 6, 6)))[1]
         for t in pos
@@ -422,6 +418,15 @@ def test_deserialize_rejects_non_finite_weights(field, value, line):
     with pytest.raises(CascadeFormatError) as err:
         deserialize(one_weak_file(**{field: value}))
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("token", ["0", "9", "edge_h", "rotated"])
+def test_deserialize_rejects_kind_not_named(token):
+    # a kind is stored by its name; its number and other spellings are not kinds
+    data = one_weak_file().replace(b"kind EDGE_H", b"kind " + token.encode())
+    with pytest.raises(CascadeFormatError, match="unknown kind") as err:
+        deserialize(data)
+    assert err.value.line == 6
 
 
 @pytest.mark.parametrize("field, value", [("w", "0"), ("h", "0"), ("w", "-1")])

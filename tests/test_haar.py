@@ -17,6 +17,7 @@ from fidpoint.haar import (
     _GRID,
     enumerate_features,
     feature_matrix,
+    feature_table,
     feature_value,
     fits_window,
     footprint,
@@ -105,6 +106,43 @@ def test_basic_subset_of_all():
     basic = set(enumerate_features(5, 5, FeatureSet.BASIC))
     full = set(enumerate_features(5, 5, FeatureSet.ALL))
     assert basic < full
+
+
+def test_kind_numbers_are_table_codes():
+    # a feature table stores each kind as its number; the file format stores its name
+    assert ALL_KINDS == tuple(FeatureKind)
+    assert [int(k) for k in ALL_KINDS] == list(range(10))
+    assert [k.name for k in ALL_KINDS] == [
+        "EDGE_H", "EDGE_V", "LINE_H", "LINE_V", "DIAG",
+        "CENTER_SURROUND", "EDGE_H_45", "EDGE_V_45", "LINE_H_45", "LINE_V_45",
+    ]
+    assert BASIC_KINDS == ALL_KINDS[:5]
+    assert [k.rotated for k in ALL_KINDS] == [False] * 6 + [True] * 4
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    width=st.integers(1, 16),
+    height=st.integers(1, 16),
+    feature_set=st.sampled_from(FeatureSet),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=1, height=1, feature_set=FeatureSet.ALL, seed=0)
+@example(width=16, height=16, feature_set=FeatureSet.ALL, seed=1)
+@example(width=3, height=16, feature_set=FeatureSet.BASIC, seed=2)
+def test_feature_table_equals_enumeration(width, height, feature_set, seed):
+    # the table's rows are the enumeration in order, and either form gives
+    # the same value matrix bit for bit
+    table = feature_table(width, height, feature_set)
+    feats = enumerate_features(width, height, feature_set)
+    assert table.dtype == np.int64 and table.shape == (len(feats), 5)
+    assert table.tolist() == [list(f) for f in feats]
+    assert all(type(f.kind) is FeatureKind for f in feats)
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, (3, height, width), dtype=np.uint8)
+    tables = [build_tables(GrayImage(px), want_rotated=True) for px in pixels]
+    got = FeatureValues(table, tables)[:, :]
+    assert got.tobytes() == feature_matrix(feats, tables).tobytes()
 
 
 # --- values -------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from conftest import POINT_PRIMARY, SIZE, build_face_image, point_type
 from fidpoint.geom import Point2, TiltMode, TiltState, rotate_image, rotate_point
 from fidpoint.raster import GrayImage
-from fidpoint.scan import DETECTED_POINT_NAMES, detect_hierarchy
+from fidpoint.scan import DETECTED_POINT_NAMES, POINT_PARENTS, detect_hierarchy, point_roi
 
 
 def truth_points():
@@ -149,3 +149,18 @@ def test_point_square_outside_frame_is_skipped(hierarchy_configs):
     for name in DETECTED_POINT_NAMES:
         if name != "right_pupil":
             assert result.points[name] == baseline.points[name], name
+
+
+def test_point_without_sub_roi_searches_expanded_parent(hierarchy_configs):
+    # a point config without a search prior searches its parent feature
+    # rect grown by POINT_EXPAND on each side
+    face_cfg, feature_cfgs, point_cfgs = hierarchy_configs
+    img = build_face_image(41)
+    cfg = point_cfgs["left_pupil"]
+    cfg.sub_roi = None
+    state = TiltState(mode=TiltMode.NONE)
+    result = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, state)
+    parent = result.features[POINT_PARENTS["left_pupil"]]
+    assert parent is not None
+    assert cfg.roi == point_roi(parent, img.width, img.height)
+    assert result.points["left_pupil"] is not None
