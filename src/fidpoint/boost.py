@@ -12,10 +12,10 @@ block: a value matrix, or a ``haar.FeatureValues`` that computes each
 block of feature values when it is read, as ``cascade.train_stage``
 passes it.  Feature values do not depend on the weights, and neither
 does what ``Booster`` keeps of them: each feature's stable sort order
-(int32, one contiguous row per feature; only rows with equal values pay
-for stability) and a mask of the sorted positions tied with the next
-value, 5 bytes per (sample, feature) pair.  The values themselves are
-not kept; the winning column of a round is read again from the source.
+in the narrowest unsigned index type and a mask of the sorted positions
+a threshold falls after, samples-major, 2 or 3 bytes per (sample,
+feature) pair.  The values themselves are not kept; the winning column
+of a round is read again from the source.
 
 A round screens every feature with one real running sum of the signed
 weights in its sorted order, which bounds its least stump error to
@@ -46,6 +46,10 @@ EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
 # 14,140 features, 256 gave the fastest init and step; 128 a slower init,
 # 512 and 1024 larger peaks.
 _STEP_BLOCK = 256
+# features per block of step's screen (four float64 vectors this long); at
+# 500 samples x 162,336 features, 16,384 screened in 0.83 s, 4,096 to
+# 32,768 in up to 0.97 s, and longer vectors fall out of cache
+_SCREEN_BLOCK = 16_384
 
 
 @dataclass
@@ -123,14 +127,15 @@ def _stable_within_ties(sv, order) -> np.ndarray:
     return key
 
 
-def _stump_errors(wc: np.ndarray, order: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _stump_errors(wc: np.ndarray, order: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's stump errors for parity +1 and for parity -1.
 
     ``wc`` holds the class weights as complex numbers, the weight times
     is-positive in the real part and times is-negative in the imaginary
-    part; ``order`` and ``tied`` are rows of ``Booster._order`` and
-    ``Booster._tied``.  Column 0 is the threshold -inf and column r + 1 the
-    threshold above sorted position r; tied columns are inf.  One gather
+    part; ``order`` and ``cut`` hold one feature per row, columns of
+    ``Booster._order`` and ``Booster._cut`` transposed.  Column 0 is the
+    threshold -inf and column r + 1 the threshold above sorted position r;
+    columns where ``cut`` is False (no threshold falls) are inf.  One gather
     and one ``cumsum`` give both per-class running sums c1 and c0, as
     complex addition adds the two parts as two separate float additions.
     """
@@ -145,25 +150,8 @@ def _stump_errors(wc: np.ndarray, order: np.ndarray, tied: np.ndarray) -> tuple[
     e_minus = tot0 - c0
     e_minus += c1  # c1 + (tot0 - c0)
     for errs in (e_plus, e_minus):
-        np.copyto(errs[:, 1:], np.inf, where=tied)
+        np.copyto(errs[:, 1:], np.inf, where=~cut)
     return e_plus, e_minus
-
-
-def _untied_extremes(d: np.ndarray, tied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's max and min of ``d`` over the positions ``tied`` leaves out.
-
-    A row's plain argmax and argmin seldom fall on a tied position, so
-    only the rows where one does are reduced again with the ties masked.
-    """
-    rows = np.arange(len(d))
-    top, bottom = d.argmax(axis=1), d.argmin(axis=1)
-    redo = np.flatnonzero(tied[rows, top] | tied[rows, bottom])
-    top, bottom = d[rows, top], d[rows, bottom]
-    if len(redo):
-        sub, t = d[redo], tied[redo]
-        top[redo] = np.where(t, -np.inf, sub).max(axis=1)
-        bottom[redo] = np.where(t, np.inf, sub).min(axis=1)
-    return top, bottom
 
 
 class Booster:
@@ -176,29 +164,30 @@ class Booster:
     depend on the weights is built once, reading ``_STEP_BLOCK`` features
     at a time, and the values themselves are not kept:
 
-    - ``_order`` (n_features, n_samples, int32) is each feature's stable
-      sort order, one contiguous row per feature.  Rows are sorted with
-      numpy's default (unstable) argsort.  Distinct values have only one
-      order; a row whose sorted values are not strictly increasing (ties,
-      -0.0 next to 0.0, NaN) gets its runs of equal values put back in
-      index order by :func:`_stable_within_ties`, so every row equals
+    - ``_order`` (n_samples, n_features) holds each feature's stable sort
+      order in a column, in ``np.min_scalar_type(n_samples - 1)`` (uint8
+      up to 256 samples, uint16 up to 65,536).  Blocks are sorted with
+      numpy's default (unstable) argsort and stored transposed; a feature
+      whose sorted values are not strictly increasing (ties, -0.0 next to
+      0.0, NaN) gets its runs of equal values put back in index order by
+      :func:`_stable_within_ties`, so every column equals
       ``argsort(kind="stable")``.
-    - ``_tied`` (n_features, n_samples, bool) marks sorted positions whose
-      value equals the next one: no threshold falls between them, so
-      ``step`` skips that candidate.  The last column is always False.
+    - ``_cut`` (same shape, bool) marks sorted positions whose value
+      differs from the next one, where ``step`` places a threshold; the
+      last row is always True (the +inf threshold).
 
-    That is 5 bytes per (sample, feature) pair.  The sorted values that
-    find the ties come from ``np.sort``, not from gathering each row
-    through its order: the two may place -0.0 and 0.0, or NaNs,
-    differently, but the masks read them only with ``<`` and ``==``,
-    under which such values are equal, so every run of equal values falls
-    on the same positions either way.
+    That is 2 or 3 bytes per (sample, feature) pair.  The sorted values
+    that find the cuts come from ``np.sort``, not from gathering each
+    feature through its order: the two may place -0.0 and 0.0, or NaNs,
+    differently, but the masks read them only with ``<`` and ``!=``, under
+    which such values are equal, so every run of equal values falls on the
+    same positions either way.
 
     ``step`` screens every feature with one real running sum of the
     signed weights and re-scores only the features the screen cannot rule
     out with :func:`_stump_errors`; its docstring bounds the screen.  It
     reads the winning column again from ``values`` and fits its stump
-    with ``_stump``, from the order and ties kept here.
+    with ``_stump``, from the order and cuts kept here.
     """
 
     def __init__(self, values: np.ndarray | FeatureValues, labels: np.ndarray, weights: np.ndarray):
@@ -207,8 +196,8 @@ class Booster:
         self._is_pos, self._is_neg = (m.astype(np.float64) for m in _label_masks(self.labels))
         self.weights = np.asarray(weights, dtype=np.float64).copy()
         n, nf = values.shape
-        self._order = np.empty((nf, n), dtype=np.int32)
-        self._tied = np.zeros((nf, n), dtype=bool)
+        self._order = np.empty((n, nf), dtype=np.min_scalar_type(n - 1))
+        self._cut = np.ones((n, nf), dtype=bool)
         for lo in range(0, nf, _STEP_BLOCK):
             hi = min(nf, lo + _STEP_BLOCK)
             # a copy, never a view of ``values``: it is sorted in place
@@ -218,8 +207,8 @@ class Booster:
             redo = np.flatnonzero(~(sv[:, :-1] < sv[:, 1:]).all(axis=1))
             if len(redo):
                 order[redo] = _stable_within_ties(sv[redo], order[redo])
-            self._order[lo:hi] = order
-            self._tied[lo:hi, :-1] = sv[:, :-1] == sv[:, 1:]
+            self._order[:, lo:hi] = order.T
+            self._cut[:-1, lo:hi] = (sv[:, :-1] != sv[:, 1:]).T
         # 1 for a positive, 1j for a negative: times the weights (exact
         # products by 1 and 0), each class's weights fill their own part
         self._classes = self._is_pos + 1j * self._is_neg
@@ -238,8 +227,11 @@ class Booster:
         position r.  Its two parities err by (T1 - C1_r) + C0_r = T1 - d_r
         and C1_r + (T0 - C0_r) = T0 + d_r, and the thresholds -inf and +inf
         by T1 and T0 either way, so the feature's least error is
-        min(T1 - max d, T0 + min d, T1, T0), max and min over untied r.
-        One real ``cumsum`` per block gives every d.
+        min(T1 - max d, T0 + min d, T1, T0), max and min over the cut r.
+        It walks r = 0 ... n - 1 over ``_SCREEN_BLOCK`` features at a time,
+        adds the signed weights that row r of ``_order`` gathers to each d,
+        and keeps max and min where row r of ``_cut`` is set: a ``cumsum``'s
+        additions, so every d is the same float.
 
         The bound.  With u = eps / 2 and gamma_n = n u / (1 - n u), a
         running sum of at most n terms is within gamma_n times the sum of
@@ -264,11 +256,15 @@ class Booster:
         t1 = float(self.weights @ self._is_pos)
         t0 = float(self.weights @ self._is_neg)
         screened = np.empty(nf)
-        for lo in range(0, nf, _STEP_BLOCK):
-            hi = min(nf, lo + _STEP_BLOCK)
-            d = np.take(s, self._order[lo:hi])
-            np.cumsum(d, axis=1, out=d)
-            top, bottom = _untied_extremes(d, self._tied[lo:hi])
+        for lo in range(0, nf, _SCREEN_BLOCK):
+            hi = min(nf, lo + _SCREEN_BLOCK)
+            g, d = np.empty(hi - lo), np.zeros(hi - lo)
+            top, bottom = np.full(hi - lo, -np.inf), np.full(hi - lo, np.inf)
+            for order, cut in zip(self._order[:, lo:hi], self._cut[:, lo:hi]):
+                np.take(s, order, out=g, mode="clip")  # in range; "raise" buffers out
+                d += g
+                np.maximum(top, d, out=top, where=cut)
+                np.minimum(bottom, d, out=bottom, where=cut)
             np.minimum(t1 - top, t0 + bottom, out=screened[lo:hi])
         np.minimum(screened, min(t1, t0), out=screened)
         tol = 8 * (n + 2) * np.finfo(np.float64).eps * (t1 + t0)
@@ -276,7 +272,7 @@ class Booster:
         wc = self.weights * self._classes
         blocks = (near[i : i + _STEP_BLOCK] for i in range(0, len(near), _STEP_BLOCK))
         errs = np.concatenate(
-            [np.minimum(*_stump_errors(wc, self._order[b], self._tied[b])).min(axis=1)
+            [np.minimum(*_stump_errors(wc, self._order[:, b].T, self._cut[:, b].T)).min(axis=1)
              for b in blocks]
         )
         best = int(near[np.argmin(errs)])
@@ -298,9 +294,9 @@ class Booster:
         Thresholds rise with the sorted position, so each parity's first
         ``argmin`` is its smallest-threshold minimum.
         """
-        rows = slice(j, j + 1)
-        (e_plus,), (e_minus,) = _stump_errors(self.weights * self._classes, self._order[rows], self._tied[rows])
-        sv = np.asarray(col, dtype=np.float64)[self._order[j]]
+        cols = slice(j, j + 1)
+        (e_plus,), (e_minus,) = _stump_errors(self.weights * self._classes, self._order[:, cols].T, self._cut[:, cols].T)
+        sv = np.asarray(col, dtype=np.float64)[self._order[:, j]]
         thr = np.concatenate(([-np.inf], (sv[:-1] + sv[1:]) / 2.0, [np.inf]))
         p, m = np.argmin(e_plus), np.argmin(e_minus)
         err, t, parity = min((e_plus[p], thr[p], 1), (e_minus[m], thr[m], -1), key=lambda c: c[:2])

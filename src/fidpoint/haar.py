@@ -280,18 +280,19 @@ def scale_feature(f: HaarFeature, factor) -> ScaledCells:
     from the rounded apex and the rounded cell size.  Weights are
     re-balanced to restore the zero-mean invariant.
 
-    Results are cached; the arguments and the returned cells are all
-    immutable, so an entry never goes stale.
+    Results are cached (an int kind shares its ``FeatureKind``'s entry,
+    so the kind is read as one); arguments and cells are immutable.
     """
     if factor < 1:
         raise ValueError("scale factor must be >= 1")
+    kind = FeatureKind(f.kind)
     frac = Fraction(factor)  # exact for ints, floats and Fractions
-    if f.kind.rotated:
+    if kind.rotated:
         w, h = (max(1, round_half_up(v * frac)) for v in (f.w, f.h))
-        cells = _unit_cells(f.kind, round_half_up(f.x * frac), round_half_up(f.y * frac), w, h)
+        cells = _unit_cells(kind, round_half_up(f.x * frac), round_half_up(f.y * frac), w, h)
     else:
         cells = []
-        for x, y, w, h, wt in _unit_cells(f.kind, f.x, f.y, f.w, f.h):
+        for x, y, w, h, wt in _unit_cells(kind, f.x, f.y, f.w, f.h):
             x0, y0 = round_half_up(x * frac), round_half_up(y * frac)
             x1, y1 = round_half_up((x + w) * frac), round_half_up((y + h) * frac)
             cells.append((x0, y0, max(1, x1 - x0), max(1, y1 - y0), wt))
@@ -305,7 +306,7 @@ def scale_feature(f: HaarFeature, factor) -> ScaledCells:
         target = (pos + neg) / 2.0
         rp, rn = target / pos, target / neg
         cells = [(x, y, w, h, wt * rn if wt < 0 else wt * rp) for x, y, w, h, wt in cells]
-    return ScaledCells(f.kind.rotated, tuple(cells))
+    return ScaledCells(kind.rotated, tuple(cells))
 
 
 @functools.lru_cache(maxsize=1 << 10)

@@ -293,6 +293,7 @@ def test_step_tie_break_matches_train_weak(n, nf, spread, rounds, block, seed):
     labels[:2] = [0, 1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boost, "_STEP_BLOCK", block)
+        mp.setattr(boost, "_SCREEN_BLOCK", block)
         b = Booster(values, labels, dyadic_weights(rng, n, denom_bits=4))
         for _ in range(rounds):
             w = b.weights / b.weights.sum()
@@ -332,6 +333,7 @@ def test_step_matches_brute_force_with_unequal_weights(n, kinds, rounds, block, 
     labels[:2] = [0, 1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boost, "_STEP_BLOCK", block)
+        mp.setattr(boost, "_SCREEN_BLOCK", block)
         b = Booster(values, labels, rng.random(n) + 0.05)
         for _ in range(rounds):
             w = b.weights / b.weights.sum()
@@ -369,12 +371,47 @@ def test_order_and_ties_match_stable_argsort(n, nf, block, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boost, "_STEP_BLOCK", block)
         b = Booster(values, labels, np.full(n, 1.0 / n))
-    assert b._order.shape == b._tied.shape == (nf, n)
+    assert b._order.shape == b._cut.shape == (n, nf)
     for j in range(nf):
         want = np.argsort(values[:, j], kind="stable")
-        assert b._order[j].tolist() == want.tolist()
+        assert b._order[:, j].tolist() == want.tolist()
         sv = values[want, j]
-        assert b._tied[j].tolist() == (sv[:-1] == sv[1:]).tolist() + [False]
+        assert (~b._cut[:, j]).tolist() == (sv[:-1] == sv[1:]).tolist() + [False]
+
+
+@pytest.mark.parametrize("n, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_order_in_narrowest_index_type(n, dtype):
+    # the order takes the narrowest unsigned type that holds n - 1, so a
+    # pair costs its itemsize plus one mask byte; small integer values tie
+    # in every column, and the third column is constant
+    rng = np.random.default_rng(n)
+    nf = 5
+    values = rng.integers(-3, 4, size=(n, nf)).astype(float)
+    values[:, 2] = 1.0
+    labels = rng.integers(0, 2, n)
+    labels[:2] = [0, 1]
+    # binary fractions summing to exactly 1: normalising leaves them exact
+    ints = rng.integers(1, 2**12, size=n)
+    ints[0] += 2**21 - ints.sum()
+    b = Booster(values, labels, ints / 2**21)
+    assert b._order.dtype == dtype
+    assert b._order.flags.owndata and b._cut.flags.owndata
+    assert b._order.nbytes + b._cut.nbytes == (np.dtype(dtype).itemsize + 1) * n * nf
+    for j in range(nf):
+        assert b._order[:, j].tolist() == np.argsort(values[:, j], kind="stable").tolist()
+    for i in range(3):
+        w = b.weights / b.weights.sum()
+        per_feature = [train_weak(values[:, j], labels, w) for j in range(nf)]
+        errors = [wk.error for wk in per_feature]
+        if i == 0:  # every sum is exact, so the oracle's errors are the same floats
+            oracle = [exhaustive_stump(values[:, j], labels, w) for j in range(nf)]
+            assert [(wk.error, wk.threshold, 0 if wk.parity == 1 else 1)
+                    for wk in per_feature] == oracle
+        _, weak, _ = b.step()
+        j = errors.index(min(errors))
+        ref = per_feature[j]
+        assert repr((weak.feature_index, weak.threshold, weak.parity, weak.error)) == repr(
+            (j, ref.threshold, ref.parity, ref.error))
 
 
 def test_booster_leaves_values_unchanged():
@@ -388,7 +425,7 @@ def test_booster_leaves_values_unchanged():
 
 
 def test_booster_memory_below_value_matrix():
-    # the int32 order and the tie mask take 5/8 of the float64 values and
+    # the uint8 order and the cut mask take 2/8 of the float64 values and
     # block temporaries bound the rest; a full int64 argsort alone would
     # be as large as the values
     rng = np.random.default_rng(37)
@@ -430,6 +467,7 @@ def test_step_picks_first_minimum_among_near_ties(n, nbase, rounds, block, seed)
     labels[:2] = [0, 1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boost, "_STEP_BLOCK", block)
+        mp.setattr(boost, "_SCREEN_BLOCK", block)
         b = Booster(values, labels, 10.0 ** rng.uniform(-9, 0, n))
         for _ in range(rounds):
             w = b.weights / b.weights.sum()
@@ -455,11 +493,12 @@ def test_booster_over_feature_values_matches_value_matrix(step_block, matrix_blo
     labels = np.arange(36) % 3 == 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(boost, "_STEP_BLOCK", step_block)
+        mp.setattr(boost, "_SCREEN_BLOCK", 100)  # 2,767 features: a partial last block
         mp.setattr(haar, "_MATRIX_BLOCK", matrix_block)
         lazy = Booster(FeatureValues(features, tables), labels, init_weights(labels))
         full = Booster(feature_matrix(features, tables), labels, init_weights(labels))
         assert np.array_equal(lazy._order, full._order)
-        assert np.array_equal(lazy._tied, full._tied)
+        assert np.array_equal(lazy._cut, full._cut)
         for _ in range(6):
             got, want = lazy.step(), full.step()
             assert repr(got[:2]) == repr(want[:2]) and np.array_equal(got[2], want[2])
@@ -467,7 +506,7 @@ def test_booster_over_feature_values_matches_value_matrix(step_block, matrix_blo
 
 
 def test_train_stage_memory_below_value_matrix():
-    # the stage reads its values block by block and Booster keeps 5 bytes
+    # the stage reads its values block by block and Booster keeps 2 bytes
     # per (sample, feature) pair, so the stage never holds the 8-byte
     # value matrix
     rng = np.random.default_rng(47)

@@ -242,6 +242,20 @@ def test_scale_feature_rounding_rule(scale):
         assert [np.sign(slot[4]) for slot in got] == [np.sign(slot[4]) for slot in unit], f
 
 
+@pytest.mark.parametrize("kind", [FeatureKind.EDGE_H, FeatureKind.EDGE_H_45])
+@pytest.mark.parametrize("int_first", [True, False])
+def test_scale_feature_int_kind_equals_enum_kind(kind, int_first):
+    # an int kind and its FeatureKind hash alike, so they share one cache
+    # entry; each must give the same cells whichever is cached first
+    as_int, as_enum = HaarFeature(int(kind), 2, 2, 1, 1), HaarFeature(kind, 2, 2, 1, 1)
+    scale_feature.cache_clear()
+    first, second = (as_int, as_enum) if int_first else (as_enum, as_int)
+    got = scale_feature(first, 1.5), scale_feature(second, 1.5)
+    scale_feature.cache_clear()
+    assert got[0] == got[1] == scale_feature(as_enum, 1.5)
+    assert got[0].rotated == kind.rotated
+
+
 def test_scale_rebalanced_zero_mean():
     rng = np.random.default_rng(17)
     feats = enumerate_features(13, 13, FeatureSet.ALL)
