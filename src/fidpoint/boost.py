@@ -12,10 +12,11 @@ block: a value matrix, or a ``haar.FeatureValues`` that computes each
 block of feature values when it is read, as ``cascade.train_stage``
 passes it.  Feature values do not depend on the weights, and neither
 does what ``Booster`` keeps of them: each feature's stable sort order
-in the narrowest unsigned index type and a mask of the sorted positions
-a threshold falls after, samples-major, 2 or 3 bytes per (sample,
-feature) pair.  The values themselves are not kept; the winning column
-of a round is read again from the source.
+in the narrowest unsigned index type, from one integer sort of (value,
+sample) keys per block, and a mask of the sorted positions a threshold
+falls after, samples-major, 2 or 3 bytes per (sample, feature) pair.
+The values themselves are not kept; the winning column of a round is
+read again from the source.
 
 A round screens every feature with one real running sum of the signed
 weights in its sorted order, which bounds its least stump error to
@@ -42,9 +43,9 @@ from .raster import IntegralTables
 
 EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
 # features per Booster block, and per read of the value source; bounds the
-# (block x samples) temporaries of __init__ and step.  At 188 samples x
-# 14,140 features, 256 gave the fastest init and step; 128 a slower init,
-# 512 and 1024 larger peaks.
+# (block x samples) temporaries of __init__ and step.  Init with the values
+# at 14,140 features, blocks of 128/256/512/1024: 139/119/117/118 ms at 188
+# samples (traced peak 6.3/7.5/9.9/14.8 MB), 1.22/1.18/1.27/1.26 s at 2,000.
 _STEP_BLOCK = 256
 # features per block of step's screen (four float64 vectors this long); at
 # 500 samples x 162,336 features, 16,384 screened in 0.83 s, 4,096 to
@@ -107,26 +108,6 @@ def train_weak(values, labels, weights) -> WeakClassifier:
     return Booster(v[:, None], labels, weights)._stump(0, v)
 
 
-def _stable_within_ties(sv, order) -> np.ndarray:
-    """The stable sort order of rows already sorted by ``order``.
-
-    ``sv`` holds each row's sorted values.  A stable sort keeps equal
-    values (-0.0 and 0.0 are equal; NaNs sort last and count as equal
-    here) in index order, so the sorted index order within each run of
-    equal values is the stable order.  Sorting the key
-    ``run * n + index`` does that for every run at once.
-    """
-    n = sv.shape[1]
-    same = (sv[:, 1:] == sv[:, :-1]) | (np.isnan(sv[:, 1:]) & np.isnan(sv[:, :-1]))
-    base = np.zeros(sv.shape, dtype=np.int64)
-    np.cumsum(~same, axis=1, out=base[:, 1:])
-    base *= n
-    key = base + order
-    key.sort(axis=1)
-    key -= base
-    return key
-
-
 def _stump_errors(wc: np.ndarray, order: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's stump errors for parity +1 and for parity -1.
 
@@ -166,22 +147,23 @@ class Booster:
 
     - ``_order`` (n_samples, n_features) holds each feature's stable sort
       order in a column, in ``np.min_scalar_type(n_samples - 1)`` (uint8
-      up to 256 samples, uint16 up to 65,536).  Blocks are sorted with
-      numpy's default (unstable) argsort and stored transposed; a feature
-      whose sorted values are not strictly increasing (ties, -0.0 next to
-      0.0, NaN) gets its runs of equal values put back in index order by
-      :func:`_stable_within_ties`, so every column equals
-      ``argsort(kind="stable")``.
+      up to 256 samples, uint16 up to 65,536).  A block is sorted once as
+      uint64 keys that order the values (-0.0 made 0.0, every NaN one NaN
+      above +inf; all bits of a negative value flipped, the sign bit of
+      any other) and hold the sample index in their low ``8 * itemsize``
+      bits, so equal values sort by index, as ``argsort(kind="stable")``.
     - ``_cut`` (same shape, bool) marks sorted positions whose value
       differs from the next one, where ``step`` places a threshold; the
       last row is always True (the +inf threshold).
 
-    That is 2 or 3 bytes per (sample, feature) pair.  The sorted values
-    that find the cuts come from ``np.sort``, not from gathering each
-    feature through its order: the two may place -0.0 and 0.0, or NaNs,
-    differently, but the masks read them only with ``<`` and ``!=``, under
-    which such values are equal, so every run of equal values falls on the
-    same positions either way.
+    That is 2 or 3 bytes per (sample, feature) pair.  The cuts come from
+    ``np.sort``'s values, which ``!=`` compares alike wherever the order
+    puts -0.0 and 0.0, or NaNs.  The key sort misorders only different
+    values that share a key's high bits.  Keys sharing high bits are a run
+    of sorted positions holding the same values as ``np.sort``'s, so such
+    a run has two neighbouring keys with equal high bits where ``_cut`` is
+    set; only those features, and any with two NaNs (``!=`` cuts between
+    them), are sorted again, stably.
 
     ``step`` screens every feature with one real running sum of the
     signed weights and re-scores only the features the screen cannot rule
@@ -197,18 +179,32 @@ class Booster:
         self.weights = np.asarray(weights, dtype=np.float64).copy()
         n, nf = values.shape
         self._order = np.empty((n, nf), dtype=np.min_scalar_type(n - 1))
-        self._cut = np.ones((n, nf), dtype=bool)
+        self._cut = np.empty((n, nf), dtype=bool)
+        low = np.uint64((1 << 8 * self._order.itemsize) - 1)  # the index bits of a key
         for lo in range(0, nf, _STEP_BLOCK):
-            hi = min(nf, lo + _STEP_BLOCK)
-            # a copy, never a view of ``values``: it is sorted in place
-            sv = values[:, lo:hi].T.copy()
-            order = np.argsort(sv, axis=1)
-            sv.sort(axis=1)
-            redo = np.flatnonzero(~(sv[:, :-1] < sv[:, 1:]).all(axis=1))
-            if len(redo):
-                order[redo] = _stable_within_ties(sv[redo], order[redo])
-            self._order[:, lo:hi] = order.T
-            self._cut[:-1, lo:hi] = (sv[:, :-1] != sv[:, 1:]).T
+            cols = slice(lo, lo + _STEP_BLOCK)
+            block = values[:, cols].T
+            # a fresh C-ordered copy, never a view of ``values``; -0.0 + 0.0 is 0.0
+            key = np.add(block, 0.0, order="C")
+            sv = np.sort(key, axis=1)
+            # neighbours compared along the flattened block (several times faster than
+            # by row); the last column pairs two rows until it is the +inf threshold's cut
+            cut = np.empty(key.shape, dtype=bool)
+            np.not_equal(sv.ravel()[1:], sv.ravel()[:-1], out=cut.ravel()[:-1])
+            np.copyto(key, np.nan, where=np.isnan(key))
+            key = key.view(np.uint64)
+            flip = np.right_shift(key.view(np.int64), 63, out=sv.view(np.int64)).view(np.uint64)
+            key ^= np.bitwise_or(flip, 1 << 63, out=flip)
+            key &= ~low
+            key |= np.arange(n, dtype=np.uint64)
+            key.sort(axis=1)
+            self._order[:, cols] = key.T
+            k = key.ravel()  # re-sort the rows where a cut falls between equal high bits
+            if ((np.bitwise_xor(k[1:], k[:-1], out=flip.ravel()[1:]) <= low) & cut.ravel()[:-1]).any():
+                redo = (((key[:, 1:] ^ key[:, :-1]) <= low) & cut[:, :-1]).any(axis=1)
+                self._order[:, cols][:, redo] = np.argsort(block[redo], axis=1, kind="stable").T
+            cut[:, -1:] = True
+            self._cut[:, cols] = cut.T
         # 1 for a positive, 1j for a negative: times the weights (exact
         # products by 1 and 0), each class's weights fill their own part
         self._classes = self._is_pos + 1j * self._is_neg
@@ -297,7 +293,11 @@ class Booster:
         cols = slice(j, j + 1)
         (e_plus,), (e_minus,) = _stump_errors(self.weights * self._classes, self._order[:, cols].T, self._cut[:, cols].T)
         sv = np.asarray(col, dtype=np.float64)[self._order[:, j]]
-        thr = np.concatenate(([-np.inf], (sv[:-1] + sv[1:]) / 2.0, [np.inf]))
+        with np.errstate(over="ignore"):
+            mid = (sv[:-1] + sv[1:]) / 2.0
+        big = np.isinf(mid) & np.isfinite(sv[:-1]) & np.isfinite(sv[1:])  # the sum overflowed
+        mid[big] = sv[:-1][big] / 2.0 + sv[1:][big] / 2.0  # exact halves: a finite midpoint
+        thr = np.concatenate(([-np.inf], mid, [np.inf]))
         p, m = np.argmin(e_plus), np.argmin(e_minus)
         err, t, parity = min((e_plus[p], thr[p], 1), (e_minus[m], thr[m], -1), key=lambda c: c[:2])
         return WeakClassifier(threshold=float(t), parity=parity, error=float(err))

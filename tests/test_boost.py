@@ -219,6 +219,17 @@ def test_train_weak_special_values_golden():
     assert got == SPECIAL_STUMPS
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_train_weak_midpoint_of_huge_values_is_finite(sign):
+    # 1e308 + 1.7e308 overflows; the threshold must still fall between the
+    # two values, so the reported error is the error of the stump's own calls
+    v = sign * np.array([1e308, 1.7e308])
+    y, w = np.array([1, 0]), np.array([0.5, 0.5])
+    wk = train_weak(v, y, w)
+    assert v.min() < wk.threshold < v.max()
+    assert wk.error == float(w @ (wk.predict_value(v) != y)) == 0.0
+
+
 # --- boosting rounds ---------------------------------------------------------
 
 def test_worked_update_quarter_error():
@@ -412,6 +423,43 @@ def test_order_in_narrowest_index_type(n, dtype):
         ref = per_feature[j]
         assert repr((weak.feature_index, weak.threshold, weak.parity, weak.error)) == repr(
             (j, ref.threshold, ref.parity, ref.error))
+
+
+@pytest.mark.parametrize("n", [40, 256, 257, 300])
+def test_order_and_cut_on_key_sort_edge_cases(n):
+    # Booster sorts (value, sample) integer keys whose low 8 (n <= 256) or
+    # 16 bits hold the sample, so values a few ulps apart can share a key's
+    # high bits; those rows must fall back to a stable argsort.  Columns mix
+    # ulp neighbours, subnormals, -0.0 and 0.0, NaNs of either sign, +-inf
+    # and long runs of ties, over several blocks.
+    rng = np.random.default_rng(n)
+    tiny = 5e-324
+    pool = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1), np.inf, -np.inf,
+                     tiny, -tiny, 1.0, -1.0, 1e308, -1e308])
+    # the 1.0s must sort before the larger value; in index order they do not
+    columns = [np.resize([np.nextafter(1.0, 2.0), 1.0], n)]
+    # one NaN with its sign bit set, which must sort last, among distinct values
+    columns.append(np.arange(n, 0, -1.0))
+    columns[-1][n // 2] = np.copysign(np.nan, -1)
+    for _ in range(12):
+        base = rng.choice([1.0, -1.0, 1e-300, 1000 * tiny, -1000 * tiny, 1e308, -1e308])
+        near = (np.float64(base).view(np.int64) + rng.integers(-300, 301, n)).view(np.float64)
+        col = np.where(rng.random(n) < 0.6, near, rng.choice(pool, n))
+        col[rng.random(n) < 0.2] = col[0]  # ties scattered through the column
+        start = int(rng.integers(0, n))
+        col[start : start + n // 4] = rng.choice(pool)  # and one long run
+        columns.append(col)
+    columns.insert(6, columns.pop(0))  # into the second block of five
+    values = np.stack(columns, axis=1)
+    labels = np.arange(n) % 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boost, "_STEP_BLOCK", 5)
+        b = Booster(values, labels, np.full(n, 1.0 / n))
+    assert b._order.dtype == (np.uint8 if n <= 256 else np.uint16)
+    for j in range(values.shape[1]):
+        assert b._order[:, j].tolist() == np.argsort(values[:, j], kind="stable").tolist()
+        sv = np.sort(values[:, j])
+        assert b._cut[:, j].tolist() == (sv[:-1] != sv[1:]).tolist() + [True]
 
 
 def test_booster_leaves_values_unchanged():
