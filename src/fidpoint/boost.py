@@ -100,9 +100,9 @@ def init_weights(labels) -> np.ndarray:
 def train_weak(values, labels, weights) -> WeakClassifier:
     """Minimum weighted-error stump over one feature's values.
 
-    The N = 1 case of :class:`Booster`: candidate thresholds are midpoints
-    between consecutive distinct sorted values plus -inf/+inf sentinels,
-    and ties break as in ``Booster.step``.
+    The N = 1 case of :class:`Booster`: candidate thresholds fall between
+    consecutive distinct sorted values (``Booster._stump``), plus -inf/+inf
+    sentinels, and ties break as in ``Booster.step``.
     """
     v = np.asarray(values, dtype=np.float64)
     return Booster(v[:, None], labels, weights)._stump(0, v)
@@ -286,6 +286,12 @@ class Booster:
     def _stump(self, j: int, col: np.ndarray) -> WeakClassifier:
         """Feature j's least-error stump under the current weights; ``col`` is its values.
 
+        Parity +1 calls ``v < t`` positive and parity -1 ``v > t``, so the
+        threshold between sorted neighbours lo < hi makes the calls its
+        error counts if lo < t <= hi (parity +1) or lo <= t < hi (parity
+        -1).  Each takes the midpoint where it meets that, else hi (parity
+        +1) or lo (parity -1): the midpoint of floats one ulp apart rounds
+        onto one of them, and next to an infinity it is infinite or NaN.
         Ties break toward the smaller threshold, then parity +1.
         Thresholds rise with the sorted position, so each parity's first
         ``argmin`` is its smallest-threshold minimum.
@@ -293,13 +299,13 @@ class Booster:
         cols = slice(j, j + 1)
         (e_plus,), (e_minus,) = _stump_errors(self.weights * self._classes, self._order[:, cols].T, self._cut[:, cols].T)
         sv = np.asarray(col, dtype=np.float64)[self._order[:, j]]
-        with np.errstate(over="ignore"):
-            mid = (sv[:-1] + sv[1:]) / 2.0
-        big = np.isinf(mid) & np.isfinite(sv[:-1]) & np.isfinite(sv[1:])  # the sum overflowed
-        mid[big] = sv[:-1][big] / 2.0 + sv[1:][big] / 2.0  # exact halves: a finite midpoint
-        thr = np.concatenate(([-np.inf], mid, [np.inf]))
+        lo, hi = sv[:-1], sv[1:]
+        with np.errstate(invalid="ignore"):  # -inf / 2 + inf / 2 is NaN
+            mid = lo / 2.0 + hi / 2.0  # halves first, so finite neighbours never overflow
+        thr_plus = np.concatenate(([-np.inf], np.where(mid > lo, mid, hi), [np.inf]))
+        thr_minus = np.concatenate(([-np.inf], np.where(mid < hi, mid, lo), [np.inf]))
         p, m = np.argmin(e_plus), np.argmin(e_minus)
-        err, t, parity = min((e_plus[p], thr[p], 1), (e_minus[m], thr[m], -1), key=lambda c: c[:2])
+        err, t, parity = min((e_plus[p], thr_plus[p], 1), (e_minus[m], thr_minus[m], -1), key=lambda c: c[:2])
         return WeakClassifier(threshold=float(t), parity=parity, error=float(err))
 
 

@@ -1,4 +1,4 @@
-"""Ground-truth markup, training-sample generation, and patch archives.
+"""Ground-truth markup and training-sample generation.
 
 Point id table
 --------------
@@ -18,17 +18,18 @@ It is this artifact's own convention (datasets vary).
     16 right_nostril      17 upper_lip
     18 lower_lip          19 chin
 
-Only left-side and midline points are sampled for training; right-side
-detectors come from mirroring a left-side cascade.
+Only left-side and midline points are sampled for training.  A
+right-side point is found by scanning its left-side partner's cascade
+with reflected cells (``scan.DetectorConfig.on_right_side``,
+``haar.scan_plan(..., mirrored=True)``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,10 +42,6 @@ class PointsFormatError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class PatchSetFormatError(ValueError):
-    pass
 
 
 class GenerationError(RuntimeError):
@@ -105,21 +102,14 @@ DEFAULT_SCHEME = PointScheme(
 
 @dataclass
 class Markup:
+    """One image's ground truth: ``DEFAULT_SCHEME.size`` points, indexed by point id."""
+
     image_path: str
     points: list[Point2]
 
-
-@dataclass
-class SampleDescription:
-    image_path: str
-    entries: list[Rect]
-
-
-@dataclass
-class PatchSet:
-    w: int
-    h: int
-    records: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    def __post_init__(self):
+        if len(self.points) != DEFAULT_SCHEME.size:
+            raise ValueError(f"{self.image_path}: markup has {len(self.points)} points, expected {DEFAULT_SCHEME.size}")
 
 
 # --- points files (PTS 1) -----------------------------------------------------
@@ -230,7 +220,7 @@ def positive_descriptions(
     s: int,
     image_w: int,
     image_h: int,
-) -> SampleDescription:
+) -> list[Rect]:
     """Three concentric squares (sides s+2, s, s-2) centred on the point.
 
     Emitted largest first.  Raises BoundsError when any square leaves
@@ -249,52 +239,7 @@ def positive_descriptions(
                 f"{markup.image_path}: {side}x{side} sample at point {point_id} leaves the image"
             )
         entries.append(r)
-    return SampleDescription(markup.image_path, entries)
-
-
-# --- description log ---------------------------------------------------------------
-
-def write_description_log(descriptions: list[SampleDescription]) -> bytes:
-    lines = []
-    for d in descriptions:
-        quads = " ".join(f"{r.x} {r.y} {r.w} {r.h}" for r in d.entries)
-        lines.append(f"{d.image_path} {len(d.entries)} {quads}" if quads else f"{d.image_path} {len(d.entries)}")
-    return ("".join(line + "\n" for line in lines)).encode("ascii")
-
-
-def parse_description_log(data: bytes) -> list[SampleDescription]:
-    """Parse ``<image> <count> <x> <y> <w> <h> ...`` lines; blank lines are skipped.
-
-    Any malformed line, including a non-ASCII byte, a negative count and a
-    rect of zero extent, raises :class:`PointsFormatError` with its line
-    number.
-    """
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as e:
-        # the bad byte is on the line that a character in its place would end
-        lineno = len((data[: e.start].decode("ascii") + "x").splitlines())
-        raise PointsFormatError("non-ASCII byte", lineno) from None
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        toks = line.split()
-        try:
-            n = int(toks[1])
-            vals = [int(t) for t in toks[2:]]
-        except (IndexError, ValueError):
-            raise PointsFormatError("malformed description line", lineno) from None
-        if n < 0:
-            raise PointsFormatError(f"negative rect count {n}", lineno)
-        if len(vals) != 4 * n:
-            raise PointsFormatError(f"expected {4 * n} rect values, got {len(vals)}", lineno)
-        try:
-            rects = [Rect(*vals[i : i + 4]) for i in range(0, len(vals), 4)]
-        except ValueError as e:
-            raise PointsFormatError(str(e), lineno) from None
-        out.append(SampleDescription(toks[0], rects))
-    return out
+    return entries
 
 
 # --- negative sampling ---------------------------------------------------------------
@@ -420,51 +365,3 @@ def extract_and_rescale(image: GrayImage, rect: Rect, target_side: int = 13) -> 
     out = across[:target_side] * wy0 + across[target_side:] * wy1
     # blends of 0..255 lie in [0, 255.5), so truncating out + 0.5 rounds half up
     return (out + 0.5).astype(np.uint8)
-
-
-# --- patch archive -----------------------------------------------------------------------
-
-PATCHSET_MAGIC = b"FPSET1"
-
-
-def write_patchset(patchset: PatchSet) -> bytes:
-    """Binary archive: magic, u32le count, u16le w, u16le h, then records.
-
-    Each record is one label byte followed by w*h row-major intensity
-    bytes.
-    """
-    out = bytearray()
-    out += PATCHSET_MAGIC
-    out += struct.pack("<IHH", len(patchset.records), patchset.w, patchset.h)
-    npix = patchset.w * patchset.h
-    for label, pixels in patchset.records:
-        if label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {label}")
-        arr = np.asarray(pixels, dtype=np.uint8)
-        if arr.shape != (patchset.h, patchset.w):
-            raise ValueError(f"record shape {arr.shape} != {(patchset.h, patchset.w)}")
-        out.append(label)
-        out += arr.tobytes()
-    return bytes(out)
-
-
-def read_patchset(data: bytes) -> PatchSet:
-    if data[:6] != PATCHSET_MAGIC:
-        raise PatchSetFormatError("bad magic")
-    if len(data) < 14:
-        raise PatchSetFormatError("truncated header")
-    count, w, h = struct.unpack("<IHH", data[6:14])
-    npix = w * h
-    want = 14 + count * (1 + npix)
-    if len(data) != want:
-        raise PatchSetFormatError(f"expected {want} bytes, got {len(data)}")
-    ps = PatchSet(w, h)
-    pos = 14
-    for _ in range(count):
-        label = data[pos]
-        if label not in (0, 1):
-            raise PatchSetFormatError(f"bad label byte {label}")
-        pixels = np.frombuffer(data, dtype=np.uint8, count=npix, offset=pos + 1)
-        ps.records.append((label, pixels.reshape(h, w).copy()))
-        pos += 1 + npix
-    return ps

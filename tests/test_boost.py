@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fidpoint import boost
@@ -184,11 +184,11 @@ SPECIAL_STUMPS = [
     '(0.5, -1, 0.14250854075158614)',
     '(-inf, -1, 0.10550887021475258)',
     '(-inf, -1, 0.07813378302417089)',
-    '(nan, -1, 0.0)',
+    '(-inf, -1, 0.0)',
     '(-inf, -1, 0.0)',
     '(-0.33333333333333337, 1, 0.0)',
     '(-inf, 1, 0.0)',
-    '(nan, -1, 0.0)',
+    '(-2.0, -1, 0.0)',
     '(-inf, 1, 0.0)',
     '(-inf, 1, 0.0)',
     '(-inf, -1, 0.1056910569105691)',
@@ -200,17 +200,16 @@ SPECIAL_STUMPS = [
     '(-1.0, -1, 0.10650069156293222)',
     '(-1.5, 1, 0.1035923141186299)',
     '(1.25, 1, 0.08277404921700225)',
-    '(nan, -1, 0.13506815365551422)',
+    '(2.0, -1, 0.13506815365551422)',
     '(-1.5, -1, 0.12589413447782546)',
     '(1.25, -1, 0.1165674603174603)',
     '(-inf, 1, 0.08083832335329341)',
     '(-0.5, 1, 0.09183006535947713)',
-    '(inf, -1, 0.09992372234935164)',
+    '(2.0, -1, 0.09992372234935164)',
     '(1.75, -1, 0.09063745019920319)',
 ]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # midpoint of -inf and inf
 def test_train_weak_special_values_golden():
     got = []
     for v, y, w in special_columns():
@@ -228,6 +227,55 @@ def test_train_weak_midpoint_of_huge_values_is_finite(sign):
     wk = train_weak(v, y, w)
     assert v.min() < wk.threshold < v.max()
     assert wk.error == float(w @ (wk.predict_value(v) != y)) == 0.0
+
+
+def moved_ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` ulps (down if ``k`` < 0), stopping at the largest finite float."""
+    for _ in range(abs(k)):
+        nxt = math.nextafter(x, math.copysign(math.inf, k))
+        if math.isinf(nxt):
+            break
+        x = nxt
+    return x
+
+
+FINITE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 0.5,
+                1.7e308, -1.7e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def finite_columns(draw):
+    """(values, labels, weights): finite values, and weights whose sums are exact.
+
+    Values are a few ulps from one of a few bases (+-0, subnormals, values
+    near +-1.7e308, or any finite float), or half-integers nudged by 1e-16,
+    so neighbouring sorted values are often one ulp apart.
+    """
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        bases = draw(st.lists(st.sampled_from(FINITE_EDGES) | st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=1, max_size=3))
+        values = [moved_ulps(draw(st.sampled_from(bases)), draw(st.integers(-2, 2))) for _ in range(n)]
+    else:
+        values = [draw(st.integers(-4, 4)) / 2 + draw(st.sampled_from([0.0, 1e-16, -1e-16]))
+                  for _ in range(n)]
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    weights = [k / 16 for k in draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))]
+    return values, labels, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(column=finite_columns())
+@example(column=([1.0, math.nextafter(1.0, 2.0)], [1, 0], [0.5, 0.5]))  # midpoint rounds onto 1.0
+@example(column=([-0.0, 0.0, 5e-324], [0, 1, 0], [0.25, 0.25, 0.5]))  # midpoint rounds onto 0.0
+@example(column=([1.5000000000000002, 1.5000000000000004], [0, 1], [0.5, 0.5]))  # midpoint rounds onto the upper
+@example(column=([1e308, 1.7e308, -1.7e308], [1, 0, 1], [0.25, 0.25, 0.5]))  # lo + hi would overflow
+def test_train_weak_error_is_its_own_calls_error_on_finite_columns(column):
+    # the reported error counts the stump's own calls: the threshold falls
+    # strictly on the side of each neighbour that predict_value needs
+    v, y, w = (np.array(a) for a in column)
+    wk = train_weak(v, y, w)
+    assert wk.error == float(w @ (wk.predict_value(v) != y))
 
 
 # --- boosting rounds ---------------------------------------------------------
@@ -319,7 +367,6 @@ def test_step_tie_break_matches_train_weak(n, nf, spread, rounds, block, seed):
             assert (pred == (ref.parity * col < ref.parity * ref.threshold)).all()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # midpoint of -inf and inf
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(2, 70),

@@ -18,19 +18,8 @@ from fidpoint.boost import StrongClassifier, WeakClassifier
 from fidpoint.cascade import Cascade, CascadeFormatError, Stage, deserialize, serialize
 from fidpoint.geom import Point2
 from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature
-from fidpoint.raster import GrayImage, PgmFormatError, Rect, load_pgm, save_pgm
-from fidpoint.samples import (
-    PatchSet,
-    PatchSetFormatError,
-    PointsFormatError,
-    SampleDescription,
-    parse_description_log,
-    parse_points_file,
-    read_patchset,
-    write_description_log,
-    write_patchset,
-    write_points_file,
-)
+from fidpoint.raster import GrayImage, PgmFormatError, load_pgm, save_pgm
+from fidpoint.samples import PointsFormatError, parse_points_file, write_points_file
 
 
 def _cascade_file() -> bytes:
@@ -43,20 +32,6 @@ def _cascade_file() -> bytes:
         ]
         stages.append(Stage(StrongClassifier(rounds, threshold=0.25 * (i + 1)), 0.995, 0.5))
     return serialize(Cascade(9, 9, FeatureSet.ALL, stages))
-
-
-def _patchset_file() -> bytes:
-    rng = np.random.default_rng(3)
-    return write_patchset(PatchSet(3, 2, [(i % 2, rng.integers(0, 256, (2, 3), dtype=np.uint8))
-                                          for i in range(3)]))
-
-
-def _description_log() -> bytes:
-    return write_description_log([
-        SampleDescription("faces/a.pgm", [Rect(3, 4, 20, 22), Rect(0, 0, 1, 1)]),
-        SampleDescription("b.pgm", []),
-        SampleDescription("c.pgm", [Rect(-2, 7, 5, 5)]),
-    ])
 
 
 def _pixels() -> np.ndarray:
@@ -78,10 +53,6 @@ FORMATS = {
                  b"BASIC", b"ALL", b"EDGE_H", b"EDGE_H_45", b"\n"]),
     "pts": (write_points_file([Point2(1.5, 2.0), Point2(-3.0, 4.25), Point2(0.0, 7.0)]),
             parse_points_file, PointsFormatError, [b"PTS", b"n", b"\n"]),
-    "patchset": (_patchset_file(), read_patchset, PatchSetFormatError,
-                 [b"FPSET1", b"\x00", b"\x01", b"\x02", b"\xff" * 4]),
-    "description": (_description_log(), parse_description_log, PointsFormatError,
-                    [b"img.pgm", b"\xff", b"\x0c", b"\r", b"\n"]),
     "pgm_p5": (save_pgm(GrayImage(_pixels())), load_pgm, PgmFormatError, PGM_WORDS),
     "pgm_p2": (_p2_file(), load_pgm, PgmFormatError, PGM_WORDS),
 }

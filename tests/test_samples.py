@@ -12,21 +12,14 @@ from fidpoint.samples import (
     DEFAULT_SCHEME,
     GenerationError,
     Markup,
-    PatchSet,
-    PatchSetFormatError,
     PointsFormatError,
-    SampleDescription,
     compute_scales,
     extract_and_rescale,
     generate_negatives,
     nearest_odd,
-    parse_description_log,
     parse_points_file,
     positive_descriptions,
-    read_patchset,
     tilt_correct_markup,
-    write_description_log,
-    write_patchset,
     write_points_file,
 )
 
@@ -76,6 +69,15 @@ def test_points_roundtrip_random():
             for _ in range(int(rng.integers(0, 30)))
         ]
         assert parse_points_file(write_points_file(pts)) == pts
+
+
+@pytest.mark.parametrize("count", [0, 5, DEFAULT_SCHEME.size - 1, DEFAULT_SCHEME.size + 1])
+def test_markup_with_wrong_point_count_names_image_and_counts(count):
+    # a well-formed PTS file of the wrong length is refused where it becomes
+    # a markup, not with an IndexError deep inside sampling
+    pts = parse_points_file(write_points_file([Point2(float(i), 1.0) for i in range(count)]))
+    with pytest.raises(ValueError, match=f"short.pgm: markup has {count} points, expected 20"):
+        Markup("short.pgm", pts)
 
 
 # --- tilt correction -----------------------------------------------------------
@@ -177,8 +179,8 @@ def test_compute_scales_sides_are_accepted_by_positive_descriptions(widths):
         ms.append(m)
     for m, s in zip(ms, compute_scales(ms, lid)):
         assert s % 2 == 1 and s >= samples.MIN_SAMPLE_SIDE
-        d = positive_descriptions(m, lid, s, 401, 401)
-        assert [r.w for r in d.entries] == [s + 2, s, s - 2]
+        rects = positive_descriptions(m, lid, s, 401, 401)
+        assert [r.w for r in rects] == [s + 2, s, s - 2]
 
 
 # --- positive descriptions ----------------------------------------------------------
@@ -187,19 +189,19 @@ def test_positive_descriptions_paper_fixture():
     m = level_markup("BioID_0000.pgm")
     pid = DEFAULT_SCHEME.id_of("right_brow_outer")
     m.points[pid] = Point2(196.0, 175.0)
-    d = positive_descriptions(m, pid, 23, 384, 286)
-    assert d.entries == [Rect(184, 163, 25, 25), Rect(185, 164, 23, 23), Rect(186, 165, 21, 21)]
+    rects = positive_descriptions(m, pid, 23, 384, 286)
+    assert rects == [Rect(184, 163, 25, 25), Rect(185, 164, 23, 23), Rect(186, 165, 21, 21)]
 
 
 def test_positive_descriptions_centered_and_nested():
     m = level_markup()
     pid = 0
     m.points[pid] = Point2(100.0, 100.0)
-    d = positive_descriptions(m, pid, 13, 201, 201)
-    for r in d.entries:
+    rects = positive_descriptions(m, pid, 13, 201, 201)
+    for r in rects:
         assert r.x + (r.w - 1) // 2 == 100 and r.y + (r.h - 1) // 2 == 100
         assert r.w % 2 == 1
-    for big, small in zip(d.entries, d.entries[1:]):
+    for big, small in zip(rects, rects[1:]):
         assert big.x < small.x and big.y < small.y
         assert big.x + big.w > small.x + small.w and big.y + big.h > small.y + small.h
 
@@ -209,55 +211,6 @@ def test_positive_descriptions_out_of_bounds():
     m.points[0] = Point2(4.0, 4.0)
     with pytest.raises(BoundsError):
         positive_descriptions(m, 0, 13, 100, 100)
-
-
-# --- description log ------------------------------------------------------------------
-
-def test_description_log_paper_line():
-    d = SampleDescription(
-        "BioID_0000.pgm",
-        [Rect(184, 163, 25, 25), Rect(185, 164, 23, 23), Rect(186, 165, 21, 21)],
-    )
-    assert (
-        write_description_log([d])
-        == b"BioID_0000.pgm 3 184 163 25 25 185 164 23 23 186 165 21 21\n"
-    )
-
-
-def test_description_log_empty():
-    assert write_description_log([]) == b""
-
-
-def test_description_log_roundtrip():
-    rng = np.random.default_rng(11)
-    descs = []
-    for i in range(10):
-        rects = [
-            Rect(int(rng.integers(0, 50)), int(rng.integers(0, 50)),
-                 int(rng.integers(1, 30)), int(rng.integers(1, 30)))
-            for _ in range(int(rng.integers(1, 5)))
-        ]
-        descs.append(SampleDescription(f"img_{i}.pgm", rects))
-    data = write_description_log(descs)
-    again = parse_description_log(data)
-    assert again == descs
-    assert write_description_log(again) == data
-
-
-@pytest.mark.parametrize(
-    "blob, line",
-    [
-        (b"img.pgm 1 0 0 0 5\n", 1),  # zero-width rect
-        (b"img\xff.pgm 0\n", 1),  # non-ASCII byte
-        (b"img.pgm -1\n", 1),  # negative count
-        (b"a.pgm 0\n\nb.pgm 1 0 0 2 2\nc\xff.pgm 0\n", 4),  # non-ASCII on a later line
-        (b"a.pgm 0\r\nb.pgm 1 0 0 2 0", 2),
-    ],
-)
-def test_description_log_malformed_raises_with_line(blob, line):
-    with pytest.raises(PointsFormatError) as err:
-        parse_description_log(blob)
-    assert err.value.line == line
 
 
 # --- negative sampling ------------------------------------------------------------------
@@ -486,44 +439,3 @@ def test_extract_raises_exactly_when_rect_leaves_image(x, y, w, h):
             extract_and_rescale(img, r, 5)
     else:
         assert extract_and_rescale(img, r, 5).shape == (5, 5)
-
-
-# --- patch archive ------------------------------------------------------------------------
-
-def test_patchset_empty_header():
-    data = write_patchset(PatchSet(13, 13))
-    # magic(6) + u32 count + u16 w + u16 h
-    assert len(data) == 14
-    ps = read_patchset(data)
-    assert (ps.w, ps.h, ps.records) == (13, 13, [])
-
-
-def test_patchset_single_record_size():
-    rng = np.random.default_rng(17)
-    rec = rng.integers(0, 256, (13, 13), dtype=np.uint8)
-    data = write_patchset(PatchSet(13, 13, [(1, rec)]))
-    assert len(data) == 14 + 1 + 169
-
-
-def test_patchset_roundtrip_random():
-    rng = np.random.default_rng(19)
-    for _ in range(10):
-        w = int(rng.integers(1, 20))
-        h = int(rng.integers(1, 20))
-        ps = PatchSet(w, h)
-        for _ in range(int(rng.integers(0, 12))):
-            ps.records.append(
-                (int(rng.integers(0, 2)), rng.integers(0, 256, (h, w), dtype=np.uint8))
-            )
-        data = write_patchset(ps)
-        again = read_patchset(data)
-        assert (again.w, again.h) == (w, h)
-        assert len(again.records) == len(ps.records)
-        for (la, pa), (lb, pb) in zip(ps.records, again.records):
-            assert la == lb and np.array_equal(pa, pb)
-        assert write_patchset(again) == data
-
-
-def test_patchset_bad_magic():
-    with pytest.raises(PatchSetFormatError):
-        read_patchset(b"NOTFPS" + bytes(8))
