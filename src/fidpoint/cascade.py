@@ -263,13 +263,17 @@ def train_cascade(
     """Stage-by-stage training with negative bootstrapping.
 
     The negative pool is filtered between stages to patches the cascade
-    still accepts and replenished from ``negative_source`` (also
-    filtered) up to ``nneg``.  Candidates are pulled in fixed-size
-    batches with a bounded per-stage budget, so an unbounded source
-    (background mining) cannot stall training once the cascade rejects
-    nearly everything; a stage short of ``nneg`` trains on whatever
-    negatives were found.  Training ends after ``nstages`` stages or as
-    soon as no accepted negatives remain anywhere, whichever is first.
+    still accepts.  While it holds fewer than ``nneg`` patches, it is
+    topped up from ``negative_source`` in batches of max(nneg, 128)
+    candidates, and every candidate of a batch that the cascade accepts
+    joins it; so a stage can train on more than ``nneg`` negatives (the
+    first stage, with no stage to reject any, on a whole first batch).  The
+    draws have a per-stage budget of 200 * nneg candidates, so an
+    unbounded source (background mining) cannot stall training once the
+    cascade rejects nearly everything; a stage short of ``nneg`` trains
+    on whatever negatives were found.  Training ends after ``nstages``
+    stages or as soon as no accepted negatives remain anywhere,
+    whichever is first.
     """
     if not positives:
         raise ValueError("no positive samples")

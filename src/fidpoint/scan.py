@@ -23,6 +23,15 @@ mirror-closed grid and the mirror-covariant grouping below, a
 right-side point is exactly the mirror image of the left-side point on
 the mirrored frame.
 
+:func:`scan_rois` scans one cascade under several configs.  The
+configs that scan a window size on the same side share one stage pass
+at that size: their windows go through one ``window_inv_stddevs`` and
+one ``run_stages`` call, and the survivors are split back per config.
+A window's verdict and margin do not depend on the batch it is read
+in, so each config gets exactly its own :func:`scan_roi` records;
+:func:`scan_roi` is the one-config case.  The hierarchy scans its four
+feature searches this way.
+
 Grouping
 --------
 
@@ -40,20 +49,21 @@ reflection-equivariant rounding) and whose rect is the mean size
 centred on that point.
 
 The components are found without testing all n^2 pairs.  For integer
-sizes below 2**50, |a.w-b.w| <= 0.2*max(a.w, b.w) holds exactly when
-5*|a.w-b.w| <= max(a.w, b.w).  So the wider window of a similar pair is
-at most 5*w//4 wide, w being the narrower width, and the same bound on
-|a.x-b.x| puts the left corners within 0.2 * 5*w/4 = w/4 of each other.
+sizes below 2**50, |d| <= 0.2*m holds exactly when |d| <= m // 5, so
+every term of the relation is an integer test.  The wider window of a
+similar pair is then at most 5*w//4 wide, w being the narrower width,
+and for a wider width W the two x terms put the wider window's left
+corner in [x - W//5, x - (W - w) + W//5], x being the narrower one's.
 With the windows sorted by (w, x), the candidate partners of window i
 are the later windows of each width W present with w_i <= W <= 5*w_i//4
-and |x - x_i| <= w_i // 4 + 1 (the +1 is slack); each (window, width)
-range is one pair of binary searches.  Candidates are tested in blocks
-of consecutive ranges holding at most ``_GROUP_BLOCK_PAIRS`` pairs (a
-single range may exceed it, and holds at most n pairs), with exactly
-the float predicate of :func:`rects_similar`, and each block's edges are
-merged into a flat union-find array.  Memory is O(n*k) plus one block,
-whatever the number of raw windows, where k is the number of distinct
-widths within 5/4 of a window's own (at most 3 for a scan at
+whose x lies in that range: exactly the windows that meet the x and w
+terms.  Each (window, width) range is one pair of binary searches.
+Candidates are tested in blocks of consecutive ranges holding at most
+``_GROUP_BLOCK_PAIRS`` pairs (a single range may exceed it, and holds
+at most n pairs), on the y and h terms alone, and each block's edges
+are merged into a flat union-find array.  Memory is O(n*k) plus one
+block, whatever the number of raw windows, where k is the number of
+distinct widths within 5/4 of a window's own (at most 3 for a scan at
 ``scale_factor`` 1.1).
 """
 
@@ -62,6 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -216,38 +227,65 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
 
     Records are ordered by window size ascending, then ``y``, then ``x``.
     ``image`` may be a GrayImage or prebuilt IntegralTables (built with
-    rotated sums when the cascade uses the extended feature set).
+    rotated sums when the cascade uses the extended feature set).  This
+    is :func:`scan_rois` with one config.
+    """
+    return scan_rois(c, image, [cfg])[0]
+
+
+def scan_rois(c: Cascade, image, cfgs) -> list[np.ndarray]:
+    """:func:`scan_roi` of cascade ``c`` under each config, one stage pass per window size.
+
+    The windows of every config that scans a size on the same side go
+    through one ``window_inv_stddevs`` and one ``run_stages`` call; each
+    window's verdict and margin do not depend on its batch, so every
+    array equals the config's own :func:`scan_roi` bit for bit.
     """
     if isinstance(image, IntegralTables):
         tables = image
     else:
         tables = build_tables(image, want_rotated=c.feature_set is FeatureSet.ALL)
-    roi = cfg.roi or Rect(0, 0, tables.width, tables.height)
-    require_inside(tables, roi.x, roi.y, roi.w, roi.h, False)
-    found = []  # per size: (xs, ys, w, h, margins) of the accepted windows
+    # (w, h, on_right_side) -> (exact scale, [(config index, roi)]) of every config scanning it
+    sizes: dict[tuple[int, int, bool], tuple[Fraction, list]] = {}
+    for n, cfg in enumerate(cfgs):
+        roi = cfg.roi or Rect(0, 0, tables.width, tables.height)
+        require_inside(tables, roi.x, roi.y, roi.w, roi.h, False)
+        for (w_k, h_k), frac in _scan_sizes(c, cfg, roi):
+            sizes.setdefault((w_k, h_k, cfg.on_right_side), (frac, []))[1].append((n, roi))
+    found = [[] for _ in cfgs]  # per config, per size: (offsets, w, h, margins) accepted
     features = tuple(weak.feature for st in c.stages for _, weak in st.strong.rounds)
     tables_by_kind = {rot: tables.flat(rot) for rot in {f.kind.rotated for f in features}}
-    for (w_k, h_k), frac in _scan_sizes(c, cfg, roi):
-        scaled, (l, t, rgt, btm) = scan_plan(
-            c.window_w, c.window_h, features, frac, cfg.on_right_side
-        )
+    for w_k, h_k, right in sorted(sizes):
+        frac, members = sizes[w_k, h_k, right]
+        scaled, (l, t, rgt, btm) = scan_plan(c.window_w, c.window_h, features, frac, right)
         step_x = max(1, round_half_up(w_k / c.window_w))
         step_y = max(1, round_half_up(h_k / c.window_h))
-        xs = _grid_positions(roi.w - w_k, step_x) + roi.x
-        ys = _grid_positions(roi.h - h_k, step_y) + roi.y
-        # drop positions whose overhanging cells would leave the image
-        xs = xs[(xs >= l) & (xs <= tables.width - w_k - rgt)]
-        ys = ys[(ys >= t) & (ys <= tables.height - h_k - btm)]
-        oxs, oys = np.tile(xs, len(ys)), np.repeat(ys, len(xs))  # y-major grid
-        at = oys * tables.stride + oxs  # one offset array serves every table
+        ats = []
+        for n, roi in members:
+            xs = _grid_positions(roi.w - w_k, step_x) + roi.x
+            ys = _grid_positions(roi.h - h_k, step_y) + roi.y
+            # drop positions whose overhanging cells would leave the image
+            xs = xs[(xs >= l) & (xs <= tables.width - w_k - rgt)]
+            ys = ys[(ys >= t) & (ys <= tables.height - h_k - btm)]
+            ats.append((ys[:, None] * tables.stride + xs).ravel())  # y-major grid
+        at = np.concatenate(ats)  # one offset array serves every table
         inv = window_inv_stddevs(tables, at, w_k, h_k)
         alive, margin = run_stages(c, scaled, tables_by_kind, tables.stride, at, inv)
-        found.append((oxs[alive], oys[alive], w_k, h_k, margin[alive]))
+        bounds = [0, *accumulate(map(len, ats))]
+        for (n, _), a, b in zip(members, bounds, bounds[1:]):
+            keep = alive[a:b]
+            found[n].append((at[a:b][keep], w_k, h_k, margin[a:b][keep]))
+    return [_raw_windows(f, tables.stride) for f in found]
+
+
+def _raw_windows(found, stride: int) -> np.ndarray:
+    """One ``RAW_WINDOW`` array from per-size (offsets, w, h, margins) of accepted windows."""
     win = np.empty(sum(len(f[0]) for f in found), RAW_WINDOW)
     if found:
-        xs, ys, ws, hs, margins = zip(*found)
+        at, ws, hs, margins = zip(*found)
         counts = [len(m) for m in margins]
-        win["x"], win["y"], win["margin"] = map(np.concatenate, (xs, ys, margins))
+        win["y"], win["x"] = np.divmod(np.concatenate(at), stride)
+        win["margin"] = np.concatenate(margins)
         win["w"], win["h"] = np.repeat(ws, counts), np.repeat(hs, counts)
     return win
 
@@ -265,20 +303,21 @@ def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
     rects = np.stack([raw["x"], raw["y"], raw["w"], raw["h"]], axis=1)
     order = np.lexsort((rects[:, 0], rects[:, 2]))
     x, y, w, h = rects[order].T
-    x2, y2 = x + w, y + h
     # one row per (window i, width class of a width W in w_i..5*w_i//4); its
-    # candidates are the later windows of that class with |x - x_i| <= w_i // 4 + 1
-    # (the candidate bound in the module docstring)
-    widths, cls = np.unique(w, return_inverse=True)
+    # candidates are the later windows of that class with x in
+    # [x_i - W//5, x_i - (W - w_i) + W//5] (the exact range in the module docstring)
+    head = np.concatenate(([True], w[1:] != w[:-1]))  # first window of each width class
+    cls, widths = np.cumsum(head) - 1, w[head]
     span = np.searchsorted(widths, 5 * w // 4, side="right") - cls
     row = np.repeat(np.arange(n), span)
     row_cls = cls[row] + np.arange(len(row)) - np.repeat(np.cumsum(span) - span, span)
     # keys ordered by (class, x), so one searchsorted pair bounds each row
     x0, ext = x.min(), x.max() - x.min() + 1
     key = cls * ext + (x - x0)
-    reach, xr = (w // 4 + 1)[row], x[row] - x0
-    first = np.maximum(np.searchsorted(key, row_cls * ext + np.maximum(xr - reach, 0)), row + 1)
-    stop = np.searchsorted(key, row_cls * ext + np.minimum(xr + reach, ext - 1), side="right")
+    wide, xr = widths[row_cls], x[row] - x0
+    x_lo, x_hi = xr - wide // 5, xr - (wide - w[row]) + wide // 5
+    first = np.maximum(np.searchsorted(key, row_cls * ext + np.maximum(x_lo, 0)), row + 1)
+    stop = np.searchsorted(key, row_cls * ext + np.minimum(x_hi, ext - 1), side="right")
     counts = stop - first
     ends = np.cumsum(counts)
     parent = np.arange(n)
@@ -289,23 +328,11 @@ def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
         c = counts[r0:r1]
         i = np.repeat(row[r0:r1], c)
         j = np.arange(base, ends[r1 - 1]) + np.repeat(first[r0:r1] - ends[r0:r1] + c, c)
-        # the exact predicate of rects_similar; the y terms go first because
-        # the candidate bound has already limited x
+        # the range has settled x and w; y and h keep the rects_similar test,
+        # in integers (the 2**50 argument in the module docstring)
         hi, hj = h[i], h[j]
-        mh = 0.2 * np.maximum(hi, hj)
-        keep = (
-            (np.abs(y[i] - y[j]) <= mh)
-            & (np.abs(y2[i] - y2[j]) <= mh)
-            & (np.abs(hi - hj) <= mh)
-        )
-        i, j = i[keep], j[keep]
-        wi, wj = w[i], w[j]
-        mw = 0.2 * np.maximum(wi, wj)
-        keep = (
-            (np.abs(x[i] - x[j]) <= mw)
-            & (np.abs(x2[i] - x2[j]) <= mw)
-            & (np.abs(wi - wj) <= mw)
-        )
+        dy, dh, mh = y[j] - y[i], hj - hi, np.maximum(hi, hj) // 5
+        keep = (np.abs(dy) <= mh) & (np.abs(dy + dh) <= mh) & (np.abs(dh) <= mh)
         _union_edges(parent, order[i[keep]], order[j[keep]])
         r0 = r1
     # roots are the smallest member index, so clusters come out ordered by
@@ -324,7 +351,7 @@ def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
         # centre means in half-pixel units, rounded half-to-even exactly; the
         # doubled axis keeps the rounding reflection-equivariant, so a
         # mirrored cluster rounds to exactly the mirrored centre
-        px2, py2 = round(Fraction(sx2, k)), round(Fraction(sy2, k))
+        px2, py2 = _div_half_even(sx2, k), _div_half_even(sy2, k)
         w_c = max(1, round_half_up(sw / k))
         h_c = max(1, round_half_up(sh / k))
         rect = Rect((px2 - w_c + 1) // 2, (py2 - h_c + 1) // 2, w_c, h_c)
@@ -334,6 +361,12 @@ def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
         out.append(Detection(rect, neighbors=k, point2x=(px2, py2), margin=mg))
     out.sort(key=lambda d: (d.rect.y, d.rect.x, d.rect.h, d.rect.w, d.neighbors))
     return out
+
+
+def _div_half_even(s: int, k: int) -> int:
+    """s / k rounded half to even, exactly (``k`` > 0)."""
+    q, r = divmod(s, k)
+    return q + (2 * r > k or (2 * r == k and q % 2 == 1))
 
 
 def _union_edges(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -420,9 +453,12 @@ def detect_region(image, cfg: DetectorConfig) -> Rect | None:
     the largest cluster, but a config may prefer the most corroborated
     one.
     """
-    raw = scan_roi(cfg.cascade, image, cfg)
-    grouped = group_detections(raw, cfg.min_neighbors)
-    best = select_result(grouped, cfg.is_point)
+    return _best_rect(scan_roi(cfg.cascade, image, cfg), cfg)
+
+
+def _best_rect(raw: np.ndarray, cfg: DetectorConfig) -> Rect | None:
+    """The rect :func:`detect_region` picks from the raw windows of its scan."""
+    best = select_result(group_detections(raw, cfg.min_neighbors), cfg.is_point)
     return best.rect if best else None
 
 
@@ -490,14 +526,19 @@ def detect_hierarchy(
     result.face_found = True
     result.face = face
 
-    feature_rects: dict[str, Rect | None] = {}
+    # the feature searches that share a cascade share one stage pass per window size
+    feature_rects: dict[str, Rect | None] = dict.fromkeys(FEATURE_NAMES)
+    by_cascade: dict[int, list] = {}
     for name in FEATURE_NAMES:
         cfg = feature_cfgs.get(name)
-        if cfg is None:
-            feature_rects[name] = None
-            continue
-        cfg.roi = _clamp_rect(feature_roi(face, name), work.width, work.height)
-        feature_rects[name] = None if cfg.roi is None else detect_region(tables, cfg)
+        if cfg is not None:
+            cfg.roi = _clamp_rect(feature_roi(face, name), work.width, work.height)
+            if cfg.roi is not None:
+                by_cascade.setdefault(id(cfg.cascade), []).append((name, cfg))
+    for named in by_cascade.values():
+        cfgs = [cfg for _, cfg in named]
+        for (name, cfg), raw in zip(named, scan_rois(cfgs[0].cascade, tables, cfgs)):
+            feature_rects[name] = _best_rect(raw, cfg)
     result.features = feature_rects
 
     for name, cfg in point_cfgs.items():
@@ -505,9 +546,8 @@ def detect_hierarchy(
         if parent is None:
             continue
         if cfg.sub_roi is not None:
-            cfg.roi = _sub_roi_rect(
-                parent, cfg.sub_roi, cfg.cascade.window_w, work.width, work.height
-            )
+            window = max(cfg.cascade.window_w, cfg.cascade.window_h)
+            cfg.roi = _sub_roi_rect(parent, cfg.sub_roi, window, work.width, work.height)
         else:
             cfg.roi = point_roi(parent, work.width, work.height)
         # a search square wholly outside the frame leaves the point undetected

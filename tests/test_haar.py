@@ -390,12 +390,14 @@ def test_feature_matrix_rejects_mixed_sample_sizes():
 def test_feature_matrix_bit_exact(width, height, fill, block, seed):
     # every entry == feature_value, sign bit included (0.0 on a flat patch, never -0.0)
     rng = np.random.default_rng(seed)
-    pool = enumerate_features(width, height, FeatureSet.ALL)
-    if not pool:
+    table = feature_table(width, height, FeatureSet.ALL)  # enumerate_features' order
+    if not len(table):
         return
-    feats = [pool[int(i)] for i in rng.integers(0, len(pool), 40)]
-    surround = [f for f in pool if f.kind is FeatureKind.CENTER_SURROUND]
-    feats += [max(surround, key=lambda f: f.w * f.h)] if surround else []  # largest sums
+    picks = rng.integers(0, len(table), 40).tolist()
+    surround = np.flatnonzero(table[:, 0] == FeatureKind.CENTER_SURROUND)
+    if len(surround):  # the first largest CENTER_SURROUND: the largest sums
+        picks.append(surround[np.argmax(table[surround, 3] * table[surround, 4])])
+    feats = [HaarFeature(FeatureKind(k), *rest) for k, *rest in table[picks].tolist()]
     feats += feats[:8]
     rng.shuffle(feats)
     tables = []

@@ -1,12 +1,21 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from conftest import POINT_PRIMARY, SIZE, build_face_image, point_type
+from fidpoint.cascade import Cascade
 from fidpoint.geom import Point2, TiltMode, TiltState, rotate_image, rotate_point
+from fidpoint.haar import FeatureSet
 from fidpoint.raster import GrayImage
-from fidpoint.scan import DETECTED_POINT_NAMES, POINT_PARENTS, detect_hierarchy, point_roi
+from fidpoint.scan import (
+    DETECTED_POINT_NAMES,
+    POINT_PARENTS,
+    DetectorConfig,
+    detect_hierarchy,
+    point_roi,
+)
 
 
 def truth_points():
@@ -164,3 +173,36 @@ def test_point_without_sub_roi_searches_expanded_parent(hierarchy_configs):
     assert parent is not None
     assert cfg.roi == point_roi(parent, img.width, img.height)
     assert result.points["left_pupil"] is not None
+
+
+def test_tall_point_cascade_search_square_fits_its_window(hierarchy_configs):
+    # the search square's floor is the cascade's longer side: a tight prior
+    # around a 9-wide, 13-tall window gets a 15-pixel square, where the
+    # width alone would give 11 pixels, too short for any window size
+    face_cfg, feature_cfgs, point_cfgs = hierarchy_configs
+    tall = DetectorConfig(
+        cascade=Cascade(9, 13, FeatureSet.BASIC, []),  # no stages: accepts every window
+        scale_factor=1.2,
+        min_neighbors=1,
+        sub_roi=(0.0, 0.0, 0.01),
+    )
+    point_cfgs["left_pupil"] = tall
+    img = build_face_image(41)
+    result = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
+    assert result.features["left_eye"] is not None
+    assert tall.roi.w == tall.roi.h == 15
+    assert result.points["left_pupil"] is not None
+
+
+def test_feature_searches_with_their_own_cascades_match_shared(hierarchy_configs):
+    # feature searches share a stage pass only when they share a cascade;
+    # giving two of them equal copies of it changes no result
+    face_cfg, feature_cfgs, point_cfgs = hierarchy_configs
+    img = build_face_image(41)
+    shared = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
+    for name in ("right_eye", "mouth"):
+        cfg = feature_cfgs[name]
+        cfg.cascade = copy.deepcopy(cfg.cascade)
+    own = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
+    assert all(shared.features.values())
+    assert own.features == shared.features and own.points == shared.points

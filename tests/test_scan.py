@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fidpoint.scan as scan_module
@@ -44,6 +44,7 @@ from fidpoint.scan import (
     group_detections,
     rects_similar,
     scan_roi,
+    scan_rois,
     select_result,
 )
 
@@ -357,6 +358,44 @@ def test_scan_edges_match_reference_and_scalar(scale_factor):
     assert overhanging > 0
 
 
+FRAME_W, FRAME_H = 44, 36
+# (x, y, w, h, on_right_side, scale_factor) of one config's ROI, clipped to the frame
+ROI_DRAWS = st.tuples(
+    st.integers(0, 40), st.integers(0, 32), st.integers(9, 44), st.integers(9, 36),
+    st.booleans(), st.sampled_from([1.1, 1.2, 1.25]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    feature_set=st.sampled_from([FeatureSet.BASIC, FeatureSet.ALL]),
+    rois=st.lists(ROI_DRAWS, min_size=1, max_size=4),
+)
+@example(seed=0, feature_set=FeatureSet.ALL, rois=[(0, 0, 44, 36, False, 1.1)] * 2)
+@example(seed=1, feature_set=FeatureSet.ALL, rois=[(35, 27, 9, 9, True, 1.2), (0, 0, 44, 36, True, 1.2)])
+@example(seed=2, feature_set=FeatureSet.BASIC,
+         rois=[(0, 0, 30, 20, False, 1.2), (10, 5, 34, 31, True, 1.2), (10, 5, 34, 31, False, 1.25)])
+def test_scan_rois_equal_one_scan_roi_per_config(seed, feature_set, rois):
+    # configs sharing a size and side share one stage pass; each config's
+    # raw windows are still exactly its own scan's, overlapping ROIs and
+    # ROIs at the frame edge (where rotated cells may overhang) included
+    rng = np.random.default_rng(seed)
+    c = random_stump_cascade(rng, window=9, n_stages=2, feature_set=feature_set)
+    img = GrayImage(rng.integers(0, 256, (FRAME_H, FRAME_W), dtype=np.uint8))
+    tables = build_tables(img, want_rotated=feature_set is FeatureSet.ALL)
+    cfgs = []
+    for x, y, w, h, right, factor in rois:
+        x, y = min(x, FRAME_W - 9), min(y, FRAME_H - 9)
+        roi = Rect(x, y, min(w, FRAME_W - x), min(h, FRAME_H - y))
+        cfgs.append(DetectorConfig(cascade=c, roi=roi, scale_factor=factor, on_right_side=right))
+    got = scan_rois(c, tables, cfgs)
+    assert len(got) == len(cfgs)
+    for cfg, raw in zip(cfgs, got):
+        assert raw.dtype == RAW_WINDOW
+        assert raw.tobytes() == scan_roi(c, tables, cfg).tobytes()
+
+
 # --- grouping ---------------------------------------------------------------------
 
 def raw_windows(rects, margins=None):
@@ -478,6 +517,23 @@ def test_group_x_offsets_at_w_over_4():
         for dx in (0, w // 4, wide - w):
             pair = [Rect(50, 50, w, w), Rect(50 - dx, 50, wide, w)]
             assert [d.neighbors for d in group_detections(raw_windows(pair), 1)] == [2]
+
+
+def test_group_y_offsets_at_h_over_5():
+    # the y twin of the x test above; the exact x ranges leave y the only
+    # per-pair test.  The taller height's h // 5 bounds both the top-edge
+    # and the bottom-edge offset: at each bound the pair is similar, one
+    # pixel past it is not (equal heights make the two bounds one)
+    for h, tall in ((5, 5), (8, 8), (13, 13), (20, 20), (44, 44), (4, 5), (13, 15), (16, 20), (40, 50)):
+        m, d = tall // 5, tall - h
+        # dy moves the taller window's top edge; dy + d is then its bottom edge's offset
+        for dy, similar in ((-m, True), (-m - 1, False), (m - d, True), (m - d + 1, False)):
+            a, b = Rect(7, 30, 10, h), Rect(7, 30 + dy, 10, tall)
+            assert rects_similar(a, b) == rects_similar(b, a) == similar
+            for pair in ([a, b], [b, a]):
+                assert sorted(det.neighbors for det in group_detections(raw_windows(pair), 1)) == (
+                    [2] if similar else [1, 1]
+                )
 
 
 def test_group_negative_coordinates():
