@@ -217,20 +217,34 @@ def run_stages(c: Cascade, cells: list, tables_by_kind: dict, stride: int, at, i
     -> flattened table of row stride ``stride``; ``at``, ``inv``: the windows' offsets (one
     array for every table) and 1/sigma.  The survivors' offsets, 1/sigma and running margins
     (stumps added in cascade order) stay compact, then scatter once, 0 where rejected.
+
+    The feature values, stump votes and margin terms are written into buffers allocated once
+    per call, a stage of m survivors using their leading m entries.  Each window still sees
+    the same elementwise operations in the same order, so verdicts and margins are those of
+    fresh arrays bit for bit.
     """
     alive, full = np.zeros(len(inv), dtype=bool), np.zeros(len(inv))
     idx, margin = np.arange(len(inv)), np.zeros(len(inv))
+    values, terms, scores = np.empty(len(inv)), np.empty(len(inv)), np.empty(len(inv))
+    votes = np.empty(len(inv), dtype=bool)
     cell_iter = iter(cells)
     for stage in c.stages:
-        if len(idx) == 0:
+        m = len(idx)
+        if m == 0:
             break
-        score = np.zeros(len(idx))
+        v, tmp, score, cmp = values[:m], terms[:m], scores[:m], votes[:m]
+        score.fill(0.0)
         for (alpha, weak), sc in zip(stage.strong.rounds, cell_iter):
-            v = cells_at(tables_by_kind[sc.rotated], stride, at, sc.slots, sc.rotated) * inv
+            cells_at(tables_by_kind[sc.rotated], stride, at, sc.slots, sc.rotated, out=v)
+            v *= inv
             # parity * v < parity * threshold and alpha * (parity * d), sign flips hoisted
-            score += alpha * (v < weak.threshold if weak.parity > 0 else v > weak.threshold)
-            margin += (alpha * weak.parity) * (weak.threshold - v)
-        keep = np.flatnonzero(~(score < stage.strong.threshold))  # not >=: NaN keeps all
+            (np.less if weak.parity > 0 else np.greater)(v, weak.threshold, out=cmp)
+            score += np.multiply(cmp, alpha, out=tmp)
+            np.subtract(weak.threshold, v, out=tmp)
+            tmp *= alpha * weak.parity
+            margin += tmp
+        np.less(score, stage.strong.threshold, out=cmp)
+        keep = np.flatnonzero(~cmp)  # not >=: NaN keeps all
         idx, at, inv, margin = idx[keep], at[keep], inv[keep], margin[keep]
     alive[idx], full[idx] = True, margin
     return alive, full

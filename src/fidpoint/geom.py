@@ -117,6 +117,14 @@ def rotate_image(img: GrayImage, center: Point2, alpha: float) -> GrayImage:
     mapping, with out-of-image samples black.  Output size equals input
     size, so corner data may be discarded.  Raises ``ValueError`` for a
     non-finite angle or centre.
+
+    Each output pixel is ((gx*gy)*p00 + (fx*gy)*p01) + (gx*fy)*p10 +
+    (fx*fy)*p11, plus 0.5, floored and clipped, in float64.  The maps are
+    worked in place in a few (h, w) buffers (the fractions overwrite the
+    source coordinates, their complements the floored ones), and the four
+    neighbours are read from a zero-bordered ``uint8`` copy of the image:
+    a byte converts to float64 exactly, so every product, and the image,
+    is the one a float64 copy gives.
     """
     if not all(map(math.isfinite, (alpha, center.x, center.y))):
         raise ValueError(f"cannot rotate by {alpha} about ({center.x}, {center.y})")
@@ -125,26 +133,37 @@ def rotate_image(img: GrayImage, center: Point2, alpha: float) -> GrayImage:
     # a row of x offsets and a column of y offsets broadcast to the full maps
     dx = np.arange(w, dtype=np.float64) - center.x
     dy = np.arange(h, dtype=np.float64)[:, None] - center.y
-    sx = center.x + dx * ca - dy * sa
-    sy = center.y + dx * sa + dy * ca
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
+    sx = np.subtract(center.x + dx * ca, dy * sa)
+    sy = np.add(center.y + dx * sa, dy * ca)
+    x0, y0 = np.floor(sx), np.floor(sy)
+    fx, fy = np.subtract(sx, x0, out=sx), np.subtract(sy, y0, out=sy)
     # a two-pixel zero border: with the top-left neighbour clipped to [-2, extent]
     # every out-of-image neighbour reads 0; the other three read offset views
     stride = w + 4
-    src = np.zeros((h + 4, stride))
+    src = np.zeros((h + 4, stride), dtype=np.uint8)
     src[2:-2, 2:-2] = img.pixels
     flat = src.ravel()
-    at = (np.clip(y0, -2, h) + 2).astype(np.intp) * stride
-    at += (np.clip(x0, -2, w) + 2).astype(np.intp)
-    gx, gy = 1 - fx, 1 - fy
-    out = gx * gy * flat[at]
-    out += fx * gy * flat[1:][at]
-    out += gx * fy * flat[stride:][at]
-    out += fx * fy * flat[stride + 1 :][at]
-    return GrayImage(np.clip(np.floor(out + 0.5), 0, 255).astype(np.uint8))
+    np.clip(y0, -2, h, out=y0)
+    np.clip(x0, -2, w, out=x0)
+    y0 += 2
+    x0 += 2
+    at = y0.astype(np.intp)
+    at *= stride
+    at += x0.astype(np.intp)
+    gx, gy = np.subtract(1, fx, out=x0), np.subtract(1, fy, out=y0)
+    out = np.multiply(gx, gy)
+    out *= flat[at]
+    term = np.multiply(fx, gy)
+    term *= flat[1:][at]
+    out += term
+    np.multiply(gx, fy, out=term)
+    term *= flat[stride:][at]
+    out += term
+    np.multiply(fx, fy, out=term)
+    term *= flat[stride + 1 :][at]
+    out += term
+    out += 0.5
+    return GrayImage(np.clip(np.floor(out, out=out), 0, 255, out=out).astype(np.uint8))
 
 
 class EyeCorner(enum.Enum):

@@ -340,7 +340,9 @@ def scan_plan(window_w: int, window_h: int, features: tuple, frac: Fraction, mir
     return tuple(plan), (left, top, right, bottom)
 
 
-def cells_at(table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: bool) -> np.ndarray:
+def cells_at(
+    table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: bool, out=None
+) -> np.ndarray:
     """(N,) values pos - neg of one feature's cells at N windows.
 
     ``table`` is a flattened ``sums`` table (upright cells) or ``tilted``
@@ -351,18 +353,38 @@ def cells_at(table: np.ndarray, stride: int, base: np.ndarray, slots, rotated: b
     each in layout order, and differenced at the end; mirrored features
     then evaluate to the exact float negation on mirrored input.  A
     corner offset k is read through the view ``table[k:]``.
+
+    The values go into ``out`` (a float64 (N,) buffer) when it is given,
+    so a scan reuses one buffer for every weak classifier.  The int64
+    cell sums are worked in place and are exact.  Each of the two sums
+    starts as its first product rather than 0.0 plus it, which is the
+    same value: a cell sum is an integer and its weight is nonzero, so
+    no weighted product (weight of the sum's own sign) is -0.0.
     """
-    pos = neg = 0.0
+    v = np.empty(len(base)) if out is None else out
+    pos, neg = None, None
     for x, y, w, h, wt in slots:
         a, b, c, d = cell_corners(x, y, w, h, rotated, stride)
         if min(a, b, c, d) < 0:
             raise ValueError(f"corner offset {min(a, b, c, d)} < 0: table[k:] counts from the end")
-        s = table[a:][base] - table[b:][base] - table[c:][base] + table[d:][base]
+        s = table[a:][base]
+        s -= table[b:][base]
+        s -= table[c:][base]
+        s += table[d:][base]
         if wt > 0:
-            pos += wt * s
+            if pos is None:
+                pos = np.multiply(s, wt, out=v)
+            else:
+                pos += wt * s
+        elif neg is None:
+            neg = -wt * s
         else:
             neg += -wt * s
-    return pos - neg
+    if pos is None:
+        v.fill(0.0)
+    if neg is not None:
+        v -= neg
+    return v
 
 
 def cells_value(

@@ -8,7 +8,9 @@ tables of the whole frame, as Viola and Jones do; no ROI is cut out,
 flipped or given tables of its own.  Window sizes grow from the
 configured minimum width by ``scale_factor`` until they no longer fit
 the ROI (duplicate rounded sizes are scanned once, sizes shorter than
-``min_h`` not at all).  At each size the step is
+``min_h`` not at all).  The schedule depends only on the cascade
+window, the minimum size, the factor and the ROI size, and is worked
+out once per such tuple and cached.  At each size the step is
 max(1, round(size / cascade_window)) and the position grid contains the
 multiples of the step from both ends of the feasible range, so the grid
 maps onto itself under horizontal or vertical mirroring about the ROI.
@@ -69,6 +71,7 @@ distinct widths within 5/4 of a window's own (at most 3 for a scan at
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -200,26 +203,41 @@ def _grid_positions(extent: int, step: int) -> np.ndarray:
     return np.add.outer(fwd, (0, r)).ravel() if r else fwd
 
 
-def _scan_sizes(c: Cascade, cfg: DetectorConfig, roi: Rect):
+def _scan_sizes(c: Cascade, cfg: DetectorConfig, roi: Rect) -> list:
     """Deduplicated ((width, height), exact scale) pairs that fit the ROI.
 
     Widths follow min_w * factor^k; the height comes from the same exact
     width ratio so cells and window box stay mutually consistent.  Sizes
-    shorter than min_h are skipped, as OpenCV's ``minSize`` does.
+    shorter than min_h are skipped, as OpenCV's ``minSize`` does.  A
+    fresh list of a cached schedule, so a caller may change it.
     """
+    return list(
+        _size_schedule(
+            c.window_w, c.window_h, cfg.min_w, cfg.min_h, cfg.scale_factor, roi.w, roi.h
+        )
+    )
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _size_schedule(window_w, window_h, min_w, min_h, factor, roi_w, roi_h) -> tuple:
+    """:func:`_scan_sizes` of one (window, minimum size, factor, ROI size), as a tuple."""
     sizes = []
     k = 0
     while True:
-        w = round_half_up(cfg.min_w * cfg.scale_factor**k)
-        frac = Fraction(w, c.window_w)
-        h = round_half_up(c.window_h * frac)
-        if w > roi.w or h > roi.h:
+        exact = min_w * factor**k
+        # round_half_up(exact) > roi_w, tested before rounding: exact may be inf
+        if exact + 0.5 >= roi_w + 1:
             break
-        if h >= cfg.min_h and (not sizes or sizes[-1][0] != (w, h)):
+        w = round_half_up(exact)
+        frac = Fraction(w, window_w)
+        h = round_half_up(window_h * frac)
+        if h > roi_h:
+            break
+        if h >= min_h and (not sizes or sizes[-1][0] != (w, h)):
             sizes.append(((w, h), frac))
         # jump to one k before min_w * factor^k reaches w + 0.5, where the next width starts
-        k = max(k + 1, math.floor(math.log((w + 0.5) / cfg.min_w, cfg.scale_factor)) - 1)
-    return sizes
+        k = max(k + 1, math.floor(math.log((w + 0.5) / min_w, factor)) - 1)
+    return tuple(sizes)
 
 
 def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:

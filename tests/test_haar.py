@@ -430,6 +430,42 @@ def test_cells_at_rejects_negative_corner_offset():
         haar.cells_at(table, stride, base, [(-1, -1, 2, 2, 1.0)], False)
 
 
+@pytest.mark.parametrize(
+    "slots",
+    [
+        [(0, 0, 2, 3, -1.0), (2, 0, 2, 3, 1.0)],
+        [(0, 0, 2, 2, 1.0), (2, 0, 2, 2, -1.0), (0, 2, 2, 2, -1.0), (2, 2, 2, 2, 1.0)],
+        [(0, 0, 1, 3, -1.0), (1, 0, 1, 3, 2.0), (2, 0, 1, 3, -1.0)],
+        [(0, 0, 3, 3, -0.75), (3, 1, 1, 2, -2.5)],  # no positive cell
+        [(1, 1, 2, 2, 9.0)],  # no negative cell
+    ],
+)
+def test_cells_at_into_a_used_buffer_matches_scalar_sums(slots):
+    # a scan passes one value buffer for every weak classifier; whatever it
+    # holds, the result is pos - neg of the cell sums, each summed from 0.0
+    # in layout order
+    rng = np.random.default_rng(29)
+    t = build_tables(GrayImage(rng.integers(0, 256, (9, 11), dtype=np.uint8)))
+    origins = [(0, 0), (1, 0), (3, 1), (5, 4)]
+    want = []
+    for ox, oy in origins:
+        pos = neg = 0.0
+        for x, y, w, h, wt in slots:
+            s = rect_sum(t, Rect(ox + x, oy + y, w, h))
+            if wt > 0:
+                pos += wt * s
+            else:
+                neg += -wt * s
+        want.append(pos - neg)
+    base = np.array([oy * t.stride + ox for ox, oy in origins])
+    out = np.full(len(base), np.nan)
+    got = haar.cells_at(t.flat(False), t.stride, base, slots, False, out=out)
+    assert got is out
+    assert out.tobytes() == np.array(want).tobytes()
+    fresh = haar.cells_at(t.flat(False), t.stride, base, slots, False)
+    assert fresh.tobytes() == out.tobytes()
+
+
 def test_rotated_corner_offsets_nonnegative_up_to_4x():
     # the scanner reads scalar offsets relative to the window origin, so a
     # negative one would raise; none occurs for window 8 at scales up to 4,

@@ -224,6 +224,52 @@ def test_scan_sizes_near_one_factor_is_fast():
     assert [wh for wh, _ in sizes] == [(w, w) for w in range(13, 241)]
 
 
+def test_scan_sizes_are_a_fresh_list_each_call():
+    # the schedule is cached; a caller changing its copy must not change the next one
+    c = Cascade(11, 9, FeatureSet.BASIC, [])
+    cfg = DetectorConfig(cascade=c, scale_factor=1.17, min_w=12)
+    roi = Rect(0, 0, 70, 52)
+    want = unit_step_scan_sizes(c, cfg, roi)
+    assert len(want) > 2
+    for _ in range(3):
+        sizes = _scan_sizes(c, cfg, roi)
+        assert sizes == want
+        sizes[0] = ((1, 1), Fraction(1, 11))
+        sizes.pop()
+
+
+@pytest.mark.parametrize("roi_w", [19, 20])
+def test_scan_sizes_stop_where_a_half_rounds_past_the_roi(roi_w):
+    # 13 * 1.5 = 19.5 rounds up to 20, so a 19-px ROI ends the schedule at 13
+    # and a 20-px one takes the 20-px size too
+    c = zero_stage_cascade(13)
+    cfg = DetectorConfig(cascade=c, scale_factor=1.5)
+    roi = Rect(0, 0, roi_w, 40)
+    want = unit_step_scan_sizes(c, cfg, roi)
+    assert [wh for wh, _ in want] == [(13, 13), (20, 20)][: roi_w - 18]
+    assert _scan_sizes(c, cfg, roi) == want
+
+
+@pytest.mark.parametrize("factor", [1e300, 1.5e307, 1e308, 1.7e308])
+def test_scan_sizes_with_huge_scale_factors_keep_the_base_size(factor):
+    # 13 * factor overflows to inf from about 1.4e307; the schedule stops there
+    c = zero_stage_cascade(13)
+    cfg = DetectorConfig(cascade=c, scale_factor=factor)
+    assert _scan_sizes(c, cfg, Rect(0, 0, 40, 40)) == [((13, 13), Fraction(1))]
+
+
+def test_scan_roi_with_huge_scale_factor_returns_the_base_size_windows():
+    rng = np.random.default_rng(73)
+    img = GrayImage(rng.integers(0, 256, (30, 34), dtype=np.uint8))
+    c = zero_stage_cascade(13)
+    raw = scan_roi(c, img, DetectorConfig(cascade=c, scale_factor=1e308))
+    # a pass-all cascade accepts every position of the one 13x13 size, y-major
+    want = np.zeros(18 * 22, RAW_WINDOW)
+    want["y"], want["x"] = np.divmod(np.arange(18 * 22), 22)
+    want["w"] = want["h"] = 13
+    assert raw.tobytes() == want.tobytes()
+
+
 def test_missing_rotated_sums_raise_one_error():
     f = HaarFeature(FeatureKind.EDGE_H_45, 4, 0, 2, 2)
     sc = StrongClassifier(rounds=[(1.0, WeakClassifier(0.0, 1, feature=f))], threshold=0.5)
