@@ -50,23 +50,51 @@ whose point is the round-half-even exact mean of the member centres (a
 reflection-equivariant rounding) and whose rect is the mean size
 centred on that point.
 
-The components are found without testing all n^2 pairs.  For integer
-sizes below 2**50, |d| <= 0.2*m holds exactly when |d| <= m // 5, so
-every term of the relation is an integer test.  The wider window of a
-similar pair is then at most 5*w//4 wide, w being the narrower width,
-and for a wider width W the two x terms put the wider window's left
-corner in [x - W//5, x - (W - w) + W//5], x being the narrower one's.
-With the windows sorted by (w, x), the candidate partners of window i
-are the later windows of each width W present with w_i <= W <= 5*w_i//4
-whose x lies in that range: exactly the windows that meet the x and w
-terms.  Each (window, width) range is one pair of binary searches.
-Candidates are tested in blocks of consecutive ranges holding at most
-``_GROUP_BLOCK_PAIRS`` pairs (a single range may exceed it, and holds
-at most n pairs), on the y and h terms alone, and each block's edges
-are merged into a flat union-find array.  Memory is O(n*k) plus one
-block, whatever the number of raw windows, where k is the number of
-distinct widths within 5/4 of a window's own (at most 3 for a scan at
-``scale_factor`` 1.1).
+The components are found without testing all n^2 pairs.  Coordinates
+must lie in (-2**31, 2**31) and sizes in [1, 2**31), else ValueError;
+within those bounds every key and centre sum below fits int64.  For
+integer sizes below 2**50, |d| <= 0.2*m holds exactly when
+|d| <= m // 5, so every term of the relation is an integer test.
+
+The unit joined is a *column run*: with the windows sorted by
+(w, x, h, y), a stretch of consecutive windows of equal w, x and h, each
+y at most h // 5 below the previous one.  Neighbouring members are
+similar, so a run is connected; scans yield a few windows per run.  For
+runs A and B, the x and w terms are the same for every member pair.
+The y terms are exact: with M = max(h_a, h_b) // 5 and dH = h_b - h_a, a
+member pair is similar iff |dH| <= M and y_b - y_a lies in
+[lo, hi] = [-M + max(0, -dH), M - max(0, dH)].  That interval is
+2M - |dH| >= M wide, at least either run's largest y step, so the
+intervals [y + lo, y + hi] over A's members y form the one interval
+[a0 + lo, a1 + hi] (A spanning a0..a1), and B, whose steps cannot jump
+over it, has a member inside it iff B's span [b0, b1] meets it.  Runs A
+and B are therefore joined iff |dH| <= M, b0 <= a1 + hi and
+b1 >= a0 + lo.
+
+The wider run of a similar pair is at most 5*w//4 wide, w being the
+narrower width, and for a wider width W the two x terms put the wider
+run's left corner in [x - W//5, x - (W - w) + W//5], x being the
+narrower one's.  With the runs in (w, x) order, the candidate partners
+of run i are the later runs of each width W present with
+w_i <= W <= 5*w_i//4 whose x lies in that range: exactly the runs that
+meet the x and w terms.  Each (run, width) range is one pair of binary
+searches.  Candidates are tested in blocks of consecutive ranges holding
+at most ``_GROUP_BLOCK_PAIRS`` pairs (a single range may exceed it, and
+holds at most one pair per run), on the run test above, and each
+block's edges are merged into a flat union-find array over runs.  Each
+window takes its run's component, named by its smallest raw index, so
+clusters come out in order of their first raw window.  Memory is O(n*k)
+plus one block, whatever the number of raw windows, where k is the
+number of distinct widths within 5/4 of a window's own (at most 3 for a
+scan at ``scale_factor`` 1.1).
+
+:func:`group_rois` groups several raw arrays in one pass, as
+:func:`scan_rois` scans several ROIs: the array index leads the sort key
+and the width-class key, so runs, classes and candidate ranges never
+cross arrays, and each array gets exactly its own
+:func:`group_detections` result; :func:`group_detections` is the
+one-array case.  The hierarchy groups its four feature searches in one
+call, and its point searches in another.
 """
 
 from __future__ import annotations
@@ -308,64 +336,111 @@ def _raw_windows(found, stride: int) -> np.ndarray:
     return win
 
 
-# candidate pairs tested at once by group_detections; bounds its working
+# candidate run pairs tested at once by group_rois; bounds its working
 # memory to a few MB beyond the O(n) per-window arrays
 _GROUP_BLOCK_PAIRS = 1 << 16
+# every x and y lies in (-_COORD_LIMIT, _COORD_LIMIT) and every w and h in
+# [1, _COORD_LIMIT), so every grouping key and centre sum fits int64
+_COORD_LIMIT = 1 << 31
 
 
 def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
     """Connected-component clustering of ``RAW_WINDOW`` records under the documented rule."""
-    n = len(raw)
+    return group_rois([raw], [min_neighbors])[0]
+
+
+def group_rois(raws, min_neighbors) -> list[list[Detection]]:
+    """:func:`group_detections` of each raw array with its own ``min_neighbors``, in one pass.
+
+    Windows of different arrays are never joined: the array index leads
+    the sort key and the width-class key, so runs, classes and candidate
+    ranges stay inside one array.
+    """
+    if len(min_neighbors) != len(raws):
+        raise ValueError(f"{len(raws)} raw arrays but {len(min_neighbors)} min_neighbors")
+    counts = [len(r) for r in raws]
+    n = sum(counts)
     if n == 0:
-        return []
+        return [[] for _ in raws]
+    raw = np.concatenate([np.asarray(r, RAW_WINDOW) for r in raws])
     rects = np.stack([raw["x"], raw["y"], raw["w"], raw["h"]], axis=1)
-    order = np.lexsort((rects[:, 0], rects[:, 2]))
+    (x0, y0, w0, h0), (x1, y1, w1, h1) = rects.min(axis=0).tolist(), rects.max(axis=0).tolist()
+    if min(x0, y0) <= -_COORD_LIMIT or min(w0, h0) < 1 or max(x1, y1, w1, h1) >= _COORD_LIMIT:
+        raise ValueError("raw windows need x, y in (-2**31, 2**31) and w, h in [1, 2**31)")
+    src = np.repeat(np.arange(len(raws)), counts)
+    # one key for (array, w): the array index leads the sort and the width classes
+    aw = src * _COORD_LIMIT + rects[:, 2]
+    order = np.lexsort((rects[:, 1], rects[:, 3], rects[:, 0], aw))
     x, y, w, h = rects[order].T
-    # one row per (window i, width class of a width W in w_i..5*w_i//4); its
-    # candidates are the later windows of that class with x in
+    aw = aw[order]
+    # column runs: equal (array, w, x, h), each y at most h // 5 below the last
+    head = np.empty(n, bool)
+    head[0] = True
+    head[1:] = (
+        (aw[1:] != aw[:-1]) | (x[1:] != x[:-1]) | (h[1:] != h[:-1]) | (y[1:] - y[:-1] > h[1:] // 5)
+    )
+    run = head.cumsum() - 1
+    first_at = np.flatnonzero(head)
+    a0, a1 = y[first_at], np.maximum.reduceat(y, first_at)  # each run's y span
+    x, w, h, aw = x[first_at], w[first_at], h[first_at], aw[first_at]
+    # one row per (run i, width class of a width W in w_i..5*w_i//4 of its
+    # array); its candidates are the later runs of that class with x in
     # [x_i - W//5, x_i - (W - w_i) + W//5] (the exact range in the module docstring)
-    head = np.concatenate(([True], w[1:] != w[:-1]))  # first window of each width class
-    cls, widths = np.cumsum(head) - 1, w[head]
-    span = np.searchsorted(widths, 5 * w // 4, side="right") - cls
-    row = np.repeat(np.arange(n), span)
+    head = np.append(True, aw[1:] != aw[:-1])  # first run of each width class
+    cls, widths = head.cumsum() - 1, w[head]
+    reach = aw - w + np.minimum(5 * w // 4, _COORD_LIMIT - 1)
+    span = np.searchsorted(aw[head], reach, side="right") - cls
+    row = np.repeat(np.arange(len(x)), span)
     row_cls = cls[row] + np.arange(len(row)) - np.repeat(np.cumsum(span) - span, span)
     # keys ordered by (class, x), so one searchsorted pair bounds each row
-    x0, ext = x.min(), x.max() - x.min() + 1
+    ext = x1 - x0 + 1
     key = cls * ext + (x - x0)
     wide, xr = widths[row_cls], x[row] - x0
     x_lo, x_hi = xr - wide // 5, xr - (wide - w[row]) + wide // 5
     first = np.maximum(np.searchsorted(key, row_cls * ext + np.maximum(x_lo, 0)), row + 1)
     stop = np.searchsorted(key, row_cls * ext + np.minimum(x_hi, ext - 1), side="right")
-    counts = stop - first
-    ends = np.cumsum(counts)
-    parent = np.arange(n)
+    pairs = stop - first
+    ends = np.cumsum(pairs)
+    parent = np.arange(len(x))
     r0 = 0
     while r0 < len(row):
-        base = ends[r0] - counts[r0]
+        base = ends[r0] - pairs[r0]
         r1 = max(r0 + 1, int(np.searchsorted(ends, base + _GROUP_BLOCK_PAIRS, side="right")))
-        c = counts[r0:r1]
+        c = pairs[r0:r1]
         i = np.repeat(row[r0:r1], c)
         j = np.arange(base, ends[r1 - 1]) + np.repeat(first[r0:r1] - ends[r0:r1] + c, c)
-        # the range has settled x and w; y and h keep the rects_similar test,
-        # in integers (the 2**50 argument in the module docstring)
+        # the range has settled x and w; runs i, j hold a similar pair iff
+        # the h term holds and the y spans meet (the interval argument in
+        # the module docstring)
         hi, hj = h[i], h[j]
-        dy, dh, mh = y[j] - y[i], hj - hi, np.maximum(hi, hj) // 5
-        keep = (np.abs(dy) <= mh) & (np.abs(dy + dh) <= mh) & (np.abs(dh) <= mh)
-        _union_edges(parent, order[i[keep]], order[j[keep]])
+        dh, mh = hj - hi, np.maximum(hi, hj) // 5
+        keep = (
+            (np.abs(dh) <= mh)
+            & (a0[j] <= a1[i] + mh - np.maximum(dh, 0))
+            & (a1[j] >= a0[i] - mh + np.maximum(-dh, 0))
+        )
+        _union_edges(parent, i[keep], j[keep])
         r0 = r1
-    # roots are the smallest member index, so clusters come out ordered by
-    # their first raw window
-    members = np.argsort(parent, kind="stable")
-    sizes = np.bincount(parent)
+    # name each component by its smallest raw index, so clusters come out
+    # ordered by their first raw window
+    root = parent[run]
+    smallest = np.full(len(x), n)
+    np.minimum.at(smallest, root, order)
+    label = np.empty(n, np.int64)
+    label[order] = smallest[root]
+    members = np.argsort(label, kind="stable")
+    sizes = np.bincount(label)
     sizes = sizes[sizes > 0]
     starts = np.cumsum(sizes) - sizes
+    owner = src[members[starts]]
+    kept = np.flatnonzero(sizes >= np.asarray(min_neighbors)[owner])
     x, y, w, h = rects[members].T
     sums = np.add.reduceat(np.stack([2 * x + w - 1, 2 * y + h - 1, w, h], axis=1), starts)
     margins = raw["margin"][members].tolist()
-    out = []
-    for s, k, (sx2, sy2, sw, sh) in zip(starts.tolist(), sizes.tolist(), sums.tolist()):
-        if k < min_neighbors:
-            continue
+    out = [[] for _ in raws]
+    for s, k, a, (sx2, sy2, sw, sh) in zip(
+        starts[kept].tolist(), sizes[kept].tolist(), owner[kept].tolist(), sums[kept].tolist()
+    ):
         # centre means in half-pixel units, rounded half-to-even exactly; the
         # doubled axis keeps the rounding reflection-equivariant, so a
         # mirrored cluster rounds to exactly the mirrored centre
@@ -376,8 +451,9 @@ def group_detections(raw: np.ndarray, min_neighbors: int) -> list[Detection]:
         # fsum: exactly rounded, so the cluster margin is independent of
         # member order and survives mirroring bit-for-bit
         mg = math.fsum(margins[s : s + k])
-        out.append(Detection(rect, neighbors=k, point2x=(px2, py2), margin=mg))
-    out.sort(key=lambda d: (d.rect.y, d.rect.x, d.rect.h, d.rect.w, d.neighbors))
+        out[a].append(Detection(rect, neighbors=k, point2x=(px2, py2), margin=mg))
+    for ds in out:
+        ds.sort(key=lambda d: (d.rect.y, d.rect.x, d.rect.h, d.rect.w, d.neighbors))
     return out
 
 
@@ -458,10 +534,13 @@ def detect_point(image, cfg: DetectorConfig) -> tuple[int, int] | None:
     """
     roi = cfg.roi or Rect(0, 0, image.width, image.height)
     grouped = group_detections(scan_roi(cfg.cascade, image, cfg), cfg.min_neighbors)
-    best = select_result(
-        grouped, True, roi_center=(roi.x + (roi.w - 1) / 2.0, roi.y + (roi.h - 1) / 2.0)
-    )
+    best = select_result(grouped, True, roi_center=_center(roi))
     return best.point if best else None
+
+
+def _center(roi: Rect) -> tuple[float, float]:
+    """The centre of ``roi`` in pixels, which point selection prefers."""
+    return roi.x + (roi.w - 1) / 2.0, roi.y + (roi.h - 1) / 2.0
 
 
 def detect_region(image, cfg: DetectorConfig) -> Rect | None:
@@ -471,12 +550,9 @@ def detect_region(image, cfg: DetectorConfig) -> Rect | None:
     the largest cluster, but a config may prefer the most corroborated
     one.
     """
-    return _best_rect(scan_roi(cfg.cascade, image, cfg), cfg)
-
-
-def _best_rect(raw: np.ndarray, cfg: DetectorConfig) -> Rect | None:
-    """The rect :func:`detect_region` picks from the raw windows of its scan."""
-    best = select_result(group_detections(raw, cfg.min_neighbors), cfg.is_point)
+    best = select_result(
+        group_detections(scan_roi(cfg.cascade, image, cfg), cfg.min_neighbors), cfg.is_point
+    )
     return best.rect if best else None
 
 
@@ -544,7 +620,8 @@ def detect_hierarchy(
     result.face_found = True
     result.face = face
 
-    # the feature searches that share a cascade share one stage pass per window size
+    # the feature searches that share a cascade share one stage pass per
+    # window size, and all four are grouped in one pass
     feature_rects: dict[str, Rect | None] = dict.fromkeys(FEATURE_NAMES)
     by_cascade: dict[int, list] = {}
     for name in FEATURE_NAMES:
@@ -553,12 +630,20 @@ def detect_hierarchy(
             cfg.roi = _clamp_rect(feature_roi(face, name), work.width, work.height)
             if cfg.roi is not None:
                 by_cascade.setdefault(id(cfg.cascade), []).append((name, cfg))
+    searched, raws = [], []  # (name, config) and raw windows of each search
     for named in by_cascade.values():
         cfgs = [cfg for _, cfg in named]
-        for (name, cfg), raw in zip(named, scan_rois(cfgs[0].cascade, tables, cfgs)):
-            feature_rects[name] = _best_rect(raw, cfg)
+        searched += named
+        raws += scan_rois(cfgs[0].cascade, tables, cfgs)
+    grouped = group_rois(raws, [cfg.min_neighbors for _, cfg in searched])
+    for (name, cfg), ds in zip(searched, grouped):
+        best = select_result(ds, cfg.is_point)
+        feature_rects[name] = best.rect if best else None
     result.features = feature_rects
 
+    # every point ROI depends only on the feature rects; each point is
+    # scanned alone, and all are grouped in one pass
+    searched, raws = [], []
     for name, cfg in point_cfgs.items():
         parent = feature_rects.get(POINT_PARENTS[name])
         if parent is None:
@@ -569,9 +654,14 @@ def detect_hierarchy(
         else:
             cfg.roi = point_roi(parent, work.width, work.height)
         # a search square wholly outside the frame leaves the point undetected
-        coord = None if cfg.roi is None else detect_point(tables, cfg)
-        if coord is not None:
-            result.points[name] = Point2(float(coord[0]), float(coord[1]))
+        if cfg.roi is not None:
+            searched.append((name, cfg))
+            raws.append(scan_roi(cfg.cascade, tables, cfg))
+    grouped = group_rois(raws, [cfg.min_neighbors for _, cfg in searched])
+    for (name, cfg), ds in zip(searched, grouped):
+        best = select_result(ds, True, roi_center=_center(cfg.roi))
+        if best is not None:
+            result.points[name] = Point2(float(best.point[0]), float(best.point[1]))
 
     corners = {
         corner: result.points[name]

@@ -14,6 +14,8 @@ from fidpoint.scan import (
     POINT_PARENTS,
     DetectorConfig,
     detect_hierarchy,
+    detect_point,
+    detect_region,
     point_roi,
 )
 
@@ -206,3 +208,41 @@ def test_feature_searches_with_their_own_cascades_match_shared(hierarchy_configs
     own = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
     assert all(shared.features.values())
     assert own.features == shared.features and own.points == shared.points
+
+
+def test_batched_grouping_matches_one_detector_at_a_time(hierarchy_configs):
+    # the hierarchy groups its feature searches, and then its point
+    # searches, in one pass each; every feature rect and point equals the
+    # single-detector call on the ROI the hierarchy set, also when the
+    # detectors keep clusters of different sizes and one feature picks
+    # the largest cluster
+    face_cfg, feature_cfgs, point_cfgs = hierarchy_configs
+    for k, cfg in enumerate(point_cfgs.values()):
+        cfg.min_neighbors = 1 + 3 * (k % 4)
+    # a 4x4 cascade without stages accepts every window, and windows below
+    # 5 pixels are similar only to themselves: every cluster has one
+    # member, so the one nearest the ROI centre wins
+    point_cfgs["left_pupil"] = DetectorConfig(
+        cascade=Cascade(4, 4, FeatureSet.BASIC, []),
+        scale_factor=2.0,
+        min_neighbors=1,
+        sub_roi=(0.0, 0.0, 0.2),
+    )
+    feature_cfgs["left_eye"].min_neighbors = 60
+    feature_cfgs["mouth"].is_point = False
+    upright = build_face_image(41)
+    center = Point2((SIZE - 1) / 2, (SIZE - 1) / 2)
+    found = 0
+    for img in (upright, rotate_image(upright, center, math.radians(8))):
+        result = detect_hierarchy(img, face_cfg, feature_cfgs, point_cfgs, TiltState(mode=TiltMode.NONE))
+        assert result.face == detect_region(img, face_cfg)
+        for name, cfg in feature_cfgs.items():
+            assert result.features[name] == detect_region(img, cfg), name
+        for name, cfg in point_cfgs.items():
+            if result.features[POINT_PARENTS[name]] is None:
+                continue
+            coord = detect_point(img, cfg)
+            want = None if coord is None else Point2(float(coord[0]), float(coord[1]))
+            assert result.points[name] == want, name
+            found += want is not None
+    assert found >= 12

@@ -42,6 +42,7 @@ from fidpoint.scan import (
     detect_point,
     detect_region,
     group_detections,
+    group_rois,
     rects_similar,
     scan_roi,
     scan_rois,
@@ -638,6 +639,31 @@ def clustered_rects(rng, n, spread):
     return rects[:n]
 
 
+def column_stacks(rng, n):
+    """One width on a few columns: stacks of one height at y steps of
+    h // 5 - 1, h // 5 and h // 5 + 1 (a column run continues only up to
+    h // 5), each topped by a taller or shorter window at, or one pixel
+    past, an end of the y interval in which it is similar to the stack's
+    last window."""
+    w = int(rng.integers(5, 40))
+    columns = [int(v) for v in rng.integers(0, w // 3 + 1, int(rng.integers(1, 4)))]
+    heights = [int(v) for v in rng.choice(np.arange(5, 40), 3, replace=False)]
+    rects = []
+    while len(rects) < n:
+        x = columns[int(rng.integers(len(columns)))]
+        h = heights[int(rng.integers(len(heights)))]
+        y = int(rng.integers(0, 120))
+        for _ in range(int(rng.integers(1, 8))):
+            rects.append(Rect(x, y, w, h))
+            y += h // 5 + int(rng.integers(-1, 2))
+        top = rects[-1].y
+        h2 = heights[int(rng.integers(len(heights)))]
+        m, dh = max(h, h2) // 5, h2 - h
+        lo, hi = -m + max(0, -dh), m - max(0, dh)
+        rects.append(Rect(x, top + int(rng.choice([lo - 1, lo, hi, hi + 1])), w, h2))
+    return rects[:n]
+
+
 def cluster_fingerprint(rects, labels, members):
     """(member count, label sum, point2x, mean size) of one cluster, in exact arithmetic."""
     k = len(members)
@@ -652,17 +678,20 @@ def cluster_fingerprint(rects, labels, members):
 @given(
     n=st.one_of(st.sampled_from([0, 1, 2, 63, 64, 65, 362, 363, 600]), st.integers(0, 600)),
     seed=st.integers(0, 2**32 - 1),
-    spread=st.sampled_from([0, 4, 40, 200, 1000]),
+    spread=st.sampled_from([0, 4, 40, 200, 1000, "stacks"]),
     block=st.sampled_from([1, 3, 64, None]),
     data=st.data(),
 )
 def test_group_partition_matches_closure_property(n, seed, spread, block, data):
-    # spread 0 stacks every window in one column, so all n(n-1)/2 pairs are
-    # candidates and n = 362 / 363 fall just under / over the default block
-    # budget; the small drawn budgets put block boundaries inside clusters
+    # spread 0 puts every window in one column, so every pair of its column
+    # runs is a candidate; "stacks" builds runs and breaks them at the y
+    # step and interval bounds; the small drawn budgets put block
+    # boundaries inside clusters
     rng = np.random.default_rng(seed)
     if spread == 0:
         rects = [Rect(0, r.y, r.w, r.h) for r in clustered_rects(rng, n, 200)]
+    elif spread == "stacks":
+        rects = column_stacks(rng, n)
     else:
         rects = clustered_rects(rng, n, spread)
     # distinct 32-bit labels in the margins: each cluster's fsum is the
@@ -711,8 +740,10 @@ def test_group_mirror_equivariant_large():
 
 @pytest.mark.parametrize("n", [362, 363])
 def test_group_single_width_single_column_straddles_block(n):
-    # one width and one column make every one of the n(n-1)/2 pairs a
-    # candidate: 362 windows fit one default block of candidate pairs, 363 do not
+    # one width and one column make every pair of column runs a candidate;
+    # 362 singleton runs would fit one default block of candidate pairs and
+    # 363 would not, but these windows form fewer runs (302 runs, 45,451
+    # pairs, for n = 363), so the singleton-run test below straddles the block
     assert 362 * 361 // 2 <= scan_module._GROUP_BLOCK_PAIRS < 363 * 362 // 2
     rng = np.random.default_rng(n)
     rects = [Rect(5, int(rng.integers(0, 400)), 20, int(rng.integers(12, 30))) for _ in range(n)]
@@ -726,6 +757,83 @@ def test_group_single_width_single_column_straddles_block(n):
         for d in out
     )
     assert got == want
+
+
+@pytest.mark.parametrize("n", [362, 363])
+def test_group_singleton_runs_straddle_block(n):
+    # one width and one column, and same-height windows more than h // 5
+    # apart, so every window is its own column run and every one of the
+    # n(n-1)/2 pairs is a candidate: 362 windows fit one default block of
+    # candidate pairs, 363 do not
+    assert 362 * 361 // 2 <= scan_module._GROUP_BLOCK_PAIRS < 363 * 362 // 2
+    rng = np.random.default_rng(n + 1000)
+    heights = rng.integers(12, 30, n)
+    rects = []
+    for h in np.unique(heights):
+        ys = np.cumsum(rng.integers(h // 5 + 1, h // 5 + 40, np.count_nonzero(heights == h)))
+        rects += [Rect(5, int(y), 20, int(h)) for y in ys]
+    rng.shuffle(rects)
+    labels = [(i * 2654435761) % 2**32 for i in range(n)]
+    out = group_detections(raw_windows(rects, [float(lab) for lab in labels]), 1)
+    clusters = closure_clusters(rects)
+    assert 1 < len(clusters) < n  # real clusters, not one blob or all singletons
+    want = sorted(cluster_fingerprint(rects, labels, c) for c in clusters)
+    got = sorted(
+        (d.neighbors, int(d.margin), d.point2x[0], d.point2x[1], d.rect.w, d.rect.h)
+        for d in out
+    )
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from([0, 1, 5, 40, 150]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_group_rois_never_mixes_arrays(sizes, seed, data):
+    # several arrays grouped in one pass, some empty and some holding the
+    # same windows as an earlier one, each with its own min_neighbors, give
+    # exactly one group_detections call per array
+    rng = np.random.default_rng(seed)
+    raws = []
+    for size in sizes:
+        if raws and data.draw(st.booleans()):
+            raws.append(raws[data.draw(st.integers(0, len(raws) - 1))].copy())
+        else:
+            rects = clustered_rects(rng, size, 60)
+            raws.append(raw_windows(rects, rng.standard_normal(size).tolist()))
+    mins = [data.draw(st.integers(1, 4)) for _ in raws]
+    assert group_rois(raws, mins) == [group_detections(r, m) for r, m in zip(raws, mins)]
+    with pytest.raises(ValueError, match="min_neighbors"):
+        group_rois(raws, mins[1:])
+
+
+def test_group_rejects_coordinates_past_int32():
+    # windows at x = 2**61 of widths 10 and 12 are similar, and their
+    # centre sum 2x + w - 1 wraps int64; every coordinate past 31 bits,
+    # and every size below 1, is refused
+    near = raw_windows([Rect(1, 1, 10, 10)] * 4 + [Rect(2**61, 0, 10, 10), Rect(2**61, 0, 12, 10)])
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        group_detections(near, 1)
+    for bad in ((2**31, 0, 5, 5), (-(2**31), 0, 5, 5), (0, 2**31, 5, 5), (0, -(2**31), 5, 5),
+                (0, 0, 2**31, 5), (0, 0, 5, 2**31), (0, 0, 0, 5), (0, 0, 5, -1)):
+        raw = np.array([(3, 3, 5, 5, 0.0), (*bad, 0.0)], RAW_WINDOW)
+        with pytest.raises(ValueError):
+            group_detections(raw, 1)
+        with pytest.raises(ValueError):
+            group_rois([raw[:1], raw[1:]], [1, 1])
+    # the extremes inside the bounds group exactly
+    edge = 2**31 - 1
+    for rects in ([Rect(edge - 12, -edge, 12, 12), Rect(edge - 10, -edge + 2, 10, 10)],
+                  [Rect(-edge, edge - 10, edge, 10), Rect(-edge, edge - 10, edge, 10)]):
+        out = group_detections(raw_windows(rects), 1)
+        want = {frozenset(range(len(rects)))}
+        assert closure_clusters(rects) == want
+        k = len(rects)
+        px2 = half_even(sum(2 * r.x + r.w - 1 for r in rects), k)
+        py2 = half_even(sum(2 * r.y + r.h - 1 for r in rects), k)
+        assert [(d.neighbors, d.point2x) for d in out] == [(k, (px2, py2))]
 
 
 def similar_pairs_union_find(rects):
