@@ -100,9 +100,9 @@ def init_weights(labels) -> np.ndarray:
 def train_weak(values, labels, weights) -> WeakClassifier:
     """Minimum weighted-error stump over one feature's values.
 
-    The N = 1 case of :class:`Booster`: candidate thresholds fall between
-    consecutive distinct sorted values (``Booster._stump``), plus -inf/+inf
-    sentinels, and ties break as in ``Booster.step``.
+    The N = 1 case of :class:`Booster`, finite values only: thresholds
+    fall between consecutive distinct sorted values (``Booster._stump``),
+    plus -inf/+inf sentinels, and ties break as in ``Booster.step``.
     """
     v = np.asarray(values, dtype=np.float64)
     return Booster(v[:, None], labels, weights)._stump(0, v)
@@ -141,29 +141,28 @@ class Booster:
     ``values`` has shape (n_samples, n_features) and is read only through
     ``values[:, lo:hi]`` and ``values[:, j]``: a numpy array, or a
     :class:`~fidpoint.haar.FeatureValues` that computes each block when
-    it is read, so the whole matrix never exists at once.  What does not
-    depend on the weights is built once, reading ``_STEP_BLOCK`` features
-    at a time, and the values themselves are not kept:
+    it is read, so the whole matrix never exists at once.  Every value
+    must be finite, else ``ValueError``.  What does not depend on the
+    weights is built once, reading ``_STEP_BLOCK`` features at a time, and
+    the values themselves are not kept:
 
     - ``_order`` (n_samples, n_features) holds each feature's stable sort
       order in a column, in ``np.min_scalar_type(n_samples - 1)`` (uint8
       up to 256 samples, uint16 up to 65,536).  A block is sorted once as
-      uint64 keys that order the values (-0.0 made 0.0, every NaN one NaN
-      above +inf; all bits of a negative value flipped, the sign bit of
-      any other) and hold the sample index in their low ``8 * itemsize``
-      bits, so equal values sort by index, as ``argsort(kind="stable")``.
+      uint64 keys that order the values (-0.0 made 0.0; all bits of a
+      negative value flipped, the sign bit of any other) and hold the
+      sample index in their low ``8 * itemsize`` bits, so equal values
+      sort by index, as ``argsort(kind="stable")``.
     - ``_cut`` (same shape, bool) marks sorted positions whose value
       differs from the next one, where ``step`` places a threshold; the
       last row is always True (the +inf threshold).
 
     That is 2 or 3 bytes per (sample, feature) pair.  The cuts come from
-    ``np.sort``'s values, which ``!=`` compares alike wherever the order
-    puts -0.0 and 0.0, or NaNs.  The key sort misorders only different
-    values that share a key's high bits.  Keys sharing high bits are a run
-    of sorted positions holding the same values as ``np.sort``'s, so such
-    a run has two neighbouring keys with equal high bits where ``_cut`` is
-    set; only those features, and any with two NaNs (``!=`` cuts between
-    them), are sorted again, stably.
+    ``np.sort``'s values.  The key sort misorders only different values
+    that share a key's high bits.  Keys sharing high bits are a run of
+    sorted positions holding the same values as ``np.sort``'s, so such a
+    run has two neighbouring keys with equal high bits where ``_cut`` is
+    set; only those features are sorted again, stably.
 
     ``step`` screens every feature with one real running sum of the
     signed weights and re-scores only the features the screen cannot rule
@@ -187,11 +186,13 @@ class Booster:
             # a fresh C-ordered copy, never a view of ``values``; -0.0 + 0.0 is 0.0
             key = np.add(block, 0.0, order="C")
             sv = np.sort(key, axis=1)
+            # np.sort puts -inf first and +inf, then every NaN, last
+            if not (np.isfinite(sv[:, :1]).all() and np.isfinite(sv[:, -1:]).all()):
+                raise ValueError("feature values must be finite")
             # neighbours compared along the flattened block (several times faster than
             # by row); the last column pairs two rows until it is the +inf threshold's cut
             cut = np.empty(key.shape, dtype=bool)
             np.not_equal(sv.ravel()[1:], sv.ravel()[:-1], out=cut.ravel()[:-1])
-            np.copyto(key, np.nan, where=np.isnan(key))
             key = key.view(np.uint64)
             flip = np.right_shift(key.view(np.int64), 63, out=sv.view(np.int64)).view(np.uint64)
             key ^= np.bitwise_or(flip, 1 << 63, out=flip)
@@ -291,17 +292,15 @@ class Booster:
         error counts if lo < t <= hi (parity +1) or lo <= t < hi (parity
         -1).  Each takes the midpoint where it meets that, else hi (parity
         +1) or lo (parity -1): the midpoint of floats one ulp apart rounds
-        onto one of them, and next to an infinity it is infinite or NaN.
-        Ties break toward the smaller threshold, then parity +1.
-        Thresholds rise with the sorted position, so each parity's first
-        ``argmin`` is its smallest-threshold minimum.
+        onto one of them.  Ties break toward the smaller threshold, then
+        parity +1.  Thresholds rise with the sorted position, so each
+        parity's first ``argmin`` is its smallest-threshold minimum.
         """
         cols = slice(j, j + 1)
         (e_plus,), (e_minus,) = _stump_errors(self.weights * self._classes, self._order[:, cols].T, self._cut[:, cols].T)
         sv = np.asarray(col, dtype=np.float64)[self._order[:, j]]
         lo, hi = sv[:-1], sv[1:]
-        with np.errstate(invalid="ignore"):  # -inf / 2 + inf / 2 is NaN
-            mid = lo / 2.0 + hi / 2.0  # halves first, so finite neighbours never overflow
+        mid = lo / 2.0 + hi / 2.0  # halves first, so finite neighbours never overflow
         thr_plus = np.concatenate(([-np.inf], np.where(mid > lo, mid, hi), [np.inf]))
         thr_minus = np.concatenate(([-np.inf], np.where(mid < hi, mid, lo), [np.inf]))
         p, m = np.argmin(e_plus), np.argmin(e_minus)

@@ -25,14 +25,13 @@ mirror-closed grid and the mirror-covariant grouping below, a
 right-side point is exactly the mirror image of the left-side point on
 the mirrored frame.
 
-:func:`scan_rois` scans one cascade under several configs.  The
-configs that scan a window size on the same side share one stage pass
-at that size: their windows go through one ``window_inv_stddevs`` and
-one ``run_stages`` call, and the survivors are split back per config.
-A window's verdict and margin do not depend on the batch it is read
-in, so each config gets exactly its own :func:`scan_roi` records;
-:func:`scan_roi` is the one-config case.  The hierarchy scans its four
-feature searches this way.
+:func:`scan_rois` scans several configs, each with its own cascade.
+The configs that scan a window size with one cascade on one side share
+a stage pass at that size: their windows go through one
+``window_inv_stddevs`` and one ``run_stages`` call, and the survivors
+are split back per config.  A window's verdict and margin do not depend
+on the batch it is read in, so each config gets exactly its own
+:func:`scan_roi` records.  The hierarchy scans each layer in one call.
 
 Grouping
 --------
@@ -101,7 +100,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 
@@ -274,35 +273,39 @@ def scan_roi(c: Cascade, image, cfg: DetectorConfig) -> np.ndarray:
     Records are ordered by window size ascending, then ``y``, then ``x``.
     ``image`` may be a GrayImage or prebuilt IntegralTables (built with
     rotated sums when the cascade uses the extended feature set).  This
-    is :func:`scan_rois` with one config.
+    is :func:`scan_rois` of ``cfg`` with ``c`` as its cascade.
     """
-    return scan_rois(c, image, [cfg])[0]
+    return scan_rois(image, [cfg if cfg.cascade is c else replace(cfg, cascade=c)])[0]
 
 
-def scan_rois(c: Cascade, image, cfgs) -> list[np.ndarray]:
-    """:func:`scan_roi` of cascade ``c`` under each config, one stage pass per window size.
+def scan_rois(image, cfgs) -> list[np.ndarray]:
+    """:func:`scan_roi` of each config with its own cascade, one stage pass per window size.
 
-    The windows of every config that scans a size on the same side go
-    through one ``window_inv_stddevs`` and one ``run_stages`` call; each
-    window's verdict and margin do not depend on its batch, so every
-    array equals the config's own :func:`scan_roi` bit for bit.
+    The windows of every config that scans a size with one cascade on one
+    side go through one ``window_inv_stddevs`` and one ``run_stages``
+    call; each window's verdict and margin do not depend on its batch, so
+    every array equals the config's own :func:`scan_roi` bit for bit.
     """
     if isinstance(image, IntegralTables):
         tables = image
     else:
-        tables = build_tables(image, want_rotated=c.feature_set is FeatureSet.ALL)
-    # (w, h, on_right_side) -> (exact scale, [(config index, roi)]) of every config scanning it
-    sizes: dict[tuple[int, int, bool], tuple[Fraction, list]] = {}
+        rotated = any(cfg.cascade.feature_set is FeatureSet.ALL for cfg in cfgs)
+        tables = build_tables(image, want_rotated=rotated)
+    # (w, h, on_right_side, id(cascade)) -> (exact scale, [(config index, roi)]) of every
+    # config scanning it; sorted, each config's sizes come in ascending order
+    sizes: dict[tuple[int, int, bool, int], tuple[Fraction, list]] = {}
     for n, cfg in enumerate(cfgs):
         roi = cfg.roi or Rect(0, 0, tables.width, tables.height)
         require_inside(tables, roi.x, roi.y, roi.w, roi.h, False)
-        for (w_k, h_k), frac in _scan_sizes(c, cfg, roi):
-            sizes.setdefault((w_k, h_k, cfg.on_right_side), (frac, []))[1].append((n, roi))
+        for (w_k, h_k), frac in _scan_sizes(cfg.cascade, cfg, roi):
+            key = w_k, h_k, cfg.on_right_side, id(cfg.cascade)
+            sizes.setdefault(key, (frac, []))[1].append((n, roi))
     found = [[] for _ in cfgs]  # per config, per size: (offsets, w, h, margins) accepted
-    features = tuple(weak.feature for st in c.stages for _, weak in st.strong.rounds)
-    tables_by_kind = {rot: tables.flat(rot) for rot in {f.kind.rotated for f in features}}
-    for w_k, h_k, right in sorted(sizes):
-        frac, members = sizes[w_k, h_k, right]
+    for w_k, h_k, right, c_id in sorted(sizes):
+        frac, members = sizes[w_k, h_k, right, c_id]
+        c = cfgs[members[0][0]].cascade
+        features = tuple(weak.feature for st in c.stages for _, weak in st.strong.rounds)
+        tables_by_kind = {rot: tables.flat(rot) for rot in {f.kind.rotated for f in features}}
         scaled, (l, t, rgt, btm) = scan_plan(c.window_w, c.window_h, features, frac, right)
         step_x = max(1, round_half_up(w_k / c.window_w))
         step_y = max(1, round_half_up(h_k / c.window_h))
@@ -620,30 +623,25 @@ def detect_hierarchy(
     result.face_found = True
     result.face = face
 
-    # the feature searches that share a cascade share one stage pass per
-    # window size, and all four are grouped in one pass
+    # each layer scans its searches in one scan_rois call and groups them in
+    # one group_rois call: every feature ROI depends only on the face rect
     feature_rects: dict[str, Rect | None] = dict.fromkeys(FEATURE_NAMES)
-    by_cascade: dict[int, list] = {}
+    searched = []  # (name, config) of each search
     for name in FEATURE_NAMES:
         cfg = feature_cfgs.get(name)
         if cfg is not None:
             cfg.roi = _clamp_rect(feature_roi(face, name), work.width, work.height)
             if cfg.roi is not None:
-                by_cascade.setdefault(id(cfg.cascade), []).append((name, cfg))
-    searched, raws = [], []  # (name, config) and raw windows of each search
-    for named in by_cascade.values():
-        cfgs = [cfg for _, cfg in named]
-        searched += named
-        raws += scan_rois(cfgs[0].cascade, tables, cfgs)
-    grouped = group_rois(raws, [cfg.min_neighbors for _, cfg in searched])
+                searched.append((name, cfg))
+    cfgs = [cfg for _, cfg in searched]
+    grouped = group_rois(scan_rois(tables, cfgs), [cfg.min_neighbors for cfg in cfgs])
     for (name, cfg), ds in zip(searched, grouped):
         best = select_result(ds, cfg.is_point)
         feature_rects[name] = best.rect if best else None
     result.features = feature_rects
 
-    # every point ROI depends only on the feature rects; each point is
-    # scanned alone, and all are grouped in one pass
-    searched, raws = [], []
+    # every point ROI depends only on the feature rects
+    searched = []
     for name, cfg in point_cfgs.items():
         parent = feature_rects.get(POINT_PARENTS[name])
         if parent is None:
@@ -656,8 +654,8 @@ def detect_hierarchy(
         # a search square wholly outside the frame leaves the point undetected
         if cfg.roi is not None:
             searched.append((name, cfg))
-            raws.append(scan_roi(cfg.cascade, tables, cfg))
-    grouped = group_rois(raws, [cfg.min_neighbors for _, cfg in searched])
+    cfgs = [cfg for _, cfg in searched]
+    grouped = group_rois(scan_rois(tables, cfgs), [cfg.min_neighbors for cfg in cfgs])
     for (name, cfg), ds in zip(searched, grouped):
         best = select_result(ds, True, roi_center=_center(cfg.roi))
         if best is not None:

@@ -179,43 +179,51 @@ def special_columns():
     return out
 
 
-# repr of train_weak's (threshold, parity, error) for each of special_columns()
+# repr of train_weak's (threshold, parity, error) for each finite column of
+# special_columns(), in order; the 21 columns holding NaN or +-inf raise
 SPECIAL_STUMPS = [
     '(0.5, -1, 0.14250854075158614)',
-    '(-inf, -1, 0.10550887021475258)',
     '(-inf, -1, 0.07813378302417089)',
-    '(-inf, -1, 0.0)',
-    '(-inf, -1, 0.0)',
     '(-0.33333333333333337, 1, 0.0)',
-    '(-inf, 1, 0.0)',
-    '(-2.0, -1, 0.0)',
-    '(-inf, 1, 0.0)',
-    '(-inf, 1, 0.0)',
     '(-inf, -1, 0.1056910569105691)',
-    '(-inf, 1, 0.0)',
     '(0.5, 1, 0.06613756613756616)',
-    '(1.75, 1, 0.0423728813559322)',
-    '(0.16666666666666666, -1, 0.03265765765765766)',
-    '(-1.5, -1, 0.05501618122977345)',
-    '(-1.0, -1, 0.10650069156293222)',
-    '(-1.5, 1, 0.1035923141186299)',
-    '(1.25, 1, 0.08277404921700225)',
-    '(2.0, -1, 0.13506815365551422)',
-    '(-1.5, -1, 0.12589413447782546)',
-    '(1.25, -1, 0.1165674603174603)',
-    '(-inf, 1, 0.08083832335329341)',
-    '(-0.5, 1, 0.09183006535947713)',
-    '(2.0, -1, 0.09992372234935164)',
-    '(1.75, -1, 0.09063745019920319)',
 ]
 
 
 def test_train_weak_special_values_golden():
-    got = []
+    got, raised = [], 0
     for v, y, w in special_columns():
-        wk = train_weak(v, y, w)
-        got.append(repr((wk.threshold, wk.parity, wk.error)))
+        if all(math.isfinite(x) for x in v):
+            wk = train_weak(v, y, w)
+            got.append(repr((wk.threshold, wk.parity, wk.error)))
+        else:
+            with pytest.raises(ValueError, match="finite"):
+                train_weak(v, y, w)
+            raised += 1
     assert got == SPECIAL_STUMPS
+    assert raised == 21
+
+
+def test_booster_rejects_non_finite_values():
+    # a non-finite value in a later block raises as one in the first does;
+    # so do the two columns whose stumps disagreed with their own calls
+    # before non-finite values were rejected
+    rng = np.random.default_rng(14)
+    values = rng.normal(size=(6, 11))
+    labels = np.arange(6) % 2
+    weights = np.full(6, 1 / 6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(boost, "_STEP_BLOCK", 4)
+        Booster(values, labels, weights)
+        for bad in (math.nan, math.inf, -math.inf):
+            for j in (0, 5, 10):
+                bad_values = values.copy()
+                bad_values[3, j] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    Booster(bad_values, labels, weights)
+    for column, col_labels in (([-math.inf, 0.0], [1, 1]), ([math.nan, 0.0], [1, 0])):
+        with pytest.raises(ValueError, match="finite"):
+            train_weak(column, col_labels, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -384,7 +392,7 @@ def test_step_matches_brute_force_with_unequal_weights(n, kinds, rounds, block, 
     column = {
         "float": lambda: rng.normal(size=n),
         "int": lambda: rng.integers(-3, 4, n).astype(float),
-        "special": lambda: rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0], n),
+        "special": lambda: rng.choice([0.0, -0.0, 1.5, -2.0], n),
     }
     values = np.stack([column[k]() for k in kinds], axis=1)
     labels = rng.integers(0, 2, n)
@@ -417,10 +425,10 @@ def test_step_matches_brute_force_with_unequal_weights(n, kinds, rounds, block, 
     seed=st.integers(0, 2**32 - 1),
 )
 def test_order_and_ties_match_stable_argsort(n, nf, block, seed):
-    # columns mix -0.0 and 0.0, NaN, +-inf and repeated values, which sort
+    # columns mix -0.0 and 0.0 and repeated values, which sort
     # to equal neighbours whose order np.sort and a gather may disagree on
     rng = np.random.default_rng(seed)
-    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.0, 7.0])
+    pool = np.array([0.0, -0.0, 1.5, -2.0, 7.0])
     values = rng.choice(pool, size=(n, nf))
     mixed = rng.random((n, nf)) < 0.3
     values[mixed] = rng.integers(-2, 3, int(mixed.sum()))  # more ties
@@ -477,17 +485,15 @@ def test_order_and_cut_on_key_sort_edge_cases(n):
     # Booster sorts (value, sample) integer keys whose low 8 (n <= 256) or
     # 16 bits hold the sample, so values a few ulps apart can share a key's
     # high bits; those rows must fall back to a stable argsort.  Columns mix
-    # ulp neighbours, subnormals, -0.0 and 0.0, NaNs of either sign, +-inf
-    # and long runs of ties, over several blocks.
+    # ulp neighbours, subnormals, -0.0 and 0.0, +-1e308 and long runs of
+    # ties, over several blocks.
     rng = np.random.default_rng(n)
     tiny = 5e-324
-    pool = np.array([0.0, -0.0, np.nan, np.copysign(np.nan, -1), np.inf, -np.inf,
-                     tiny, -tiny, 1.0, -1.0, 1e308, -1e308])
+    pool = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, 1e308, -1e308])
     # the 1.0s must sort before the larger value; in index order they do not
     columns = [np.resize([np.nextafter(1.0, 2.0), 1.0], n)]
-    # one NaN with its sign bit set, which must sort last, among distinct values
+    # distinct values in falling index order
     columns.append(np.arange(n, 0, -1.0))
-    columns[-1][n // 2] = np.copysign(np.nan, -1)
     for _ in range(12):
         base = rng.choice([1.0, -1.0, 1e-300, 1000 * tiny, -1000 * tiny, 1e308, -1e308])
         near = (np.float64(base).view(np.int64) + rng.integers(-300, 301, n)).view(np.float64)

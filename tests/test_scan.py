@@ -413,34 +413,46 @@ ROI_DRAWS = st.tuples(
 )
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    feature_set=st.sampled_from([FeatureSet.BASIC, FeatureSet.ALL]),
-    rois=st.lists(ROI_DRAWS, min_size=1, max_size=4),
+    kinds=st.lists(st.tuples(st.sampled_from([8, 9]), st.sampled_from([FeatureSet.BASIC, FeatureSet.ALL])),
+                   min_size=1, max_size=3),
+    rois=st.lists(st.tuples(ROI_DRAWS, st.integers(0, 2)), min_size=1, max_size=6),
 )
-@example(seed=0, feature_set=FeatureSet.ALL, rois=[(0, 0, 44, 36, False, 1.1)] * 2)
-@example(seed=1, feature_set=FeatureSet.ALL, rois=[(35, 27, 9, 9, True, 1.2), (0, 0, 44, 36, True, 1.2)])
-@example(seed=2, feature_set=FeatureSet.BASIC,
-         rois=[(0, 0, 30, 20, False, 1.2), (10, 5, 34, 31, True, 1.2), (10, 5, 34, 31, False, 1.25)])
-def test_scan_rois_equal_one_scan_roi_per_config(seed, feature_set, rois):
-    # configs sharing a size and side share one stage pass; each config's
-    # raw windows are still exactly its own scan's, overlapping ROIs and
-    # ROIs at the frame edge (where rotated cells may overhang) included
+@example(seed=0, kinds=[(9, FeatureSet.ALL)], rois=[((0, 0, 44, 36, False, 1.1), 0)] * 2)
+@example(seed=1, kinds=[(9, FeatureSet.ALL)],
+         rois=[((35, 27, 9, 9, True, 1.2), 0), ((0, 0, 44, 36, True, 1.2), 0)])
+@example(seed=2, kinds=[(9, FeatureSet.BASIC)],
+         rois=[((0, 0, 30, 20, False, 1.2), 0), ((10, 5, 34, 31, True, 1.2), 0),
+               ((10, 5, 34, 31, False, 1.25), 0)])
+@example(seed=3, kinds=[(9, FeatureSet.BASIC), (9, FeatureSet.ALL)],
+         rois=[((0, 0, 44, 36, False, 1.1), 1), ((35, 27, 9, 9, True, 1.1), 1),
+               ((10, 5, 34, 31, True, 1.1), 0), ((10, 5, 34, 31, False, 1.1), 1),
+               ((0, 0, 44, 36, True, 1.1), 1)])
+def test_scan_rois_equal_one_scan_roi_per_config(seed, kinds, rois):
+    # each config scans its own cascade (the k-th of 1-3); configs of one
+    # cascade that share a size and side share one stage pass, other
+    # cascades of the same window size never join it, and a GrayImage gets
+    # rotated tables if any config's cascade needs them.  Each config's raw
+    # windows are still exactly its own scan's, overlapping ROIs and ROIs
+    # at the frame edge (where rotated cells may overhang) included
     rng = np.random.default_rng(seed)
-    c = random_stump_cascade(rng, window=9, n_stages=2, feature_set=feature_set)
+    cascades = [random_stump_cascade(rng, window=w, n_stages=2, feature_set=fs) for w, fs in kinds]
     img = GrayImage(rng.integers(0, 256, (FRAME_H, FRAME_W), dtype=np.uint8))
-    tables = build_tables(img, want_rotated=feature_set is FeatureSet.ALL)
+    tables = build_tables(img, want_rotated=any(c.feature_set is FeatureSet.ALL for c in cascades))
     cfgs = []
-    for x, y, w, h, right, factor in rois:
+    for (x, y, w, h, right, factor), k in rois:
         x, y = min(x, FRAME_W - 9), min(y, FRAME_H - 9)
         roi = Rect(x, y, min(w, FRAME_W - x), min(h, FRAME_H - y))
-        cfgs.append(DetectorConfig(cascade=c, roi=roi, scale_factor=factor, on_right_side=right))
-    got = scan_rois(c, tables, cfgs)
-    assert len(got) == len(cfgs)
-    for cfg, raw in zip(cfgs, got):
-        assert raw.dtype == RAW_WINDOW
-        assert raw.tobytes() == scan_roi(c, tables, cfg).tobytes()
+        cfgs.append(DetectorConfig(cascade=cascades[k % len(cascades)], roi=roi,
+                                   scale_factor=factor, on_right_side=right))
+    for image in (tables, img):
+        got = scan_rois(image, cfgs)
+        assert len(got) == len(cfgs)
+        for cfg, raw in zip(cfgs, got):
+            assert raw.dtype == RAW_WINDOW
+            assert raw.tobytes() == scan_roi(cfg.cascade, image, cfg).tobytes()
 
 
 # --- grouping ---------------------------------------------------------------------
