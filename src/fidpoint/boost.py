@@ -315,10 +315,14 @@ def eval_strong(
     scale: float = 1.0,
     inv_sigma: float = 1.0,
 ) -> tuple[float, bool]:
-    """(score, decision): alpha-weighted vote against the threshold."""
+    """(score, decision): alpha-weighted vote against the threshold.
+
+    The decision is ``not score < threshold``, the stage loop's rule, so a
+    NaN threshold accepts like ``cascade.run_stages`` does.
+    """
     score = 0.0
     for alpha, weak in sc.rounds:
         v = feature_value(weak.feature, tables, origin, scale, inv_sigma)
         if weak.predict_value(v):
             score += alpha
-    return score, score >= sc.threshold
+    return score, not score < sc.threshold

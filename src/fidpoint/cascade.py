@@ -204,8 +204,7 @@ def classify_window(
     win_h = round_half_up(c.window_h * frac)
     inv_sigma = window_inv_stddev(tables, Rect(*origin, win_w, win_h))
     for i, stage in enumerate(c.stages):
-        score, _ = eval_strong(stage.strong, tables, origin, frac, inv_sigma)
-        if score < stage.strong.threshold:  # not eval_strong's >=: a NaN threshold keeps all
+        if not eval_strong(stage.strong, tables, origin, frac, inv_sigma)[1]:
             return False, i
     return True, None
 
@@ -322,8 +321,18 @@ def train_cascade(
 
 # --- serialization -----------------------------------------------------------
 
+# the keys of a stage line after "stage <index>", and of a weak line after "weak"
+_STAGE_KEYS = ("threshold", "nweak", "hr", "fa")
+_WEAK_KEYS = ("alpha", "parity", "thresh", "kind", "x", "y", "w", "h")
+
+
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _record(lead: tuple, keys: tuple, values) -> str:
+    """One line of the ``lead`` tokens, then each key followed by its value."""
+    return " ".join([*lead, *(f"{k} {v}" for k, v in zip(keys, values))])
 
 
 def serialize(c: Cascade) -> bytes:
@@ -334,18 +343,15 @@ def serialize(c: Cascade) -> bytes:
         f"stages {len(c.stages)}",
     ]
     for i, stage in enumerate(c.stages):
-        lines.append(
-            f"stage {i} threshold {_fmt(stage.strong.threshold)} "
-            f"nweak {len(stage.strong.rounds)} "
-            f"hr {_fmt(stage.train_hit_rate)} fa {_fmt(stage.train_false_alarm)}"
-        )
-        for alpha, weak in stage.strong.rounds:
+        sc = stage.strong
+        rates = _fmt(stage.train_hit_rate), _fmt(stage.train_false_alarm)
+        values = _fmt(sc.threshold), len(sc.rounds), *rates
+        lines.append(_record(("stage", str(i)), _STAGE_KEYS, values))
+        for alpha, weak in sc.rounds:
             f = weak.feature
-            lines.append(
-                f"weak alpha {_fmt(alpha)} parity {'+1' if weak.parity > 0 else '-1'} "
-                f"thresh {_fmt(weak.threshold)} kind {f.kind.name} "
-                f"x {f.x} y {f.y} w {f.w} h {f.h}"
-            )
+            parity = "+1" if weak.parity > 0 else "-1"
+            values = _fmt(alpha), parity, _fmt(weak.threshold), f.kind.name, f.x, f.y, f.w, f.h
+            lines.append(_record(("weak",), _WEAK_KEYS, values))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -358,14 +364,25 @@ class _LineReader:
         self.lines = text.split("\n")
         self.no = 0
 
-    def next(self, expect: str) -> list[str]:
+    def next(self, *lead: str, keys: tuple | None = None) -> tuple[str, ...]:
+        """The tokens of the next line, which must start with ``lead[0]``.
+
+        With ``keys`` the line must be a :func:`_record` of exactly ``lead``
+        and ``keys``, and only its values are returned.
+        """
+        tag = lead[0]
         if self.no >= len(self.lines):
-            raise CascadeFormatError(f"unexpected end of file, expected '{expect}'", self.no + 1)
+            raise CascadeFormatError(f"unexpected end of file, expected '{tag}'", self.no + 1)
         self.no += 1
-        parts = self.lines[self.no - 1].split()
-        if not parts or parts[0] != expect:
-            raise CascadeFormatError(f"expected '{expect}' line", self.no)
-        return parts
+        parts = tuple(self.lines[self.no - 1].split())
+        if not parts or parts[0] != tag:
+            raise CascadeFormatError(f"expected '{tag}' line", self.no)
+        if keys is None:
+            return parts
+        n = len(lead)
+        if len(parts) != n + 2 * len(keys) or parts[:n] != lead or parts[n::2] != keys:
+            raise CascadeFormatError(f"malformed {tag} line", self.no)
+        return parts[n + 1 :: 2]
 
 
 def _parse_int(tok: str, reader: _LineReader) -> int:
@@ -380,7 +397,7 @@ def _parse_float(tok: str, reader: _LineReader, allow_inf: bool = False) -> floa
         v = float(tok)
     except ValueError:
         v = math.nan  # rejected below, like "nan" itself
-    if math.isnan(v) or (math.isinf(v) and not allow_inf):
+    if not math.isfinite(v) and (math.isnan(v) or not allow_inf):
         raise CascadeFormatError(f"bad real {tok!r}", reader.no)
     return v
 
@@ -411,23 +428,16 @@ def deserialize(data: bytes) -> Cascade:
         raise CascadeFormatError(f"negative stage count {nstages}", r.no)
     cascade = Cascade(window_w, window_h, feature_set, [])
     for i in range(nstages):
-        parts = r.next("stage")
-        want = ["stage", str(i), "threshold", None, "nweak", None, "hr", None, "fa", None]
-        if len(parts) != len(want) or parts[::2] != want[::2] or parts[1] != str(i):
-            raise CascadeFormatError("malformed stage line", r.no)
-        threshold = _parse_float(parts[3], r)
-        nweak = _parse_int(parts[5], r)
+        vals = r.next("stage", str(i), keys=_STAGE_KEYS)
+        threshold = _parse_float(vals[0], r)
+        nweak = _parse_int(vals[1], r)
         if nweak < 0:
             raise CascadeFormatError(f"negative weak count {nweak}", r.no)
-        hr = _parse_float(parts[7], r)
-        fa = _parse_float(parts[9], r)
+        hr = _parse_float(vals[2], r)
+        fa = _parse_float(vals[3], r)
         sc = StrongClassifier(threshold=threshold)
         for _ in range(nweak):
-            wparts = r.next("weak")
-            keys = wparts[1::2]
-            vals = wparts[2::2]
-            if keys != ["alpha", "parity", "thresh", "kind", "x", "y", "w", "h"] or len(vals) != 8:
-                raise CascadeFormatError("malformed weak line", r.no)
+            vals = r.next("weak", keys=_WEAK_KEYS)
             alpha = _parse_float(vals[0], r)
             if vals[1] not in ("+1", "-1"):
                 raise CascadeFormatError("parity must be +1 or -1", r.no)

@@ -175,6 +175,15 @@ class EyeCorner(enum.Enum):
     RIGHT_OUTER = "right_outer"
 
 
+# missing corner -> (the other corner of its eye, the sign of the eye vector from it)
+_CORNER_PARTNER = {
+    EyeCorner.LEFT_OUTER: (EyeCorner.LEFT_INNER, -1),
+    EyeCorner.LEFT_INNER: (EyeCorner.LEFT_OUTER, 1),
+    EyeCorner.RIGHT_INNER: (EyeCorner.RIGHT_OUTER, -1),
+    EyeCorner.RIGHT_OUTER: (EyeCorner.RIGHT_INNER, 1),
+}
+
+
 def infer_fourth_corner(known: dict[EyeCorner, Point2], missing: EyeCorner) -> Point2:
     """Reconstruct a missing eye corner assuming equal eye width and alignment.
 
@@ -190,17 +199,10 @@ def infer_fourth_corner(known: dict[EyeCorner, Point2], missing: EyeCorner) -> P
     else:
         a, b = known[EyeCorner.RIGHT_INNER], known[EyeCorner.RIGHT_OUTER]
     dx, dy = b.x - a.x, b.y - a.y  # viewer-left corner -> viewer-right corner
-    if missing is EyeCorner.RIGHT_OUTER:
-        base = known[EyeCorner.RIGHT_INNER]
-        return Point2(base.x + dx, base.y + dy)
-    if missing is EyeCorner.RIGHT_INNER:
-        base = known[EyeCorner.RIGHT_OUTER]
-        return Point2(base.x - dx, base.y - dy)
-    if missing is EyeCorner.LEFT_INNER:
-        base = known[EyeCorner.LEFT_OUTER]
-        return Point2(base.x + dx, base.y + dy)
-    base = known[EyeCorner.LEFT_INNER]
-    return Point2(base.x - dx, base.y - dy)
+    partner, sign = _CORNER_PARTNER[missing]
+    base = known[partner]
+    # base - d is base + (-d) bit for bit, so one expression serves both signs
+    return Point2(base.x + sign * dx, base.y + sign * dy)
 
 
 def interocular_success(

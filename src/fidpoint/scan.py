@@ -31,7 +31,7 @@ a stage pass at that size: their windows go through one
 ``window_inv_stddevs`` and one ``run_stages`` call, and the survivors
 are split back per config.  A window's verdict and margin do not depend
 on the batch it is read in, so each config gets exactly its own
-:func:`scan_roi` records.  The hierarchy scans each layer in one call.
+:func:`scan_roi` records.
 
 Grouping
 --------
@@ -92,8 +92,19 @@ scan at ``scale_factor`` 1.1).
 and the width-class key, so runs, classes and candidate ranges never
 cross arrays, and each array gets exactly its own
 :func:`group_detections` result; :func:`group_detections` is the
-one-array case.  The hierarchy groups its four feature searches in one
-call, and its point searches in another.
+one-array case.
+
+Search step
+-----------
+
+``_select`` is the one detector-search step: one :func:`scan_rois` call
+and one :func:`group_rois` call over its configs, then one
+:func:`select_result` call per config.  Region searches pick the largest
+cluster (or, with ``is_point``, the most corroborated one); point
+searches pick the most corroborated cluster nearest the ROI centre.
+:func:`detect_region` and :func:`detect_point` are its one-search case,
+and each layer of :func:`detect_hierarchy` is one call: the face through
+:func:`detect_region`, then the four features, then the fourteen points.
 """
 
 from __future__ import annotations
@@ -169,6 +180,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not 1.0 < self.scale_factor < math.inf:
             raise ValueError("scale_factor must be finite and exceed 1")
+        sub = self.sub_roi
+        if sub is not None and (len(sub) != 3 or not all(map(math.isfinite, sub))):
+            raise ValueError("sub_roi must be three finite numbers")
         if self.min_w == 0:
             self.min_w = self.cascade.window_w
         if self.min_h == 0:
@@ -206,7 +220,12 @@ class Detection:
 
 @dataclass
 class HierarchyResult:
-    """Outcome of one face->features->points pass."""
+    """Outcome of one face->features->points pass.
+
+    ``face`` and ``features`` are rects of the counter-rotated working
+    frame, turned by ``tilt_applied`` from the input; only ``points``
+    are mapped back to the input frame.
+    """
 
     face_found: bool = False
     face: Rect | None = None
@@ -286,16 +305,12 @@ def scan_rois(image, cfgs) -> list[np.ndarray]:
     call; each window's verdict and margin do not depend on its batch, so
     every array equals the config's own :func:`scan_roi` bit for bit.
     """
-    if isinstance(image, IntegralTables):
-        tables = image
-    else:
-        rotated = any(cfg.cascade.feature_set is FeatureSet.ALL for cfg in cfgs)
-        tables = build_tables(image, want_rotated=rotated)
+    tables = _tables(image, cfgs)
     # (w, h, on_right_side, id(cascade)) -> (exact scale, [(config index, roi)]) of every
     # config scanning it; sorted, each config's sizes come in ascending order
     sizes: dict[tuple[int, int, bool, int], tuple[Fraction, list]] = {}
     for n, cfg in enumerate(cfgs):
-        roi = cfg.roi or Rect(0, 0, tables.width, tables.height)
+        roi = _roi(cfg, tables)
         require_inside(tables, roi.x, roi.y, roi.w, roi.h, False)
         for (w_k, h_k), frac in _scan_sizes(cfg.cascade, cfg, roi):
             key = w_k, h_k, cfg.on_right_side, id(cfg.cascade)
@@ -325,6 +340,19 @@ def scan_rois(image, cfgs) -> list[np.ndarray]:
             keep = alive[a:b]
             found[n].append((at[a:b][keep], w_k, h_k, margin[a:b][keep]))
     return [_raw_windows(f, tables.stride) for f in found]
+
+
+def _tables(image, cfgs) -> IntegralTables:
+    """``image`` if it is tables, else its tables, rotated sums included iff a config needs them."""
+    if isinstance(image, IntegralTables):
+        return image
+    rotated = any(cfg.cascade.feature_set is FeatureSet.ALL for cfg in cfgs)
+    return build_tables(image, want_rotated=rotated)
+
+
+def _roi(cfg: DetectorConfig, image) -> Rect:
+    """The region ``cfg`` searches: its ROI, or the whole frame when that is None."""
+    return cfg.roi or Rect(0, 0, image.width, image.height)
 
 
 def _raw_windows(found, stride: int) -> np.ndarray:
@@ -527,6 +555,17 @@ def select_result(
     return min(ds, key=point_key)
 
 
+def _select(image, cfgs, points: bool) -> list[Detection | None]:
+    """Each config's chosen cluster, or None: the "Search step" above."""
+    grouped = group_rois(scan_rois(image, cfgs), [cfg.min_neighbors for cfg in cfgs])
+    best = []
+    for cfg, ds in zip(cfgs, grouped):
+        roi = _roi(cfg, image)
+        centre = (roi.x + (roi.w - 1) / 2.0, roi.y + (roi.h - 1) / 2.0) if points else None
+        best.append(select_result(ds, points or cfg.is_point, centre))
+    return best
+
+
 def detect_point(image, cfg: DetectorConfig) -> tuple[int, int] | None:
     """One point coordinate inside cfg.roi, in frame coordinates.
 
@@ -535,15 +574,8 @@ def detect_point(image, cfg: DetectorConfig) -> tuple[int, int] | None:
     reflected cells (see "Scan schedule" above).  Of the clusters with the
     most neighbours, the one whose centre is nearest the ROI centre wins.
     """
-    roi = cfg.roi or Rect(0, 0, image.width, image.height)
-    grouped = group_detections(scan_roi(cfg.cascade, image, cfg), cfg.min_neighbors)
-    best = select_result(grouped, True, roi_center=_center(roi))
+    best = _select(image, [cfg], True)[0]
     return best.point if best else None
-
-
-def _center(roi: Rect) -> tuple[float, float]:
-    """The centre of ``roi`` in pixels, which point selection prefers."""
-    return roi.x + (roi.w - 1) / 2.0, roi.y + (roi.h - 1) / 2.0
 
 
 def detect_region(image, cfg: DetectorConfig) -> Rect | None:
@@ -553,9 +585,7 @@ def detect_region(image, cfg: DetectorConfig) -> Rect | None:
     the largest cluster, but a config may prefer the most corroborated
     one.
     """
-    best = select_result(
-        group_detections(scan_roi(cfg.cascade, image, cfg), cfg.min_neighbors), cfg.is_point
-    )
+    best = _select(image, [cfg], False)[0]
     return best.rect if best else None
 
 
@@ -601,63 +631,53 @@ def detect_hierarchy(
     """Face, then features, then points, with inter-frame tilt correction.
 
     The working image is counter-rotated by the mode's share of the
-    carried tilt before detection; detected coordinates are mapped back
-    to the input frame, and the tilt estimate from the detected eye
-    corners (after fourth-corner inference) updates ``tilt_state`` for
-    the next frame.  A face-absent frame resets the carried tilt.
+    carried tilt before detection.  The face and feature rects are those
+    of the working frame (``tilt_applied`` says how far it is turned);
+    only the points are mapped back to the input frame.  The tilt
+    estimate from the detected eye corners (after fourth-corner
+    inference) updates ``tilt_state`` for the next frame, and a
+    face-absent frame resets the carried tilt.
+
+    ``feature_cfgs`` keys must be in ``FEATURE_NAMES`` and ``point_cfgs``
+    keys in ``POINT_PARENTS``, else ValueError before any scan.  Each
+    feature and point config's ``roi`` is set to the region it searched
+    this frame, None if it searched none.
     """
+    layers = ("feature", feature_cfgs, FEATURE_NAMES), ("point", point_cfgs, POINT_PARENTS)
+    for layer, cfgs, known in layers:
+        for name in cfgs:
+            if name not in known:
+                raise ValueError(f"unknown {layer} {name!r}")
     result = HierarchyResult()
     correction = tilt_state.mode.correction(tilt_state.alpha)
     center = Point2((image.width - 1) / 2.0, (image.height - 1) / 2.0)
     work = image if correction == 0.0 else rotate_image(image, center, -correction)
     result.tilt_applied = correction
     # one set of frame tables serves the face, feature and point scans
-    cfgs = (face_cfg, *feature_cfgs.values(), *point_cfgs.values())
-    rotated = any(cfg.cascade.feature_set is FeatureSet.ALL for cfg in cfgs)
-    tables = build_tables(work, want_rotated=rotated)
+    tables = _tables(work, (face_cfg, *feature_cfgs.values(), *point_cfgs.values()))
 
     face = detect_region(tables, face_cfg)
     if face is None:
         tilt_state.alpha = 0.0
         return result
-    result.face_found = True
-    result.face = face
+    result.face_found, result.face = True, face
 
-    # each layer scans its searches in one scan_rois call and groups them in
-    # one group_rois call: every feature ROI depends only on the face rect
-    feature_rects: dict[str, Rect | None] = dict.fromkeys(FEATURE_NAMES)
-    searched = []  # (name, config) of each search
-    for name in FEATURE_NAMES:
-        cfg = feature_cfgs.get(name)
-        if cfg is not None:
-            cfg.roi = _clamp_rect(feature_roi(face, name), work.width, work.height)
-            if cfg.roi is not None:
-                searched.append((name, cfg))
-    cfgs = [cfg for _, cfg in searched]
-    grouped = group_rois(scan_rois(tables, cfgs), [cfg.min_neighbors for cfg in cfgs])
-    for (name, cfg), ds in zip(searched, grouped):
-        best = select_result(ds, cfg.is_point)
-        feature_rects[name] = best.rect if best else None
-    result.features = feature_rects
+    # every feature ROI depends only on the face rect
+    for name, cfg in feature_cfgs.items():
+        cfg.roi = _clamp_rect(feature_roi(face, name), work.width, work.height)
+    found = _select_searched(tables, feature_cfgs, False)
+    result.features = {n: found[n].rect if found.get(n) else None for n in FEATURE_NAMES}
 
     # every point ROI depends only on the feature rects
-    searched = []
     for name, cfg in point_cfgs.items():
-        parent = feature_rects.get(POINT_PARENTS[name])
+        parent = result.features[POINT_PARENTS[name]]
         if parent is None:
-            continue
-        if cfg.sub_roi is not None:
-            window = max(cfg.cascade.window_w, cfg.cascade.window_h)
-            cfg.roi = _sub_roi_rect(parent, cfg.sub_roi, window, work.width, work.height)
-        else:
+            cfg.roi = None
+        elif cfg.sub_roi is None:
             cfg.roi = point_roi(parent, work.width, work.height)
-        # a search square wholly outside the frame leaves the point undetected
-        if cfg.roi is not None:
-            searched.append((name, cfg))
-    cfgs = [cfg for _, cfg in searched]
-    grouped = group_rois(scan_rois(tables, cfgs), [cfg.min_neighbors for cfg in cfgs])
-    for (name, cfg), ds in zip(searched, grouped):
-        best = select_result(ds, True, roi_center=_center(cfg.roi))
+        else:
+            cfg.roi = _sub_roi_rect(parent, cfg, work.width, work.height)
+    for name, best in _select_searched(tables, point_cfgs, True).items():
         if best is not None:
             result.points[name] = Point2(float(best.point[0]), float(best.point[1]))
 
@@ -687,6 +707,12 @@ def detect_hierarchy(
     return result
 
 
+def _select_searched(tables, cfgs: dict, points: bool) -> dict:
+    """:func:`_select` of the named configs whose ROI is set, by name."""
+    searched = {name: cfg for name, cfg in cfgs.items() if cfg.roi is not None}
+    return dict(zip(searched, _select(tables, list(searched.values()), points)))
+
+
 def _clamp_rect(r: Rect, w: int, h: int) -> Rect | None:
     """The part of ``r`` inside a w x h image, or None when they do not meet."""
     x0 = max(0, r.x)
@@ -698,16 +724,16 @@ def _clamp_rect(r: Rect, w: int, h: int) -> Rect | None:
     return Rect(x0, y0, x1 - x0, y1 - y0)
 
 
-def _sub_roi_rect(parent: Rect, sub_roi, window: int, image_w: int, image_h: int) -> Rect | None:
-    """Per-detector search square inside/around the parent feature rect."""
-    dx, dy, half_u = sub_roi
+def _sub_roi_rect(parent: Rect, cfg: DetectorConfig, image_w: int, image_h: int) -> Rect | None:
+    """The search square of ``cfg.sub_roi`` inside/around the parent feature rect.
+
+    Its side is at least the cascade window's longer side.
+    """
+    dx, dy, half_u = cfg.sub_roi
+    window = max(cfg.cascade.window_w, cfg.cascade.window_h)
     cx = parent.x + (parent.w - 1) / 2.0 + dx * parent.w
     cy = parent.y + (parent.h - 1) / 2.0 + dy * parent.h
     half = max(half_u * parent.w, window / 2.0 + 1)
-    r = Rect(
-        round_half_up(cx - half),
-        round_half_up(cy - half),
-        max(window, round_half_up(2 * half)),
-        max(window, round_half_up(2 * half)),
-    )
+    side = max(window, round_half_up(2 * half))
+    r = Rect(round_half_up(cx - half), round_half_up(cy - half), side, side)
     return _clamp_rect(r, image_w, image_h)

@@ -2,9 +2,11 @@
 
 The benchmark calls the library through module attributes and rebinds
 some of them for its traced run, so a renamed or deleted function would
-otherwise show only when the benchmark runs.  These tests only read
-``perfbench/``: they parse its sources and load its tracing modules
-without writing bytecode next to them.
+otherwise show only when the benchmark runs.  One traced operation of
+each workload also exercises the attributes the tracing code reads off
+library objects.  These tests only read ``perfbench/``: they parse its
+sources and load its modules without writing bytecode next to them, and
+every rebinding is restored.
 """
 
 import ast
@@ -12,6 +14,8 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -81,3 +85,55 @@ def test_traced_run_rebinds_and_restores_every_function(monkeypatch):
     for owner, attr, fn in rebound:
         assert getattr(owner, attr) is fn, attr
 
+
+
+def load_workloads(monkeypatch):
+    """``perfbench/workloads.py``, with the sibling modules it imports by their plain names."""
+    for name in ("scenes", "layers"):
+        monkeypatch.setitem(sys.modules, name, load_perfbench_module(name, monkeypatch))
+    return load_perfbench_module("workloads", monkeypatch)
+
+
+# per workload: smaller inputs (one operation needs no more), and spans its
+# traced set-up and its first traced operation must record
+TRACED_OPS = {
+    "hierarchy": ({"videos": 1, "frames": 1}, ["scan.detect_region", "raster.build_tables"]),
+    "fullframe": ({"frames": 1}, ["scan.scan_roi", "scan.group_detections"]),
+    "train": ({"problems": 1}, ["cascade.train_cascade", "boost.Booster.step"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_OPS))
+def test_one_traced_operation_of_each_workload(name, monkeypatch):
+    # attribute reads on library objects (such as the scan cells that
+    # layers.WindowCounter reads) show only when traced code runs
+    workloads = load_workloads(monkeypatch)
+    layers = sys.modules["layers"]
+    spans = load_perfbench_module("spans", monkeypatch)
+    sizes, want = TRACED_OPS[name]
+    wl = workloads.WORKLOADS[name]()
+    for attr, value in sizes.items():
+        setattr(wl, attr, value)
+    inputs = wl.generate(workloads.DEFAULT_SEED)
+    setup_tracer, tracer = spans.Tracer(), spans.Tracer()
+    layers.install(setup_tracer)
+    try:
+        state = wl.setup(inputs)
+    finally:
+        setup_tracer.restore()
+    wl.begin_pass(state)
+    wl.tracer = tracer
+    layers.install(tracer)
+    try:
+        with tracer.root(0):
+            out = wl.op(state, 0)
+    finally:
+        tracer.restore()
+    assert out == wl.op(state, 0)  # tracing changes no output
+    values = layers.per_layer(setup_tracer, tracer, 1, 1)
+    assert all(values[f"{span}.calls"] >= 1 for span in want), values
+    assert 0 < values["trace.coverage"] <= 1
+    if name != "train":
+        assert values["cascade.deserialize.ms"] > 0
+    if name == "fullframe":
+        assert values["scan.scan_roi.windows_tested"] >= values["scan.scan_roi.raw_windows"] > 0

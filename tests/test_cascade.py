@@ -438,6 +438,65 @@ def test_deserialize_rejects_cell_below_1x1(field, value):
     assert err.value.line == 6
 
 
+def _edit(old: bytes, new: bytes) -> bytes:
+    data = one_weak_file()
+    assert data.count(old) == 1
+    return data.replace(old, new)
+
+
+# one (file, line, message) per raise site of deserialize and its reader helpers
+FORMAT_ERRORS = [
+    (b"FIDCASCADE 1\n\xff\n", 0, "not ASCII"),
+    (b"FIDCASCADE 1\nwindow 13 13\nfeatures BASIC\nstages 1", 5,
+     "unexpected end of file, expected 'stage'"),
+    (_edit(b"window 13 13", b"windows 13 13"), 2, "expected 'window' line"),
+    (_edit(b"window 13 13", b"window 13 x"), 2, "bad integer 'x'"),
+    (_edit(b"threshold 0.5", b"threshold 0.5x"), 5, "bad real '0.5x'"),
+    (_edit(b"FIDCASCADE 1", b"FIDCASCADE 2"), 1, "unsupported version"),
+    (_edit(b"window 13 13", b"window 13"), 2, "malformed window line"),
+    (_edit(b"window 13 13", b"window 0 13"), 2, "window must be positive"),
+    (_edit(b"features BASIC", b"features BASIC ALL"), 3, "malformed features line"),
+    (_edit(b"features BASIC", b"features SOME"), 3, "features must be BASIC or ALL"),
+    (_edit(b"stages 1", b"stages 1 1"), 4, "malformed stages line"),
+    (_edit(b"stages 1", b"stages -2"), 4, "negative stage count -2"),
+    (_edit(b"stage 0 ", b"stage 1 "), 5, "malformed stage line"),
+    (_edit(b"nweak 1", b"nweak -4"), 5, "negative weak count -4"),
+    (_edit(b" h 2", b""), 6, "malformed weak line"),
+    (_edit(b"parity +1", b"parity 1"), 6, "parity must be +1 or -1"),
+    (_edit(b"kind EDGE_H", b"kind EDGE"), 6, "unknown kind 'EDGE'"),
+    (_edit(b"w 2", b"w 0"), 6, "cell extent must be >= 1"),
+    (_edit(b"x 0", b"x 12"), 6, "feature EDGE_H at (12,0) size 2x2 exceeds window"),
+    (one_weak_file() + b"junk\n", 7, "trailing content"),
+]
+
+
+@pytest.mark.parametrize("data, line, message", FORMAT_ERRORS, ids=[m for *_, m in FORMAT_ERRORS])
+def test_deserialize_error_line_and_message(data, line, message):
+    with pytest.raises(CascadeFormatError) as err:
+        deserialize(data)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_nan_stage_threshold_same_verdict_everywhere():
+    # the batch stage loop keeps a window unless score < threshold, which a
+    # NaN threshold never is; every scalar and batch path must agree
+    from fidpoint.scan import DetectorConfig, scan_roi
+
+    rng = np.random.default_rng(59)
+    c = random_cascade(rng, n_stages=2)
+    c.stages[0].strong.threshold = math.nan
+    c.stages[1].strong.threshold = -math.inf  # accepts every window as well
+    t = make_tables(rng, 8)
+    inv_sigma = window_inv_stddev(t, Rect(0, 0, 8, 8))
+    decisions = [eval_strong(st.strong, t, (0, 0), 1.0, inv_sigma)[1] for st in c.stages]
+    raw = scan_roi(c, t, DetectorConfig(cascade=c))
+    assert decisions == [True, True]
+    assert classify_window(c, t) == (True, None)
+    assert _batch_accept(c, [t]).tolist() == [True]
+    assert [(r["x"], r["y"], r["w"], r["h"]) for r in raw] == [(0, 0, 8, 8)]
+
+
 def test_infinite_weak_threshold_roundtrips():
     f = HaarFeature(FeatureKind.EDGE_V, 0, 0, 2, 3)
     sc = StrongClassifier(

@@ -246,3 +246,20 @@ def test_batched_grouping_matches_one_detector_at_a_time(hierarchy_configs):
             assert result.points[name] == want, name
             found += want is not None
     assert found >= 12
+
+
+@pytest.mark.parametrize("layer", ["feature", "point"])
+def test_unknown_layer_name_raises_before_any_scan(layer, monkeypatch):
+    import fidpoint.scan as scan_mod
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(scan_mod, "scan_rois", no_scan)
+    monkeypatch.setattr(scan_mod, "scan_roi", no_scan)
+    cfg = DetectorConfig(cascade=Cascade(13, 13, FeatureSet.BASIC, []))
+    cfgs = {"feature": {}, "point": {}}
+    cfgs[layer]["left_ear"] = cfg
+    img = GrayImage(np.zeros((40, 40), np.uint8))
+    with pytest.raises(ValueError, match=f"unknown {layer} 'left_ear'"):
+        detect_hierarchy(img, cfg, cfgs["feature"], cfgs["point"], TiltState(mode=TiltMode.NONE))

@@ -295,6 +295,13 @@ def test_config_rejects_scale_factor(scale_factor):
         DetectorConfig(cascade=zero_stage_cascade(13), scale_factor=scale_factor)
 
 
+@pytest.mark.parametrize("sub_roi", [(0.0, 0.0, math.inf), (math.nan, 0.0, 0.3), (0.0, 0.3)])
+def test_config_rejects_sub_roi(sub_roi):
+    # the hierarchy turns sub_roi into integer pixels, which needs finite numbers
+    with pytest.raises(ValueError, match="sub_roi"):
+        DetectorConfig(cascade=zero_stage_cascade(13), sub_roi=sub_roi)
+
+
 def test_scan_roi_out_of_image():
     rng = np.random.default_rng(9)
     img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
@@ -960,6 +967,21 @@ def test_detect_point_none_when_empty():
     img = GrayImage(rng.integers(0, 30, (40, 40), dtype=np.uint8))
     cfg = DetectorConfig(cascade=dot_cascade(), roi=Rect(5, 5, 15, 15), min_neighbors=1)
     assert detect_point(img, cfg) is None
+
+
+@pytest.mark.parametrize("is_point", [True, False])
+def test_detect_point_prefers_the_cluster_nearest_the_roi_centre(is_point):
+    # a 4x4 cascade without stages accepts every window, and windows below
+    # 5 pixels are similar only to themselves: 25 one-member clusters tie
+    # on neighbours, and the ROI centre (13.5, 13.5) picks the window at
+    # (12, 12), whatever the config's is_point says
+    rng = np.random.default_rng(31)
+    img = GrayImage(rng.integers(0, 256, (30, 30), dtype=np.uint8))
+    cfg = DetectorConfig(
+        cascade=zero_stage_cascade(4), roi=Rect(10, 10, 8, 8), min_neighbors=1,
+        scale_factor=3.0, is_point=is_point,
+    )
+    assert detect_point(img, cfg) == (13, 13)
 
 
 def test_detect_point_mirror_symmetry():
