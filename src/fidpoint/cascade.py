@@ -53,6 +53,8 @@ from .haar import (
 from .raster import (
     BoundsError,
     IntegralTables,
+    LineFormatError,
+    LineReader,
     Rect,
     require_same_size,
     stack_tables,
@@ -63,10 +65,8 @@ FORMAT_MAGIC = "FIDCASCADE"
 FORMAT_VERSION = 1
 
 
-class CascadeFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class CascadeFormatError(LineFormatError):
+    """Malformed cascade file; ``line`` is the offending line (see ``raster.LineReader``)."""
 
 
 class StageStuckError(RuntimeError):
@@ -324,6 +324,11 @@ def train_cascade(
 # the keys of a stage line after "stage <index>", and of a weak line after "weak"
 _STAGE_KEYS = ("threshold", "nweak", "hr", "fa")
 _WEAK_KEYS = ("alpha", "parity", "thresh", "kind", "x", "y", "w", "h")
+# the kinds a file of each feature set may hold, by name: scans build rotated sums only for ALL
+_KINDS = {
+    fs: {k.name: k for k in FeatureKind if fs is FeatureSet.ALL or not k.rotated}
+    for fs in FeatureSet
+}
 
 
 def _fmt(x: float) -> str:
@@ -336,6 +341,23 @@ def _record(lead: tuple, keys: tuple, values) -> str:
 
 
 def serialize(c: Cascade) -> bytes:
+    """The cascade as ASCII lines, each ending in LF, read back by :func:`deserialize`.
+
+    The grammar, one record per line and tokens separated by one space::
+
+        FIDCASCADE 1
+        window <window_w> <window_h>
+        features BASIC|ALL
+        stages <nstages>
+        then per stage i = 0, 1, ...:
+        stage <i> threshold <real> nweak <nweak> hr <real> fa <real>
+        and nweak lines:
+        weak alpha <real> parity +1|-1 thresh <real> kind <name> x <int> y <int> w <int> h <int>
+
+    ``<name>`` is a ``FeatureKind`` name, rotated (``_45``) kinds only
+    under ``features ALL``.  Reals are written with 17 significant digits,
+    so they read back exactly; a stump ``thresh`` may be ``inf`` or ``-inf``.
+    """
     lines = [
         f"{FORMAT_MAGIC} {FORMAT_VERSION}",
         f"window {c.window_w} {c.window_h}",
@@ -355,100 +377,51 @@ def serialize(c: Cascade) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-class _LineReader:
-    def __init__(self, data: bytes):
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as e:
-            raise CascadeFormatError("not ASCII", 0) from e
-        self.lines = text.split("\n")
-        self.no = 0
-
-    def next(self, *lead: str, keys: tuple | None = None) -> tuple[str, ...]:
-        """The tokens of the next line, which must start with ``lead[0]``.
-
-        With ``keys`` the line must be a :func:`_record` of exactly ``lead``
-        and ``keys``, and only its values are returned.
-        """
-        tag = lead[0]
-        if self.no >= len(self.lines):
-            raise CascadeFormatError(f"unexpected end of file, expected '{tag}'", self.no + 1)
-        self.no += 1
-        parts = tuple(self.lines[self.no - 1].split())
-        if not parts or parts[0] != tag:
-            raise CascadeFormatError(f"expected '{tag}' line", self.no)
-        if keys is None:
-            return parts
-        n = len(lead)
-        if len(parts) != n + 2 * len(keys) or parts[:n] != lead or parts[n::2] != keys:
-            raise CascadeFormatError(f"malformed {tag} line", self.no)
-        return parts[n + 1 :: 2]
-
-
-def _parse_int(tok: str, reader: _LineReader) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise CascadeFormatError(f"bad integer {tok!r}", reader.no) from None
-
-
-def _parse_float(tok: str, reader: _LineReader, allow_inf: bool = False) -> float:
-    try:
-        v = float(tok)
-    except ValueError:
-        v = math.nan  # rejected below, like "nan" itself
-    if not math.isfinite(v) and (math.isnan(v) or not allow_inf):
-        raise CascadeFormatError(f"bad real {tok!r}", reader.no)
-    return v
-
-
 def deserialize(data: bytes) -> Cascade:
-    r = _LineReader(data)
-    magic = r.next(FORMAT_MAGIC)
-    if len(magic) != 2 or _parse_int(magic[1], r) != FORMAT_VERSION:
+    """The cascade of a :func:`serialize` file, read by the line rule of ``raster.LineReader``.
+
+    Raises :class:`CascadeFormatError` at the offending line for any
+    malformed file, including a rotated kind in a ``features BASIC``
+    cascade, whose scans build no rotated sums.
+    """
+    r = LineReader(data, CascadeFormatError)
+    if r.integer(r.next(FORMAT_MAGIC, count=1)[0]) != FORMAT_VERSION:
         raise CascadeFormatError("unsupported version", r.no)
-    win = r.next("window")
-    if len(win) != 3:
-        raise CascadeFormatError("malformed window line", r.no)
-    window_w, window_h = _parse_int(win[1], r), _parse_int(win[2], r)
+    window_w, window_h = map(r.integer, r.next("window", count=2))
     if window_w < 1 or window_h < 1:
         raise CascadeFormatError("window must be positive", r.no)
-    fs = r.next("features")
-    if len(fs) != 2:
-        raise CascadeFormatError("malformed features line", r.no)
+    name = r.next("features", count=1)[0]
     try:
-        feature_set = FeatureSet(fs[1])
+        feature_set = FeatureSet(name)
     except ValueError:
         raise CascadeFormatError("features must be BASIC or ALL", r.no) from None
-    st = r.next("stages")
-    if len(st) != 2:
-        raise CascadeFormatError("malformed stages line", r.no)
-    nstages = _parse_int(st[1], r)
+    nstages = r.integer(r.next("stages", count=1)[0])
     if nstages < 0:
         raise CascadeFormatError(f"negative stage count {nstages}", r.no)
+    kinds = _KINDS[feature_set]
     cascade = Cascade(window_w, window_h, feature_set, [])
     for i in range(nstages):
         vals = r.next("stage", str(i), keys=_STAGE_KEYS)
-        threshold = _parse_float(vals[0], r)
-        nweak = _parse_int(vals[1], r)
+        threshold = r.real(vals[0])
+        nweak = r.integer(vals[1])
         if nweak < 0:
             raise CascadeFormatError(f"negative weak count {nweak}", r.no)
-        hr = _parse_float(vals[2], r)
-        fa = _parse_float(vals[3], r)
+        hr, fa = r.real(vals[2]), r.real(vals[3])
         sc = StrongClassifier(threshold=threshold)
         for _ in range(nweak):
             vals = r.next("weak", keys=_WEAK_KEYS)
-            alpha = _parse_float(vals[0], r)
+            alpha = r.real(vals[0])
             if vals[1] not in ("+1", "-1"):
                 raise CascadeFormatError("parity must be +1 or -1", r.no)
             parity = 1 if vals[1] == "+1" else -1
-            thresh = _parse_float(vals[2], r, allow_inf=True)  # the +-inf stump sentinels
-            try:
-                kind = FeatureKind[vals[3]]
-            except KeyError:
-                raise CascadeFormatError(f"unknown kind {vals[3]!r}", r.no) from None
-            x, y = _parse_int(vals[4], r), _parse_int(vals[5], r)
-            w, h = _parse_int(vals[6], r), _parse_int(vals[7], r)
+            thresh = r.real(vals[2], allow_inf=True)  # the +-inf stump sentinels
+            kind = kinds.get(vals[3])
+            if kind is None:
+                if vals[3] in FeatureKind.__members__:
+                    raise CascadeFormatError(f"rotated kind {vals[3]} needs features ALL", r.no)
+                raise CascadeFormatError(f"unknown kind {vals[3]!r}", r.no)
+            x, y = r.integer(vals[4]), r.integer(vals[5])
+            w, h = r.integer(vals[6]), r.integer(vals[7])
             if w < 1 or h < 1:
                 raise CascadeFormatError("cell extent must be >= 1", r.no)
             feature = HaarFeature(kind, x, y, w, h)
@@ -458,9 +431,7 @@ def deserialize(data: bytes) -> Cascade:
                 )
             sc.rounds.append((alpha, WeakClassifier(thresh, parity, feature=feature)))
         cascade.stages.append(Stage(sc, hr, fa))
-    for extra in r.lines[r.no :]:
-        if extra.strip():
-            raise CascadeFormatError("trailing content", r.no + 1)
+    r.end()
     return cascade
 
 

@@ -35,13 +35,19 @@ import numpy as np
 
 from .geom import Point2, estimate_tilt, rotate_image, rotate_point, VerticalLineError
 from .haar import round_half_up
-from .raster import BoundsError, GrayImage, Rect, is_inside, require_inside
+from .raster import (
+    BoundsError,
+    GrayImage,
+    LineFormatError,
+    LineReader,
+    Rect,
+    is_inside,
+    require_inside,
+)
 
 
-class PointsFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class PointsFormatError(LineFormatError):
+    """Malformed points file; ``line`` is the offending line (see ``raster.LineReader``)."""
 
 
 class GenerationError(RuntimeError):
@@ -115,40 +121,38 @@ class Markup:
 # --- points files (PTS 1) -----------------------------------------------------
 
 def parse_points_file(data: bytes) -> list[Point2]:
-    """Parse the ``PTS 1`` / ``n <count>`` / ``<x> <y>`` per line format."""
-    lines = data.decode("ascii", errors="replace").splitlines()
-    if not lines or lines[0].split() != ["PTS", "1"]:
-        raise PointsFormatError("expected 'PTS 1' header", 1)
-    if len(lines) < 2 or len(lines[1].split()) != 2 or lines[1].split()[0] != "n":
-        raise PointsFormatError("expected 'n <count>' line", 2)
-    try:
-        count = int(lines[1].split()[1])
-    except ValueError:
-        raise PointsFormatError("bad point count", 2) from None
+    """The points of a :func:`write_points_file` file.
+
+    The file is read by the line rule of ``raster.LineReader``.  Raises
+    :class:`PointsFormatError` at the offending line for any malformed file.
+    """
+    r = LineReader(data, PointsFormatError)
+    r.next("PTS", "1")
+    count = r.integer(r.next("n", count=1)[0])
     if count < 0:
-        raise PointsFormatError("negative point count", 2)
+        raise PointsFormatError("negative point count", r.no)
     points = []
-    for i in range(count):
-        lineno = 3 + i
-        if 2 + i >= len(lines):
-            raise PointsFormatError(f"expected {count} points, file ends early", lineno)
-        toks = lines[2 + i].split()
+    for _ in range(count):
+        toks = r.tokens("<x> <y>")
         if len(toks) != 2:
-            raise PointsFormatError("expected '<x> <y>'", lineno)
+            raise PointsFormatError("expected '<x> <y>'", r.no)
         try:
             x, y = float(toks[0]), float(toks[1])
         except ValueError:
-            raise PointsFormatError("non-numeric coordinate", lineno) from None
+            raise PointsFormatError("non-numeric coordinate", r.no) from None
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise PointsFormatError("non-finite coordinate", lineno)
+            raise PointsFormatError("non-finite coordinate", r.no)
         points.append(Point2(x, y))
-    for extra in lines[2 + count :]:
-        if extra.strip():
-            raise PointsFormatError("trailing content after declared points", 3 + count)
+    r.end()
     return points
 
 
 def write_points_file(points: list[Point2]) -> bytes:
+    """ASCII lines ``PTS 1``, ``n <count>``, then ``<x> <y>`` per point, each ending in LF.
+
+    Coordinates are written with 17 significant digits, so
+    :func:`parse_points_file` reads back the same floats.
+    """
     lines = ["PTS 1", f"n {len(points)}"]
     lines += [f"{format(p.x, '.17g')} {format(p.y, '.17g')}" for p in points]
     return ("\n".join(lines) + "\n").encode("ascii")
@@ -247,6 +251,9 @@ def positive_descriptions(
 INNER_DISTANCES = (3, 4, 5)  # Chebyshev band just outside the positive block + guard
 OUTER_MIN_DISTANCE = 6  # keeps outer samples disjoint from the inner band
 MAX_ATTEMPTS = 1000
+# the Chebyshev ring of radius d, walked clockwise from its top-left cell: edge k holds
+# the 2d cells (sx * d + ox * off, sy * d + oy * off), 0 <= off < 2d, of (sx, ox, sy, oy)
+_RING_EDGES = ((-1, 1, -1, 0), (1, 0, -1, 1), (1, -1, 1, 0), (-1, 0, 1, -1))
 
 
 def generate_negatives(
@@ -277,42 +284,28 @@ def generate_negatives(
         r = Rect(px - half_patch, py - half_patch, patch_side, patch_side)
         return r if is_inside(image.width, image.height, r.x, r.y, r.w, r.h, False) else None
 
-    def ring_cell(d: int, k: int) -> tuple[int, int]:
-        """k-th cell (0 <= k < 8d) walking the Chebyshev ring of radius d."""
-        side, off = divmod(k, 2 * d)
-        if side == 0:
-            return -d + off, -d  # top edge, left to right
-        if side == 1:
-            return d, -d + off  # right edge, top to bottom
-        if side == 2:
-            return d - off, d  # bottom edge, right to left
-        return -d, d - off  # left edge, bottom to top
-
-    rects: list[Rect] = []
-    attempts = 0
-    while len(rects) < count_inner:
-        if attempts >= MAX_ATTEMPTS:
-            raise GenerationError(f"{markup.image_path}: cannot place inner negatives")
-        attempts += 1
+    def inner() -> Rect | None:
         d = int(rng.choice(INNER_DISTANCES))
-        dx, dy = ring_cell(d, int(rng.integers(0, 8 * d)))
-        r = patch_at(cx + dx, cy + dy)
-        if r is not None:
-            rects.append(r)
-    attempts = 0
-    outer = 0
-    while outer < count_outer:
-        if attempts >= MAX_ATTEMPTS:
-            raise GenerationError(f"{markup.image_path}: cannot place outer negatives")
-        attempts += 1
+        side, off = divmod(int(rng.integers(0, 8 * d)), 2 * d)
+        sx, ox, sy, oy = _RING_EDGES[side]
+        return patch_at(cx + sx * d + ox * off, cy + sy * d + oy * off)
+
+    def outer() -> Rect | None:
         dx = int(rng.integers(-half_sq, half_sq + 1))
         dy = int(rng.integers(-half_sq, half_sq + 1))
-        if max(abs(dx), abs(dy)) < OUTER_MIN_DISTANCE:
-            continue
-        r = patch_at(cx + dx, cy + dy)
-        if r is not None:
-            rects.append(r)
-            outer += 1
+        return patch_at(cx + dx, cy + dy) if max(abs(dx), abs(dy)) >= OUTER_MIN_DISTANCE else None
+
+    rects: list[Rect] = []
+    for where, count, draw in (("inner", count_inner, inner), ("outer", count_outer, outer)):
+        placed = attempts = 0
+        while placed < count:
+            if attempts >= MAX_ATTEMPTS:
+                raise GenerationError(f"{markup.image_path}: cannot place {where} negatives")
+            attempts += 1
+            r = draw()
+            if r is not None:
+                rects.append(r)
+                placed += 1
     return rects
 
 

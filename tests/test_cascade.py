@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,11 @@ from fidpoint.cascade import (
 )
 from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature, enumerate_features
 from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, window_inv_stddev
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PINNED = PERFBENCH / "data"
+PINS = json.loads((PERFBENCH / "pins.json").read_text())["cascades"]
 
 
 def make_tables(rng, side=6, rotated=False):
@@ -462,20 +470,44 @@ FORMAT_ERRORS = [
     (_edit(b"stage 0 ", b"stage 1 "), 5, "malformed stage line"),
     (_edit(b"nweak 1", b"nweak -4"), 5, "negative weak count -4"),
     (_edit(b" h 2", b""), 6, "malformed weak line"),
+    (_edit(b" h 2", b" height 2"), 6, "malformed weak line"),
     (_edit(b"parity +1", b"parity 1"), 6, "parity must be +1 or -1"),
     (_edit(b"kind EDGE_H", b"kind EDGE"), 6, "unknown kind 'EDGE'"),
     (_edit(b"w 2", b"w 0"), 6, "cell extent must be >= 1"),
     (_edit(b"x 0", b"x 12"), 6, "feature EDGE_H at (12,0) size 2x2 exceeds window"),
     (one_weak_file() + b"junk\n", 7, "trailing content"),
+    (serialize(Cascade(4, 4, FeatureSet.BASIC, [])) + b"\n\njunk\n", 7, "trailing content"),
+    (_edit(b"kind EDGE_H", b"kind EDGE_H_45"), 6, "rotated kind EDGE_H_45 needs features ALL"),
 ]
 
 
-@pytest.mark.parametrize("data, line, message", FORMAT_ERRORS, ids=[m for *_, m in FORMAT_ERRORS])
+def _row_ids(rows) -> list[str]:
+    """Each row's message; a message an earlier row already has also names the line."""
+    messages = [m for *_, m in rows]
+    return [m if messages.index(m) == i else f"{m} at line {line}"
+            for i, (_, line, m) in enumerate(rows)]
+
+
+@pytest.mark.parametrize("data, line, message", FORMAT_ERRORS, ids=_row_ids(FORMAT_ERRORS))
 def test_deserialize_error_line_and_message(data, line, message):
     with pytest.raises(CascadeFormatError) as err:
         deserialize(data)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_deserialize_reads_any_line_break(end):
+    data = one_weak_file()
+    assert serialize(deserialize(data.replace(b"\n", end))) == data
+
+
+@pytest.mark.parametrize("name", sorted({p.stem for p in PINNED.glob("*.cascade")} | set(PINS)))
+def test_pinned_cascade_file_matches_its_pin_and_roundtrips(name):
+    # the benchmark loads these files; a reader change must leave each one readable as is
+    data = (PINNED / f"{name}.cascade").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINS[name]
+    assert serialize(deserialize(data)) == data
 
 
 def test_nan_stage_threshold_same_verdict_everywhere():

@@ -61,6 +61,40 @@ def test_parse_points_non_finite_coordinate_names_line(coords):
     assert err.value.line == 4
 
 
+# one (file, line, message) per raise site of parse_points_file and the line reader
+POINTS_ERRORS = [
+    (b"PTS 1\nn 1\n1 \xb2\n", 0, "not ASCII"),
+    (b"", 1, "unexpected end of file, expected 'PTS'"),
+    (b"PTS1\nn 0\n", 1, "expected 'PTS' line"),
+    (b"PTS 2\nn 0\n", 1, "malformed PTS line"),
+    (b"PTS 1\n", 2, "unexpected end of file, expected 'n'"),
+    (b"PTS 1\ncount 0\n", 2, "expected 'n' line"),
+    (b"PTS 1\nn 1 1\n1 2\n", 2, "malformed n line"),
+    (b"PTS 1\nn one\n1 2\n", 2, "bad integer 'one'"),
+    (b"PTS 1\nn -3\n1 2\n", 2, "negative point count"),
+    (b"PTS 1\nn 2\n1 2\n", 4, "unexpected end of file, expected '<x> <y>'"),
+    (b"PTS 1\nn 1\n1 2 3\n", 3, "expected '<x> <y>'"),
+    (b"PTS 1\nn 1\n1 y\n", 3, "non-numeric coordinate"),
+    (b"PTS 1\nn 1\n1 inf\n", 3, "non-finite coordinate"),
+    (b"PTS 1\nn 1\n1 2\n\n\njunk\n", 6, "trailing content"),
+]
+
+
+@pytest.mark.parametrize("data, line, message", POINTS_ERRORS, ids=[m for *_, m in POINTS_ERRORS])
+def test_parse_points_error_line_and_message(data, line, message):
+    with pytest.raises(PointsFormatError) as err:
+        parse_points_file(data)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_parse_points_reads_any_line_break(end):
+    pts = [Point2(1.5, -2.0), Point2(0.0, 3.25)]
+    data = write_points_file(pts).replace(b"\n", end) + end + b"  " + end
+    assert parse_points_file(data) == pts
+
+
 def test_points_roundtrip_random():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -260,6 +294,19 @@ def test_negatives_error_when_impossible():
     m.points[pid] = Point2(10.0, 10.0)
     with pytest.raises(GenerationError, match="tiny.pgm"):
         generate_negatives(img, m, pid, patch_side=13, rng_seed=0)
+
+
+@pytest.mark.parametrize("patch_side, where", [(21, "inner"), (13, "outer")])
+def test_negatives_error_names_the_placement_that_failed(patch_side, where):
+    # a 21-pixel patch fits nowhere in the 20x20 frame; a 13-pixel one fits
+    # on the inner ring but not at Chebyshev distance 6 or more
+    img = GrayImage(np.zeros((20, 20), dtype=np.uint8))
+    m = level_markup("tiny.pgm")
+    pid = DEFAULT_SCHEME.id_of("left_eye_outer")
+    m.points[pid] = Point2(10.0, 10.0)
+    with pytest.raises(GenerationError) as err:
+        generate_negatives(img, m, pid, patch_side=patch_side, rng_seed=0)
+    assert str(err.value) == f"tiny.pgm: cannot place {where} negatives"
 
 
 def chi2_critical(df: int, z: float = 3.09) -> float:
