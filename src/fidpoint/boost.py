@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .haar import FeatureValues, HaarFeature, feature_value
-from .raster import IntegralTables
+from .haar import FeatureValues, HaarFeature
 
 EPS_CLAMP = 1e-10  # keeps beta away from {0, inf} on separable rounds
 # features per Booster block, and per read of the value source; bounds the
@@ -306,23 +305,3 @@ class Booster:
         p, m = np.argmin(e_plus), np.argmin(e_minus)
         err, t, parity = min((e_plus[p], thr_plus[p], 1), (e_minus[m], thr_minus[m], -1), key=lambda c: c[:2])
         return WeakClassifier(threshold=float(t), parity=parity, error=float(err))
-
-
-def eval_strong(
-    sc: StrongClassifier,
-    tables: IntegralTables,
-    origin: tuple[int, int] = (0, 0),
-    scale: float = 1.0,
-    inv_sigma: float = 1.0,
-) -> tuple[float, bool]:
-    """(score, decision): alpha-weighted vote against the threshold.
-
-    The decision is ``not score < threshold``, the stage loop's rule, so a
-    NaN threshold accepts like ``cascade.run_stages`` does.
-    """
-    score = 0.0
-    for alpha, weak in sc.rounds:
-        v = feature_value(weak.feature, tables, origin, scale, inv_sigma)
-        if weak.predict_value(v):
-            score += alpha
-    return score, not score < sc.threshold

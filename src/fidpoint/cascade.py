@@ -12,12 +12,12 @@ negative pool is filtered to survivors of the cascade so far and
 replenished from the negative source, which makes hit and false-alarm
 rates compound multiplicatively across stages.
 
-:func:`run_stages` is the one batch stage loop: the scanner runs it per
-scale over a frame's windows, and bootstrap filtering runs it over the
-stacked negative patches.  It keeps the survivors compact, with one
-running margin per window summed stump by stump in cascade order.
-:func:`classify_window` is its scalar oracle, scoring each stage with
-``boost.eval_strong``.  Training and filtering stack each batch of
+:func:`run_stages` is the one window evaluator: the scanner runs it per
+scale over a frame's windows, bootstrap filtering over the stacked
+negative patches, and :func:`classify_window` over one window, a stage
+at a time, so that it can name the rejecting stage.  It keeps the
+survivors compact, with one running margin per window summed stump by
+stump in cascade order.  Training and filtering stack each batch of
 patches once, with ``raster.stack_tables``, which also returns every
 patch's 1/sigma.  Each stage reads its own ``haar.feature_table`` through
 a ``haar.FeatureValues``, block by block; ``enumerate_features`` and
@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boost import Booster, StrongClassifier, WeakClassifier, eval_strong, init_weights
+from .boost import Booster, StrongClassifier, WeakClassifier, init_weights
 from .haar import (
     FeatureSet,
     HaarFeature,
@@ -56,9 +56,10 @@ from .raster import (
     LineFormatError,
     LineReader,
     Rect,
+    require_inside,
     require_same_size,
     stack_tables,
-    window_inv_stddev,
+    window_inv_stddevs,
 )
 
 FORMAT_MAGIC = "FIDCASCADE"
@@ -185,30 +186,6 @@ def train_stage(
     raise StageStuckError(-1, hr, fa, params.max_weak_per_stage)
 
 
-def classify_window(
-    c: Cascade,
-    tables: IntegralTables,
-    origin: tuple[int, int] = (0, 0),
-    scale: float = 1.0,
-) -> tuple[bool, int | None]:
-    """Evaluate stages in order; (accepted, index of the rejecting stage).
-
-    The effective cell scale is the exact ratio of the realized window
-    width round(window_w * scale) to the base window width, so windows
-    produced by the scanner evaluate identically here.  A zero-stage
-    cascade accepts every window by convention (the recursion base for
-    bootstrapping).  Raises ``BoundsError`` if the window leaves the tables.
-    """
-    frac = Fraction(round_half_up(c.window_w * scale), c.window_w)
-    win_w = round_half_up(c.window_w * frac)
-    win_h = round_half_up(c.window_h * frac)
-    inv_sigma = window_inv_stddev(tables, Rect(*origin, win_w, win_h))
-    for i, stage in enumerate(c.stages):
-        if not eval_strong(stage.strong, tables, origin, frac, inv_sigma)[1]:
-            return False, i
-    return True, None
-
-
 def run_stages(c: Cascade, cells: list, tables_by_kind: dict, stride: int, at, inv):
     """(accepted, summed stump margin) of N windows, each stage reading only its survivors.
 
@@ -247,6 +224,35 @@ def run_stages(c: Cascade, cells: list, tables_by_kind: dict, stride: int, at, i
         idx, at, inv, margin = idx[keep], at[keep], inv[keep], margin[keep]
     alive[idx], full[idx] = True, margin
     return alive, full
+
+
+def classify_window(
+    c: Cascade,
+    tables: IntegralTables,
+    origin: tuple[int, int] = (0, 0),
+    scale: float = 1.0,
+) -> tuple[bool, int | None]:
+    """Evaluate stages in order; (accepted, index of the rejecting stage).
+
+    :func:`run_stages` of one window, a stage at a time, its cells scaled by the exact ratio
+    round(window_w * scale) / window_w as in scans.  A zero-stage cascade accepts every window
+    (the recursion base for bootstrapping).  Raises ``BoundsError`` if the window or any cell
+    of any stage leaves the tables, the inside rule of scans and :func:`_batch_accept`.
+    """
+    frac = Fraction(round_half_up(c.window_w * scale), c.window_w)
+    window = Rect(*origin, round_half_up(c.window_w * frac), round_half_up(c.window_h * frac))
+    features = tuple(wk.feature for st in c.stages for _, wk in st.strong.rounds)
+    cells, (l, t, r, b) = scan_plan(c.window_w, c.window_h, features, frac, False)
+    require_inside(tables, window.x - l, window.y - t, window.w + l + r, window.h + t + b, False)
+    flat = {rot: tables.flat(rot) for rot in {sc.rotated for sc in cells}}
+    at = np.array([window.y * tables.stride + window.x])
+    inv = window_inv_stddevs(tables, at, window.w, window.h)
+    for i, stage in enumerate(c.stages):
+        alive, _ = run_stages(replace(c, stages=[stage]), cells, flat, tables.stride, at, inv)
+        if not alive[0]:
+            return False, i
+        cells = cells[len(stage.strong.rounds) :]
+    return True, None
 
 
 def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:
@@ -354,9 +360,10 @@ def serialize(c: Cascade) -> bytes:
         and nweak lines:
         weak alpha <real> parity +1|-1 thresh <real> kind <name> x <int> y <int> w <int> h <int>
 
-    ``<name>`` is a ``FeatureKind`` name, rotated (``_45``) kinds only
-    under ``features ALL``.  Reals are written with 17 significant digits,
-    so they read back exactly; a stump ``thresh`` may be ``inf`` or ``-inf``.
+    ``<name>`` is a ``FeatureKind`` name.  ``features`` says only whether scans need rotated sums
+    (``haar.FeatureSet``): BASIC allows every upright kind, CENTER_SURROUND included, ALL also the
+    rotated (``_45``) kinds.  Numbers take no ``_`` digit separators; reals are written with 17
+    significant digits, so they read back exactly; a stump ``thresh`` may be ``inf`` or ``-inf``.
     """
     lines = [
         f"{FORMAT_MAGIC} {FORMAT_VERSION}",

@@ -55,10 +55,10 @@ Upright and rotated cells alike are four corner reads in one table
 and the tables share one row stride, so one array of window offsets
 serves both.  A feature's cells at a scale are :class:`ScaledCells`,
 stored as the (x, y, w, h, weight) slots that :func:`cells_at`, the one
-window evaluator, reads.  :func:`cells_value` and the cascade's stage
-loop (``cascade.run_stages``, which serves the scanner and bootstrap
-filtering) pass those slots unconverted, and :func:`cells_at` reads
-each corner offset k through the view ``table[k:]``.
+cell evaluator, reads.  The cascade's stage loop (``cascade.run_stages``,
+which serves the scanner, bootstrap filtering and
+``cascade.classify_window``) passes those slots unconverted, and
+:func:`cells_at` reads each corner offset k through the view ``table[k:]``.
 
 :class:`FeatureValues` serves stage training (every feature on every
 sample), one block of features at a time, and :func:`feature_matrix`
@@ -115,9 +115,8 @@ class FeatureKind(enum.IntEnum):
     LINE_H_45 = 8
     LINE_V_45 = 9
 
-    @property
-    def rotated(self) -> bool:
-        return self.name.endswith("_45")
+    def __init__(self, value: int):
+        self.rotated = self.name.endswith("_45")  # not a property, which costs 0.3 us a read
 
 
 # Upright layouts: (cx, cy, cw, ch, weight) in base-cell units.
@@ -165,6 +164,11 @@ BASIC_KINDS = ALL_KINDS[:5]
 
 
 class FeatureSet(enum.Enum):
+    """The kinds training enumerates (:attr:`kinds`), or whether a cascade needs rotated sums.
+
+    BASIC training leaves out CENTER_SURROUND, but a BASIC cascade may hold any upright kind.
+    """
+
     BASIC = "BASIC"
     ALL = "ALL"
 
@@ -186,13 +190,6 @@ class HaarFeature(NamedTuple):
     y: int
     w: int
     h: int
-
-
-def footprint(f: HaarFeature) -> Rect:
-    """Window-relative bounding box of all member pixels."""
-    na, nb = _GRID[f.kind]
-    x0, y0, x1, y1 = cell_box(f.x, f.y, na * f.w, nb * f.h, f.kind.rotated)
-    return Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
 def fits_window(f: HaarFeature, window_w: int, window_h: int):
@@ -385,36 +382,6 @@ def cells_at(
     if neg is not None:
         v -= neg
     return v
-
-
-def cells_value(
-    cells: ScaledCells,
-    tables: IntegralTables,
-    origin_x: int,
-    origin_y: int,
-    inv_sigma: float,
-) -> float:
-    """Evaluate pre-scaled cells at an absolute window origin.
-
-    The N = 1 case of :func:`cells_at`, after checking that every cell
-    lies inside the image.
-    """
-    for x, y, w, h, _ in cells.slots:
-        require_inside(tables, x + origin_x, y + origin_y, w, h, cells.rotated)
-    at = np.array([origin_y * tables.stride + origin_x])
-    value = cells_at(tables.flat(cells.rotated), tables.stride, at, cells.slots, cells.rotated)
-    return float(value[0]) * inv_sigma
-
-
-def feature_value(
-    f: HaarFeature,
-    tables: IntegralTables,
-    origin: tuple[int, int] = (0, 0),
-    scale: float = 1.0,
-    inv_sigma: float = 1.0,
-) -> float:
-    """inv_sigma times the signed sum of scaled cell sums."""
-    return cells_value(scale_feature(f, scale), tables, origin[0], origin[1], inv_sigma)
 
 
 def mirror_feature(f: HaarFeature, window_w: int) -> tuple[HaarFeature, bool]:

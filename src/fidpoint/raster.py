@@ -30,11 +30,10 @@ class BoundsError(ValueError):
 class Rect:
     """Axis-aligned rectangle: top-left (x, y), extent (w, h) in pixels.
 
-    The same type doubles as a 45-degree rotated rectangle for
-    :func:`rotated_rect_sum`, where (x, y) is the apex pixel, ``w`` the
-    number of pixels stepped along the down-right diagonal and ``h``
-    along the down-left diagonal (see that function for the exact
-    membership rule).
+    The same type doubles as a 45-degree rotated rectangle, where (x, y)
+    is the apex pixel, ``w`` the number of pixels stepped along the
+    down-right diagonal and ``h`` along the down-left diagonal (see
+    :func:`rotated_rect_members` for the exact membership rule).
     """
 
     x: int
@@ -244,16 +243,18 @@ class LineReader:
         raise self.error(f"malformed {tag} line", self.no)
 
     def integer(self, tok: str) -> int:
-        """``tok`` as an int, else "bad integer" at the current line."""
-        try:
-            return int(tok)
-        except ValueError:
-            raise self.error(f"bad integer {tok!r}", self.no) from None
+        """``tok`` as an int, else "bad integer" at the current line (``int`` takes ``1_0``)."""
+        if "_" not in tok:
+            try:
+                return int(tok)
+            except ValueError:
+                pass
+        raise self.error(f"bad integer {tok!r}", self.no)
 
     def real(self, tok: str, allow_inf: bool = False) -> float:
         """``tok`` as a finite float (or an infinite one if ``allow_inf``), else "bad real"."""
         try:
-            v = float(tok)
+            v = math.nan if "_" in tok else float(tok)  # float alone takes 1_0
         except ValueError:
             v = math.nan  # rejected below, like "nan" itself
         if not math.isfinite(v) and (math.isnan(v) or not allow_inf):
@@ -378,18 +379,6 @@ def require_inside(tables: IntegralTables | GrayImage, x, y, w, h, rotated: bool
         raise BoundsError(f"{kind} {where}")
 
 
-def _cell_sum(tables: IntegralTables, r: Rect, rotated: bool) -> int:
-    t = tables.flat(rotated)
-    require_inside(tables, r.x, r.y, r.w, r.h, rotated)
-    a, b, c, d = cell_corners(r.x, r.y, r.w, r.h, rotated, tables.stride)
-    return int(t[a] - t[b] - t[c] + t[d])
-
-
-def rect_sum(tables: IntegralTables, r: Rect) -> int:
-    """Sum of pixels inside ``r`` via four table references."""
-    return _cell_sum(tables, r, False)
-
-
 def rotated_rect_members(r: Rect):
     """Pixels of the 45-degree rotated rect, per the fixed membership rule.
 
@@ -400,14 +389,6 @@ def rotated_rect_members(r: Rect):
     for b in range(r.h):
         for a in range(r.w):
             yield r.x + a - b, r.y + a + b
-
-
-def rotated_rect_sum(tables: IntegralTables, r: Rect) -> int:
-    """Sum over the rotated rect's pixel set via four ``tilted`` references.
-
-    Membership rule is the one documented on :func:`rotated_rect_members`.
-    """
-    return _cell_sum(tables, r, True)
 
 
 def window_inv_stddevs(tables: IntegralTables, at, w: int, h: int) -> np.ndarray:
@@ -436,7 +417,7 @@ def stack_tables(tables_list: Sequence[IntegralTables], rotations):
     ``tables_by_kind`` maps rotated -> the samples' flat tables end to end, for each of
     ``rotations`` and always the sums; every stacked table has row stride ``stride``, and
     sample s starts at ``bases[s]`` in each.  ``inv`` is each whole sample's
-    :func:`window_inv_stddev`, bit for bit, from the stacked sums and squared sums.
+    :func:`window_inv_stddevs`, bit for bit, from the stacked sums and squared sums.
     Raises ``ValueError`` from :func:`require_same_size`.
     """
     require_same_size(tables_list)
@@ -456,9 +437,3 @@ def _inv_stddevs(s: np.ndarray, sq: np.ndarray, stride: int, at, w: int, h: int)
     mean = s1 / n
     sigma = np.sqrt(np.maximum(s2 / n - mean * mean, 0.0))
     return 1.0 / np.maximum(sigma, 1.0)
-
-
-def window_inv_stddev(tables: IntegralTables, r: Rect) -> float:
-    """1/sigma of one window inside the image: the N = 1 case of :func:`window_inv_stddevs`."""
-    require_inside(tables, r.x, r.y, r.w, r.h, False)
-    return float(window_inv_stddevs(tables, r.y * tables.stride + r.x, r.w, r.h))

@@ -137,6 +137,8 @@ def parse_points_file(data: bytes) -> list[Point2]:
         if len(toks) != 2:
             raise PointsFormatError("expected '<x> <y>'", r.no)
         try:
+            if "_" in toks[0] + toks[1]:  # float() takes 1_0 digit separators; the format does not
+                raise ValueError
             x, y = float(toks[0]), float(toks[1])
         except ValueError:
             raise PointsFormatError("non-numeric coordinate", r.no) from None

@@ -227,11 +227,14 @@ class HierarchyResult:
     are mapped back to the input frame.
     """
 
-    face_found: bool = False
     face: Rect | None = None
     features: dict = field(default_factory=dict)
     points: dict = field(default_factory=lambda: {n: None for n in DETECTED_POINT_NAMES})
     tilt_applied: float = 0.0
+
+    @property
+    def face_found(self) -> bool:
+        return self.face is not None
 
 
 # --- position grids -------------------------------------------------------------
@@ -515,19 +518,6 @@ def _union_edges(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
             parent[:] = jumped
 
 
-def rects_similar(a: Rect, b: Rect) -> bool:
-    mw = 0.2 * max(a.w, b.w)
-    mh = 0.2 * max(a.h, b.h)
-    return (
-        abs(a.x - b.x) <= mw
-        and abs(a.y - b.y) <= mh
-        and abs((a.x + a.w) - (b.x + b.w)) <= mw
-        and abs((a.y + a.h) - (b.y + b.h)) <= mh
-        and abs(a.w - b.w) <= mw
-        and abs(a.h - b.h) <= mh
-    )
-
-
 def select_result(
     ds: list[Detection], is_point: bool, roi_center: tuple[float, float] | None = None
 ) -> Detection | None:
@@ -660,7 +650,7 @@ def detect_hierarchy(
     if face is None:
         tilt_state.alpha = 0.0
         return result
-    result.face_found, result.face = True, face
+    result.face = face
 
     # every feature ROI depends only on the face rect
     for name, cfg in feature_cfgs.items():

@@ -1,4 +1,5 @@
-"""Shared synthetic-face fixture for the hierarchy and CLI tests.
+"""Shared synthetic-face fixture for the hierarchy and CLI tests, and the
+test ids of the file-format error tables (:func:`row_ids`).
 
 The fixture face is a bright disc in a dark ring (detected by a
 hand-calibrated scale-band stump), four facial-feature anchors are
@@ -299,3 +300,10 @@ def make_hierarchy_configs(face_c, feature_c, point_cs):
 @pytest.fixture()
 def hierarchy_configs(fixture_cascades):
     return make_hierarchy_configs(*fixture_cascades)
+
+
+def row_ids(rows) -> list[str]:
+    """Each row's message; a message an earlier row already has also names the line."""
+    messages = [m for *_, m in rows]
+    return [m if messages.index(m) == i else f"{m} at line {line}"
+            for i, (_, line, m) in enumerate(rows)]

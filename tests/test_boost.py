@@ -12,7 +12,6 @@ from fidpoint.boost import (
     Booster,
     StrongClassifier,
     WeakClassifier,
-    eval_strong,
     init_weights,
     train_weak,
 )
@@ -25,9 +24,9 @@ from fidpoint.haar import (
     HaarFeature,
     enumerate_features,
     feature_matrix,
-    feature_value,
 )
-from fidpoint.raster import GrayImage, Rect, build_tables, window_inv_stddev
+from fidpoint.raster import GrayImage, Rect, build_tables
+from oracles import eval_strong, feature_value, window_inv_stddev
 
 
 def dyadic_weights(rng, n, denom_bits=12):

@@ -1,14 +1,15 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fidpoint.boost import StrongClassifier, WeakClassifier, eval_strong
+from fidpoint.boost import StrongClassifier, WeakClassifier
 from fidpoint.cascade import (
     Cascade,
     _batch_accept,
@@ -25,8 +26,18 @@ from fidpoint.cascade import (
     train_cascade,
     train_stage,
 )
-from fidpoint.haar import FeatureKind, FeatureSet, HaarFeature, enumerate_features
-from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, window_inv_stddev
+from fidpoint.haar import (
+    FeatureKind,
+    FeatureSet,
+    HaarFeature,
+    enumerate_features,
+    round_half_up,
+    scale_feature,
+)
+from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, is_inside
+import oracles
+from conftest import row_ids
+from oracles import eval_strong, window_inv_stddev
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -259,6 +270,46 @@ def test_classify_matches_no_early_exit():
             assert rejected_at == verdicts.index(False)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    feature_set=st.sampled_from(FeatureSet),
+    n_stages=st.integers(0, 3),
+    reach=st.booleans(),
+    scale=st.sampled_from([1.0, 1.2, 1.5]),
+    x=st.integers(-1, 5),
+    y=st.integers(-1, 5),
+)
+@example(seed=4, feature_set=FeatureSet.BASIC, n_stages=1, reach=True, scale=1.0, x=5, y=5)
+def test_classify_window_agrees_with_scalar_reference(
+    seed, feature_set, n_stages, reach, scale, x, y
+):
+    # ``reach`` appends a stage of features drawn from a 10x10 window, whose cells may
+    # pass the 8x8 window; when an earlier stage rejects, the reference never reads them
+    rng = np.random.default_rng(seed)
+    c = random_cascade(rng, 8, n_stages, feature_set, easy=False)
+    if reach:
+        c.stages += random_cascade(rng, 10, 1, feature_set).stages
+    t = make_tables(rng, 13, rotated=feature_set is FeatureSet.ALL)
+    side = round_half_up(8 * scale)
+    features = [wk.feature for s in c.stages for _, wk in s.strong.rounds]
+    cells = [scale_feature(f, Fraction(side, 8)) for f in features]
+    window_inside = is_inside(13, 13, x, y, side, side, False)
+    cells_inside = all(
+        is_inside(13, 13, x + cx, y + cy, cw, ch, sc.rotated)
+        for sc in cells
+        for cx, cy, cw, ch, _ in sc.slots
+    )
+    if window_inside and cells_inside:
+        assert classify_window(c, t, (x, y), scale) == oracles.classify_window(c, t, (x, y), scale)
+        return
+    with pytest.raises(BoundsError):  # whichever stage holds the cell
+        classify_window(c, t, (x, y), scale)
+    if not window_inside:
+        with pytest.raises(BoundsError):
+            oracles.classify_window(c, t, (x, y), scale)
+
+
 # --- _batch_accept ------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -305,7 +356,7 @@ def test_batch_accept_matches_classify_window(seed, feature_set, n_stages, n_sam
         tables.insert(at[1] + 1, build_tables(GrayImage(nearly), rotated))
     got = _batch_accept(c, tables)
     assert got.dtype == bool
-    assert got.tolist() == [classify_window(c, t)[0] for t in tables]
+    assert got.tolist() == [oracles.classify_window(c, t)[0] for t in tables]
 
 
 @pytest.mark.parametrize("side", [7, 9])
@@ -459,7 +510,9 @@ FORMAT_ERRORS = [
      "unexpected end of file, expected 'stage'"),
     (_edit(b"window 13 13", b"windows 13 13"), 2, "expected 'window' line"),
     (_edit(b"window 13 13", b"window 13 x"), 2, "bad integer 'x'"),
+    (_edit(b"window 13 13", b"window 1_3 13"), 2, "bad integer '1_3'"),
     (_edit(b"threshold 0.5", b"threshold 0.5x"), 5, "bad real '0.5x'"),
+    (_edit(b"threshold 0.5", b"threshold 0_5"), 5, "bad real '0_5'"),
     (_edit(b"FIDCASCADE 1", b"FIDCASCADE 2"), 1, "unsupported version"),
     (_edit(b"window 13 13", b"window 13"), 2, "malformed window line"),
     (_edit(b"window 13 13", b"window 0 13"), 2, "window must be positive"),
@@ -481,14 +534,7 @@ FORMAT_ERRORS = [
 ]
 
 
-def _row_ids(rows) -> list[str]:
-    """Each row's message; a message an earlier row already has also names the line."""
-    messages = [m for *_, m in rows]
-    return [m if messages.index(m) == i else f"{m} at line {line}"
-            for i, (_, line, m) in enumerate(rows)]
-
-
-@pytest.mark.parametrize("data, line, message", FORMAT_ERRORS, ids=_row_ids(FORMAT_ERRORS))
+@pytest.mark.parametrize("data, line, message", FORMAT_ERRORS, ids=row_ids(FORMAT_ERRORS))
 def test_deserialize_error_line_and_message(data, line, message):
     with pytest.raises(CascadeFormatError) as err:
         deserialize(data)

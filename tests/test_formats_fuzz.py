@@ -45,7 +45,7 @@ def _p2_file() -> bytes:
 
 PGM_WORDS = [b"P5", b"P2", b"#", b"# c\n", b"255", b"256", b"00", b"9" * 4400, b"\n"]
 NUMBERS = [b"0", b"1", b"-1", b"+1", b"2", b"9", b"1e999", b"-1e999", b"nan", b"inf",
-           b"0.5", b"99999999999", b"x", b""]
+           b"0.5", b"99999999999", b"1_0", b"x", b""]
 FORMATS = {
     "cascade": (_cascade_file(), deserialize, CascadeFormatError,
                 [b"FIDCASCADE", b"window", b"features", b"stages", b"stage", b"weak",

@@ -18,9 +18,7 @@ from fidpoint.haar import (
     enumerate_features,
     feature_matrix,
     feature_table,
-    feature_value,
     fits_window,
-    footprint,
     mirror_feature,
     scale_feature,
 )
@@ -30,10 +28,9 @@ from fidpoint.raster import (
     Rect,
     build_tables,
     cell_corners,
-    rect_sum,
     rotated_rect_members,
-    window_inv_stddev,
 )
+from oracles import feature_value, footprint, rect_sum, window_inv_stddev
 
 
 # --- independent counting oracle -------------------------------------------

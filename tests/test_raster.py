@@ -11,14 +11,12 @@ from fidpoint.raster import (
     build_tables,
     is_inside,
     load_pgm,
-    rect_sum,
     rotated_rect_members,
-    rotated_rect_sum,
     save_pgm,
     stack_tables,
-    window_inv_stddev,
     window_inv_stddevs,
 )
+from oracles import rect_sum, rotated_rect_sum, window_inv_stddev
 
 
 def random_image(rng, max_side=64):

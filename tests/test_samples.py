@@ -22,6 +22,7 @@ from fidpoint.samples import (
     tilt_correct_markup,
     write_points_file,
 )
+from conftest import row_ids
 
 
 def level_markup(path="img.pgm", shift=Point2(0.0, 0.0)):
@@ -75,12 +76,13 @@ POINTS_ERRORS = [
     (b"PTS 1\nn 2\n1 2\n", 4, "unexpected end of file, expected '<x> <y>'"),
     (b"PTS 1\nn 1\n1 2 3\n", 3, "expected '<x> <y>'"),
     (b"PTS 1\nn 1\n1 y\n", 3, "non-numeric coordinate"),
+    (b"PTS 1\nn 1\n1_0 2\n", 3, "non-numeric coordinate"),
     (b"PTS 1\nn 1\n1 inf\n", 3, "non-finite coordinate"),
     (b"PTS 1\nn 1\n1 2\n\n\njunk\n", 6, "trailing content"),
 ]
 
 
-@pytest.mark.parametrize("data, line, message", POINTS_ERRORS, ids=[m for *_, m in POINTS_ERRORS])
+@pytest.mark.parametrize("data, line, message", POINTS_ERRORS, ids=row_ids(POINTS_ERRORS))
 def test_parse_points_error_line_and_message(data, line, message):
     with pytest.raises(PointsFormatError) as err:
         parse_points_file(data)

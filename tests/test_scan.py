@@ -18,7 +18,6 @@ from fidpoint.haar import (
     FeatureKind,
     FeatureSet,
     HaarFeature,
-    cells_value,
     enumerate_features,
     feature_matrix,
     round_half_up,
@@ -30,8 +29,6 @@ from fidpoint.raster import (
     Rect,
     build_tables,
     cell_box,
-    rotated_rect_sum,
-    window_inv_stddev,
 )
 from fidpoint.scan import (
     RAW_WINDOW,
@@ -43,11 +40,12 @@ from fidpoint.scan import (
     detect_region,
     group_detections,
     group_rois,
-    rects_similar,
     scan_roi,
     scan_rois,
     select_result,
 )
+import oracles
+from oracles import cells_value, rects_similar, rotated_rect_sum, window_inv_stddev
 
 
 def zero_stage_cascade(window=13):
@@ -107,7 +105,7 @@ def reference_scan(c, image, cfg):
         for y in ys:
             for x in xs:
                 try:
-                    accepted, _ = classify_window(
+                    accepted, _ = oracles.classify_window(
                         c, tables, (roi.x + x, roi.y + y), w / c.window_w
                     )
                 except BoundsError:
@@ -280,6 +278,7 @@ def test_missing_rotated_sums_raise_one_error():
     calls = [
         lambda: scan_roi(c, tables, DetectorConfig(cascade=c)),
         lambda: _batch_accept(c, [tables]),
+        lambda: classify_window(c, tables),
         lambda: feature_matrix([f], [tables]),
         lambda: cells_value(scale_feature(f, 1), tables, 0, 0, 1.0),
         lambda: rotated_rect_sum(tables, Rect(4, 0, 2, 2)),
