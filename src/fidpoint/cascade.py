@@ -14,10 +14,10 @@ rates compound multiplicatively across stages.
 
 :func:`run_stages` is the one window evaluator: the scanner runs it per
 scale over a frame's windows, bootstrap filtering over the stacked
-negative patches, and :func:`classify_window` over one window, a stage
-at a time, so that it can name the rejecting stage.  It keeps the
-survivors compact, with one running margin per window summed stump by
-stump in cascade order.  Training and filtering stack each batch of
+negative patches, and :func:`classify_window` over one window.  It keeps
+the survivors compact, with one running margin per window summed stump
+by stump in cascade order, and counts each stage's survivors (the
+attentional funnel).  Training and filtering stack each batch of
 patches once, with ``raster.stack_tables``, which also returns every
 patch's 1/sigma.  Each stage reads its own ``haar.feature_table`` through
 a ``haar.FeatureValues``, block by block; ``enumerate_features`` and
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -186,13 +186,22 @@ def train_stage(
     raise StageStuckError(-1, hr, fa, params.max_weak_per_stage)
 
 
+def scaled_cells(c: Cascade, frac: Fraction, mirrored: bool):
+    """(cells, overhang): ``haar.scan_plan`` of the cascade's weak features in cascade order."""
+    features = tuple(wk.feature for st in c.stages for _, wk in st.strong.rounds)
+    return scan_plan(c.window_w, c.window_h, features, frac, mirrored)
+
+
 def run_stages(c: Cascade, cells: list, tables_by_kind: dict, stride: int, at, inv):
-    """(accepted, summed stump margin) of N windows, each stage reading only its survivors.
+    """(accepted, summed stump margin, survivors) of N windows; a stage reads only survivors.
 
     ``cells``: the weak classifiers' ScaledCells in cascade order; ``tables_by_kind``: rotated
     -> flattened table of row stride ``stride``; ``at``, ``inv``: the windows' offsets (one
     array for every table) and 1/sigma.  The survivors' offsets, 1/sigma and running margins
     (stumps added in cascade order) stay compact, then scatter once, 0 where rejected.
+
+    ``survivors[i]`` counts the windows stage i let through (the attentional funnel); the
+    list ends at the stage that rejected the last window, as no later stage runs.
 
     The feature values, stump votes and margin terms are written into buffers allocated once
     per call, a stage of m survivors using their leading m entries.  Each window still sees
@@ -200,7 +209,7 @@ def run_stages(c: Cascade, cells: list, tables_by_kind: dict, stride: int, at, i
     fresh arrays bit for bit.
     """
     alive, full = np.zeros(len(inv), dtype=bool), np.zeros(len(inv))
-    idx, margin = np.arange(len(inv)), np.zeros(len(inv))
+    idx, margin, survivors = np.arange(len(inv)), np.zeros(len(inv)), []
     values, terms, scores = np.empty(len(inv)), np.empty(len(inv)), np.empty(len(inv))
     votes = np.empty(len(inv), dtype=bool)
     cell_iter = iter(cells)
@@ -222,8 +231,9 @@ def run_stages(c: Cascade, cells: list, tables_by_kind: dict, stride: int, at, i
         np.less(score, stage.strong.threshold, out=cmp)
         keep = np.flatnonzero(~cmp)  # not >=: NaN keeps all
         idx, at, inv, margin = idx[keep], at[keep], inv[keep], margin[keep]
+        survivors.append(len(idx))
     alive[idx], full[idx] = True, margin
-    return alive, full
+    return alive, full, survivors
 
 
 def classify_window(
@@ -234,25 +244,21 @@ def classify_window(
 ) -> tuple[bool, int | None]:
     """Evaluate stages in order; (accepted, index of the rejecting stage).
 
-    :func:`run_stages` of one window, a stage at a time, its cells scaled by the exact ratio
-    round(window_w * scale) / window_w as in scans.  A zero-stage cascade accepts every window
-    (the recursion base for bootstrapping).  Raises ``BoundsError`` if the window or any cell
-    of any stage leaves the tables, the inside rule of scans and :func:`_batch_accept`.
+    One :func:`run_stages` pass over one window, its cells scaled by the exact ratio
+    round(window_w * scale) / window_w as in scans; the rejecting stage is the first to let
+    no window through.  A zero-stage cascade accepts every window (the recursion base for
+    bootstrapping).  Raises ``BoundsError`` if the window or any cell of any stage leaves
+    the tables, the inside rule of scans and :func:`_batch_accept`.
     """
     frac = Fraction(round_half_up(c.window_w * scale), c.window_w)
     window = Rect(*origin, round_half_up(c.window_w * frac), round_half_up(c.window_h * frac))
-    features = tuple(wk.feature for st in c.stages for _, wk in st.strong.rounds)
-    cells, (l, t, r, b) = scan_plan(c.window_w, c.window_h, features, frac, False)
+    cells, (l, t, r, b) = scaled_cells(c, frac, False)
     require_inside(tables, window.x - l, window.y - t, window.w + l + r, window.h + t + b, False)
     flat = {rot: tables.flat(rot) for rot in {sc.rotated for sc in cells}}
     at = np.array([window.y * tables.stride + window.x])
     inv = window_inv_stddevs(tables, at, window.w, window.h)
-    for i, stage in enumerate(c.stages):
-        alive, _ = run_stages(replace(c, stages=[stage]), cells, flat, tables.stride, at, inv)
-        if not alive[0]:
-            return False, i
-        cells = cells[len(stage.strong.rounds) :]
-    return True, None
+    alive, _, survivors = run_stages(c, cells, flat, tables.stride, at, inv)
+    return (True, None) if alive[0] else (False, survivors.index(0))
 
 
 def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:
@@ -267,8 +273,7 @@ def _batch_accept(c: Cascade, tables_list: list[IntegralTables]) -> np.ndarray:
     t = tables_list[0]
     if (t.width, t.height) != (c.window_w, c.window_h):
         raise ValueError(f"{t.width}x{t.height} patch for a {c.window_w}x{c.window_h} cascade")
-    features = tuple(wk.feature for st in c.stages for _, wk in st.strong.rounds)
-    cells, overhang = scan_plan(c.window_w, c.window_h, features, Fraction(1), False)
+    cells, overhang = scaled_cells(c, Fraction(1), False)
     if any(overhang):
         raise BoundsError(f"cells overhang the {c.window_w}x{c.window_h} window by {overhang}")
     return run_stages(c, cells, *stack_tables(tables_list, {sc.rotated for sc in cells}))[0]
@@ -362,8 +367,10 @@ def serialize(c: Cascade) -> bytes:
 
     ``<name>`` is a ``FeatureKind`` name.  ``features`` says only whether scans need rotated sums
     (``haar.FeatureSet``): BASIC allows every upright kind, CENTER_SURROUND included, ALL also the
-    rotated (``_45``) kinds.  Numbers take no ``_`` digit separators; reals are written with 17
-    significant digits, so they read back exactly; a stump ``thresh`` may be ``inf`` or ``-inf``.
+    rotated (``_45``) kinds.  ``<int>`` and ``<real>`` take any ``int`` or ``float`` spelling but
+    ``_`` digit separators (``+10``, ``010``, ``1e1`` and ``.5`` load); reals must be finite, but
+    a stump ``thresh`` may be ``inf`` or ``-inf``.  Reals are written with 17 significant digits,
+    so they read back exactly; only what this function writes reads back byte for byte.
     """
     lines = [
         f"{FORMAT_MAGIC} {FORMAT_VERSION}",

@@ -119,8 +119,11 @@ class FeatureKind(enum.IntEnum):
         self.rotated = self.name.endswith("_45")  # not a property, which costs 0.3 us a read
 
 
-# Upright layouts: (cx, cy, cw, ch, weight) in base-cell units.
-_UPRIGHT_CELLS = {
+# Layouts: (cx, cy, cw, ch, weight) in base-cell units.  An upright cell
+# covers (cx*w, cy*h) to ((cx+cw)*w, (cy+ch)*h) from the feature position;
+# a rotated kind's cells are 1x1 base cells, the one at (a, b) with apex
+# at the feature apex + a*w*(1,1) + b*h*(-1,1).
+_CELLS = {
     FeatureKind.EDGE_H: ((0, 0, 1, 1, -1.0), (1, 0, 1, 1, 1.0)),
     FeatureKind.EDGE_V: ((0, 0, 1, 1, -1.0), (0, 1, 1, 1, 1.0)),
     FeatureKind.LINE_H: ((0, 0, 1, 1, -1.0), (1, 0, 1, 1, 2.0), (2, 0, 1, 1, -1.0)),
@@ -132,31 +135,18 @@ _UPRIGHT_CELLS = {
         (1, 1, 1, 1, 1.0),
     ),
     FeatureKind.CENTER_SURROUND: ((0, 0, 3, 3, -1.0), (1, 1, 1, 1, 9.0)),
+    FeatureKind.EDGE_H_45: ((0, 0, 1, 1, -1.0), (1, 0, 1, 1, 1.0)),
+    FeatureKind.EDGE_V_45: ((0, 0, 1, 1, -1.0), (0, 1, 1, 1, 1.0)),
+    FeatureKind.LINE_H_45: ((0, 0, 1, 1, -1.0), (1, 0, 1, 1, 2.0), (2, 0, 1, 1, -1.0)),
+    FeatureKind.LINE_V_45: ((0, 0, 1, 1, -1.0), (0, 1, 1, 1, 2.0), (0, 2, 1, 1, -1.0)),
 }
 
-# Rotated layouts: (a_step, b_step, weight); cell apex = base apex
-# + a_step*w*(1,1) + b_step*h*(-1,1).
-_ROTATED_CELLS = {
-    FeatureKind.EDGE_H_45: ((0, 0, -1.0), (1, 0, 1.0)),
-    FeatureKind.EDGE_V_45: ((0, 0, -1.0), (0, 1, 1.0)),
-    FeatureKind.LINE_H_45: ((0, 0, -1.0), (1, 0, 2.0), (2, 0, -1.0)),
-    FeatureKind.LINE_V_45: ((0, 0, -1.0), (0, 1, 2.0), (0, 2, -1.0)),
-}
-
-# Footprint multiples (n_a, n_b): upright footprint is (n_a*w, n_b*h)
-# pixels; rotated features span n_a*w diagonal steps down-right and
-# n_b*h down-left.
+# Footprint multiples (n_a, n_b), the layout's extent in base cells: an
+# upright footprint is (n_a*w, n_b*h) pixels; a rotated one spans n_a*w
+# diagonal steps down-right and n_b*h down-left.
 _GRID = {
-    FeatureKind.EDGE_H: (2, 1),
-    FeatureKind.EDGE_V: (1, 2),
-    FeatureKind.LINE_H: (3, 1),
-    FeatureKind.LINE_V: (1, 3),
-    FeatureKind.DIAG: (2, 2),
-    FeatureKind.CENTER_SURROUND: (3, 3),
-    FeatureKind.EDGE_H_45: (2, 1),
-    FeatureKind.EDGE_V_45: (1, 2),
-    FeatureKind.LINE_H_45: (3, 1),
-    FeatureKind.LINE_V_45: (1, 3),
+    kind: (max(cx + cw for cx, _, cw, _, _ in cells), max(cy + ch for _, cy, _, ch, _ in cells))
+    for kind, cells in _CELLS.items()
 }
 
 ALL_KINDS = tuple(FeatureKind)
@@ -260,10 +250,9 @@ def _unit_cells(kind: FeatureKind, x, y, w, h) -> list[tuple]:
     (x, y) is the feature position and w x h its base cell; they may be
     ints or arrays holding one entry per feature.
     """
-    if kind.rotated:
-        layout = _ROTATED_CELLS[kind]
-        return [(x + a * w - b * h, y + a * w + b * h, w, h, wt) for a, b, wt in layout]
-    layout = _UPRIGHT_CELLS[kind]
+    layout = _CELLS[kind]
+    if kind.rotated:  # diagonal placement of 1x1 base cells
+        return [(x + a * w - b * h, y + a * w + b * h, w, h, wt) for a, b, _, _, wt in layout]
     return [(x + cx * w, y + cy * h, cw * w, ch * h, wt) for cx, cy, cw, ch, wt in layout]
 
 

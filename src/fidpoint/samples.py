@@ -57,8 +57,6 @@ class GenerationError(RuntimeError):
 @dataclass(frozen=True)
 class PointScheme:
     names: tuple[str, ...]
-    left_ids: frozenset[int]
-    right_ids: frozenset[int]
     # eye corner ids in the order (left outer, left inner, right inner, right outer)
     eye_corners: tuple[int, int, int, int]
 
@@ -70,11 +68,9 @@ class PointScheme:
         return self.names.index(name)
 
     def side(self, point_id: int) -> str:
-        if point_id in self.left_ids:
-            return "left"
-        if point_id in self.right_ids:
-            return "right"
-        return "mid"
+        """'left' or 'right' by the name's ``left_`` or ``right_`` prefix, else 'mid'."""
+        side = self.names[point_id].split("_", 1)[0]
+        return side if side in ("left", "right") else "mid"
 
     def eye_widths(self, points: list[Point2]) -> tuple[float, float]:
         lo, li, ri, ro = (points[i] for i in self.eye_corners)
@@ -100,8 +96,6 @@ DEFAULT_SCHEME = PointScheme(
         "right_eye_outer", "right_temple", "nose_tip", "left_nostril",
         "right_nostril", "upper_lip", "lower_lip", "chin",
     ),
-    left_ids=frozenset({0, 2, 4, 5, 8, 9, 10, 15}),
-    right_ids=frozenset({1, 3, 6, 7, 11, 12, 13, 16}),
     eye_corners=(9, 10, 11, 12),
 )
 
@@ -123,7 +117,10 @@ class Markup:
 def parse_points_file(data: bytes) -> list[Point2]:
     """The points of a :func:`write_points_file` file.
 
-    The file is read by the line rule of ``raster.LineReader``.  Raises
+    The file is read by the line rule of ``raster.LineReader``; the count
+    takes any ``int`` spelling and a coordinate any finite ``float`` one,
+    but no ``_`` digit separators (``+01``, ``1e1`` and ``.5`` load).  Only
+    what :func:`write_points_file` writes reads back byte for byte.  Raises
     :class:`PointsFormatError` at the offending line for any malformed file.
     """
     r = LineReader(data, PointsFormatError)

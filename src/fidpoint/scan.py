@@ -14,7 +14,7 @@ out once per such tuple and cached.  At each size the step is
 max(1, round(size / cascade_window)) and the position grid contains the
 multiples of the step from both ends of the feasible range, so the grid
 maps onto itself under horizontal or vertical mirroring about the ROI.
-Each size reads its cells from one cached ``haar.scan_plan`` at one
+Each size reads its cells from one ``cascade.scaled_cells`` plan at one
 array of window offsets, which serves every table of the frame (they
 share one row stride).  Windows whose scaled cells would read outside
 the frame (possible for rotated cells at fractional scales) are
@@ -117,7 +117,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .cascade import Cascade, run_stages
+from .cascade import Cascade, run_stages, scaled_cells
 from .geom import (
     EyeCorner,
     InsufficientPointsError,
@@ -129,7 +129,7 @@ from .geom import (
     rotate_image,
     rotate_point,
 )
-from .haar import FeatureSet, round_half_up, scan_plan
+from .haar import FeatureSet, round_half_up
 from .raster import GrayImage, IntegralTables, Rect, build_tables, require_inside, window_inv_stddevs
 
 # the fourteen detectable points, grouped by their parent facial feature
@@ -252,14 +252,15 @@ def _grid_positions(extent: int, step: int) -> np.ndarray:
     return np.add.outer(fwd, (0, r)).ravel() if r else fwd
 
 
-def _scan_sizes(c: Cascade, cfg: DetectorConfig, roi: Rect) -> list:
-    """Deduplicated ((width, height), exact scale) pairs that fit the ROI.
+def _scan_sizes(cfg: DetectorConfig, roi: Rect) -> list:
+    """Deduplicated ((width, height), exact scale) pairs of ``cfg.cascade`` that fit the ROI.
 
     Widths follow min_w * factor^k; the height comes from the same exact
     width ratio so cells and window box stay mutually consistent.  Sizes
     shorter than min_h are skipped, as OpenCV's ``minSize`` does.  A
     fresh list of a cached schedule, so a caller may change it.
     """
+    c = cfg.cascade
     return list(
         _size_schedule(
             c.window_w, c.window_h, cfg.min_w, cfg.min_h, cfg.scale_factor, roi.w, roi.h
@@ -315,16 +316,15 @@ def scan_rois(image, cfgs) -> list[np.ndarray]:
     for n, cfg in enumerate(cfgs):
         roi = _roi(cfg, tables)
         require_inside(tables, roi.x, roi.y, roi.w, roi.h, False)
-        for (w_k, h_k), frac in _scan_sizes(cfg.cascade, cfg, roi):
+        for (w_k, h_k), frac in _scan_sizes(cfg, roi):
             key = w_k, h_k, cfg.on_right_side, id(cfg.cascade)
             sizes.setdefault(key, (frac, []))[1].append((n, roi))
     found = [[] for _ in cfgs]  # per config, per size: (offsets, w, h, margins) accepted
     for w_k, h_k, right, c_id in sorted(sizes):
         frac, members = sizes[w_k, h_k, right, c_id]
         c = cfgs[members[0][0]].cascade
-        features = tuple(weak.feature for st in c.stages for _, weak in st.strong.rounds)
-        tables_by_kind = {rot: tables.flat(rot) for rot in {f.kind.rotated for f in features}}
-        scaled, (l, t, rgt, btm) = scan_plan(c.window_w, c.window_h, features, frac, right)
+        scaled, (l, t, rgt, btm) = scaled_cells(c, frac, right)
+        tables_by_kind = {rot: tables.flat(rot) for rot in {sc.rotated for sc in scaled}}
         step_x = max(1, round_half_up(w_k / c.window_w))
         step_y = max(1, round_half_up(h_k / c.window_h))
         ats = []
@@ -337,7 +337,7 @@ def scan_rois(image, cfgs) -> list[np.ndarray]:
             ats.append((ys[:, None] * tables.stride + xs).ravel())  # y-major grid
         at = np.concatenate(ats)  # one offset array serves every table
         inv = window_inv_stddevs(tables, at, w_k, h_k)
-        alive, margin = run_stages(c, scaled, tables_by_kind, tables.stride, at, inv)
+        alive, margin, _ = run_stages(c, scaled, tables_by_kind, tables.stride, at, inv)
         bounds = [0, *accumulate(map(len, ats))]
         for (n, _), a, b in zip(members, bounds, bounds[1:]):
             keep = alive[a:b]

@@ -54,13 +54,6 @@ POINT_PRIMARY = {
     "left_mouth_corner": (99, 136),
     "right_mouth_corner": (129, 136),
 }
-NAME_TO_ID = {
-    "left_pupil": 0, "right_pupil": 1, "left_mouth_corner": 2,
-    "right_mouth_corner": 3, "left_brow_outer": 4, "left_brow_inner": 5,
-    "right_brow_inner": 6, "right_brow_outer": 7, "left_eye_outer": 9,
-    "left_eye_inner": 10, "right_eye_inner": 11, "right_eye_outer": 12,
-    "left_nostril": 15, "right_nostril": 16,
-}
 
 
 def point_type(name: str) -> str:
@@ -128,9 +121,8 @@ def build_face_image(seed=41):
 
 def fixture_markup(image_path="fixture.pgm") -> Markup:
     pts = [Point2(0.0, 0.0)] * DEFAULT_SCHEME.size
-    for name, pid in NAME_TO_ID.items():
-        x, y = POINT_PRIMARY[name]
-        pts[pid] = Point2(float(x), float(y))
+    for name, (x, y) in POINT_PRIMARY.items():
+        pts[DEFAULT_SCHEME.id_of(name)] = Point2(float(x), float(y))
     return Markup(image_path, pts)
 
 
@@ -203,7 +195,7 @@ def train_point_cascade(ptype: str, seed: int) -> Cascade:
     wrong-glyph plus wrong-scale crops, from full fixture images."""
     rng = np.random.default_rng(seed)
     left_name = next(n for n in POINT_PRIMARY if n.startswith("left") and point_type(n) == ptype)
-    pid = NAME_TO_ID[left_name]
+    pid = DEFAULT_SCHEME.id_of(left_name)
     tx, ty = POINT_PRIMARY[left_name]
     other_points = [p for n, p in POINT_PRIMARY.items() if n != left_name]
     positives, negatives = [], []

@@ -22,6 +22,8 @@ from fidpoint.cascade import (
     compound_bounds,
     deserialize,
     mirror,
+    run_stages,
+    scaled_cells,
     serialize,
     train_cascade,
     train_stage,
@@ -34,7 +36,7 @@ from fidpoint.haar import (
     round_half_up,
     scale_feature,
 )
-from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, is_inside
+from fidpoint.raster import BoundsError, GrayImage, Rect, build_tables, is_inside, stack_tables
 import oracles
 from conftest import row_ids
 from oracles import eval_strong, window_inv_stddev
@@ -357,6 +359,33 @@ def test_batch_accept_matches_classify_window(seed, feature_set, n_stages, n_sam
     got = _batch_accept(c, tables)
     assert got.dtype == bool
     assert got.tolist() == [oracles.classify_window(c, t)[0] for t in tables]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    feature_set=st.sampled_from(FeatureSet),
+    n_stages=st.integers(0, 4),
+    n_samples=st.integers(1, 30),
+    dead=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_run_stages_reports_the_funnel(seed, feature_set, n_stages, n_samples, dead):
+    # survivors[i] counts the patches that stage i lets through; the list stops
+    # at the first stage that leaves none, as no later stage runs
+    rng = np.random.default_rng(seed)
+    c = random_cascade(rng, 8, n_stages, feature_set, easy=False)
+    for stage, rejects_all in zip(c.stages, dead):
+        if rejects_all:
+            stage.strong.threshold = stage.strong.alpha_sum + 1.0
+    tables = [make_tables(rng, 8, feature_set is FeatureSet.ALL) for _ in range(n_samples)]
+    cells, _ = scaled_cells(c, Fraction(1), False)
+    flat, stride, at, inv = stack_tables(tables, {sc.rotated for sc in cells})
+    alive, _, survivors = run_stages(c, cells, flat, stride, at, inv)
+    rejected_at = [oracles.classify_window(c, t)[1] for t in tables]
+    passed = [sum(r is None or r > i for r in rejected_at) for i in range(n_stages)]
+    ran = passed.index(0) + 1 if 0 in passed else n_stages
+    assert survivors == passed[:ran]
+    assert alive.tolist() == [r is None for r in rejected_at]
 
 
 @pytest.mark.parametrize("side", [7, 9])

@@ -3,8 +3,8 @@
 ``fidpoint`` evaluates windows through ``cascade.run_stages`` alone; a
 name that ``oracles.py`` defines and ``src/fidpoint`` defines as well
 would be a second evaluator growing back into the package.  The one
-shared name is ``classify_window``, whose package version is
-``run_stages``' one-window case.
+shared name is ``classify_window``, whose package version is one
+``run_stages`` pass over one window.
 """
 
 import ast
@@ -25,6 +25,16 @@ def top_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def called_names(node: ast.AST) -> list[str]:
+    """The name of every function called within ``node``: ``f(...)`` and ``m.f(...)`` give f."""
+    return [n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))]
+
+
 def test_no_oracle_is_defined_in_the_package():
     oracles = top_level_names(ast.parse((ROOT / "tests" / "oracles.py").read_text()))
     assert {"classify_window", "eval_strong", "rect_sum", "rects_similar"} <= oracles
@@ -38,7 +48,11 @@ def test_no_oracle_is_defined_in_the_package():
         clashes += [f"{path.name}: {name}" for name in sorted(oracles & defined)]
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name == "classify_window":
-                calls = {n.func.id for n in ast.walk(node)
-                         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                calls = called_names(node)
                 assert "run_stages" in calls
+                # one pass over every stage: no stage-by-stage calls, no one-stage cascades
+                assert calls.count("run_stages") == 1
+                loops = [n for n in ast.walk(node) if isinstance(n, LOOPS)]
+                assert not any("run_stages" in called_names(loop) for loop in loops)
+                assert "replace" not in calls and "Cascade" not in calls
     assert clashes == ["cascade.py: classify_window"]

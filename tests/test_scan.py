@@ -210,7 +210,7 @@ def test_scan_sizes_match_unit_steps(factor, window_w, window_h, extra_w, extra_
         cascade=c, scale_factor=factor, min_w=window_w + extra_w, min_h=window_h + extra_h
     )
     roi = Rect(0, 0, roi_w, roi_h)
-    assert _scan_sizes(c, cfg, roi) == unit_step_scan_sizes(c, cfg, roi)
+    assert _scan_sizes(cfg, roi) == unit_step_scan_sizes(c, cfg, roi)
 
 
 def test_scan_sizes_near_one_factor_is_fast():
@@ -218,7 +218,7 @@ def test_scan_sizes_near_one_factor_is_fast():
     c = zero_stage_cascade(13)
     cfg = DetectorConfig(cascade=c, scale_factor=1 + 1e-6)
     t0 = time.perf_counter()
-    sizes = _scan_sizes(c, cfg, Rect(0, 0, 320, 240))
+    sizes = _scan_sizes(cfg, Rect(0, 0, 320, 240))
     assert time.perf_counter() - t0 < 1.0
     assert [wh for wh, _ in sizes] == [(w, w) for w in range(13, 241)]
 
@@ -231,7 +231,7 @@ def test_scan_sizes_are_a_fresh_list_each_call():
     want = unit_step_scan_sizes(c, cfg, roi)
     assert len(want) > 2
     for _ in range(3):
-        sizes = _scan_sizes(c, cfg, roi)
+        sizes = _scan_sizes(cfg, roi)
         assert sizes == want
         sizes[0] = ((1, 1), Fraction(1, 11))
         sizes.pop()
@@ -246,7 +246,7 @@ def test_scan_sizes_stop_where_a_half_rounds_past_the_roi(roi_w):
     roi = Rect(0, 0, roi_w, 40)
     want = unit_step_scan_sizes(c, cfg, roi)
     assert [wh for wh, _ in want] == [(13, 13), (20, 20)][: roi_w - 18]
-    assert _scan_sizes(c, cfg, roi) == want
+    assert _scan_sizes(cfg, roi) == want
 
 
 @pytest.mark.parametrize("factor", [1e300, 1.5e307, 1e308, 1.7e308])
@@ -254,7 +254,7 @@ def test_scan_sizes_with_huge_scale_factors_keep_the_base_size(factor):
     # 13 * factor overflows to inf from about 1.4e307; the schedule stops there
     c = zero_stage_cascade(13)
     cfg = DetectorConfig(cascade=c, scale_factor=factor)
-    assert _scan_sizes(c, cfg, Rect(0, 0, 40, 40)) == [((13, 13), Fraction(1))]
+    assert _scan_sizes(cfg, Rect(0, 0, 40, 40)) == [((13, 13), Fraction(1))]
 
 
 def test_scan_roi_with_huge_scale_factor_returns_the_base_size_windows():
